@@ -4,10 +4,12 @@ Run with `pytest -s tests/test_acceptance.py` to see the lines as they pass.
 All equality checks are exact; the only tolerances are the stated runtime
 budgets.
 """
+import json
 import math
 import random
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
 
@@ -279,3 +281,12 @@ def test_ac9_recorded_discrepancy(corpus_reports):
         assert rep["discrepancies"], "the documented claim must be recorded"
         assert any("smooth rational curve" in note for note in rep["discrepancies"])
         assert rep["expectations"]["failures"] == []
+
+
+def test_corpus_reports_match_golden(corpus_reports):
+    # every bundled report, byte for byte as pinned in tests/golden/corpus
+    golden = Path(__file__).parent / "golden" / "corpus"
+    assert sorted(corpus_reports) == sorted(p.stem for p in golden.glob("*.json"))
+    for name, rep in corpus_reports.items():
+        text = json.dumps(rep, indent=2, sort_keys=True) + "\n"
+        assert text == (golden / f"{name}.json").read_text(), name
