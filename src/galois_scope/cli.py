@@ -1,5 +1,8 @@
 """Command-line surface: every command prints one JSON document to stdout.
 
+Each command prints `schema` and `command` plus the corpus report section of
+the same shape, built by the same function in `corpus.py`.
+
 Exit codes: 0 success, 1 corpus expectation failure, 2 input error,
 3 timeout (smoothness deadline exceeded).
 """
@@ -12,25 +15,31 @@ from pathlib import Path
 
 from .corpus import (
     SCHEMA,
+    automorphism_section,
     certificate_json,
+    counts_section,
     fixed_locus_json,
     load_instance,
     render_point,
+    resolve_group,
+    resolve_matrix,
+    resolve_point,
+    rh_section,
     run_corpus,
+    smoothness_section,
 )
-from .errors import GaloisScopeError, ParseError, SingularPoint
+from .errors import GaloisScopeError
 from .exactnum import cyclo_field
 from .fixlocus import fixed_locus
 from .galois import (
     certificate_from_automorphism,
     coordinate_points,
-    count_certified_points,
     eigen_candidate_points,
-    galois_at_point,
+    point_verdict,
 )
-from .hypersurface import Hypersurface, is_smooth, verify_automorphism
-from .parsing import parse_point, parse_polynomial, render_scalar
-from .planecurves import classify_cyclic, group_closure, quotient_genus
+from .hypersurface import Hypersurface, verify_automorphism
+from .parsing import parse_point, parse_polynomial
+from .planecurves import classify_cyclic, group_closure
 from .projlin import projective_order
 
 EXIT_OK = 0
@@ -39,19 +48,12 @@ EXIT_INPUT = 2
 EXIT_TIMEOUT = 3
 
 
-def _emit(doc: dict, json_out: str | None) -> None:
-    text = json.dumps(doc, indent=2, sort_keys=True)
-    print(text)
-    if json_out:
-        Path(json_out).write_text(text + "\n")
-
-
 def _load_surface(args) -> tuple:
     """(instance | None, Hypersurface): from a file or from --poly/--field."""
     if args.instance:
         inst = load_instance(args.instance)
         return inst, inst.surface
-    if getattr(args, "poly", None):
+    if args.poly:
         field = cyclo_field(args.field)
         F = parse_polynomial(args.poly, args.nvars, field)
         return None, Hypersurface(F.nvars - 2, F.degree, F)
@@ -59,167 +61,71 @@ def _load_surface(args) -> tuple:
 
 
 def _witness(inst, X, name):
-    if name not in inst.automorphisms:
-        raise GaloisScopeError(f"automorphism {name!r} is not defined in the instance")
-    w = verify_automorphism(X, inst.automorphisms[name])
+    w = verify_automorphism(X, resolve_matrix(inst, name))
     if w is None:
         raise GaloisScopeError(f"matrix {name!r} does not preserve the hypersurface")
     return w
 
 
-def _resolve_point(inst, X, args):
-    if args.point:
-        if args.point.startswith("e") and args.point[1:].isdigit():
-            i = int(args.point[1:])
-            f = X.field
-            return tuple(f.one if j == i else f.zero for j in range(X.n + 2))
-        if inst is None or args.point not in inst.points:
-            raise GaloisScopeError(f"point {args.point!r} is not defined")
-        return inst.points[args.point]
-    if args.coords:
-        return parse_point(args.coords.split(","), X.field)
-    raise GaloisScopeError("--point or --coords is required")
-
-
 def cmd_check_smooth(args):
-    inst, X = _load_surface(args)
-    res = is_smooth(X, deadline=args.deadline, allow_large=True)
-    _emit({
-        "schema": SCHEMA,
-        "command": "check-smooth",
-        "status": res.status,
-        "witness": render_point(res.witness) if res.witness else None,
-    }, args.json_out)
-    return EXIT_TIMEOUT if res.status == "timeout" else EXIT_OK
+    _, X = _load_surface(args)
+    body = smoothness_section(X, args.deadline)
+    return body, EXIT_TIMEOUT if body["status"] == "timeout" else EXIT_OK
 
 
 def cmd_verify_aut(args):
     inst, X = _load_surface(args)
-    A = inst.automorphisms.get(args.aut)
-    if A is None:
-        raise GaloisScopeError(f"automorphism {args.aut!r} is not defined")
-    w = verify_automorphism(X, A)
-    _emit({
-        "schema": SCHEMA,
-        "command": "verify-aut",
-        "automorphism": args.aut,
-        "verified": w is not None,
-        "order": w.order if w else projective_order(A),
-        "scale": render_scalar(w.scale) if w else None,
-    }, args.json_out)
-    return EXIT_OK
+    entry, _ = automorphism_section(X, resolve_matrix(inst, args.aut))
+    return {"automorphism": args.aut, **entry}
 
 
 def cmd_order(args):
-    inst, X = _load_surface(args)
-    A = inst.automorphisms.get(args.aut)
-    if A is None:
-        raise GaloisScopeError(f"automorphism {args.aut!r} is not defined")
-    _emit({
-        "schema": SCHEMA,
-        "command": "order",
-        "automorphism": args.aut,
-        "order": projective_order(A),
-    }, args.json_out)
-    return EXIT_OK
+    inst, _ = _load_surface(args)
+    return {"automorphism": args.aut, "order": projective_order(resolve_matrix(inst, args.aut))}
 
 
 def cmd_fix_locus(args):
     inst, X = _load_surface(args)
-    w = _witness(inst, X, args.aut)
-    rep = fixed_locus(X, w)
-    _emit({
-        "schema": SCHEMA,
-        "command": "fix-locus",
-        "automorphism": args.aut,
-        "fixed_locus": fixed_locus_json(rep),
-    }, args.json_out)
-    return EXIT_OK
+    rep = fixed_locus(X, _witness(inst, X, args.aut))
+    return {"automorphism": args.aut, "fixed_locus": fixed_locus_json(rep)}
 
 
 def cmd_galois_detect(args):
     inst, X = _load_surface(args)
-    w = _witness(inst, X, args.aut)
-    cert = certificate_from_automorphism(X, w)
-    _emit({
-        "schema": SCHEMA,
-        "command": "galois-detect",
-        "automorphism": args.aut,
-        "certificate": certificate_json(cert),
-    }, args.json_out)
-    return EXIT_OK
+    cert = certificate_from_automorphism(X, _witness(inst, X, args.aut))
+    return {"automorphism": args.aut, "certificate": certificate_json(cert)}
 
 
 def cmd_galois_at_point(args):
     inst, X = _load_surface(args)
-    p = _resolve_point(inst, X, args)
-    try:
-        pv = galois_at_point(X, p)
-        verdict = "none" if pv is None else pv.kind
-    except SingularPoint:
-        verdict = "singular"
-    _emit({
-        "schema": SCHEMA,
-        "command": "galois-at-point",
-        "point": render_point(p),
-        "verdict": verdict,
-    }, args.json_out)
-    return EXIT_OK
+    if args.point:
+        p = resolve_point(inst, X, args.point)
+    elif args.coords:
+        p = parse_point(args.coords.split(","), X.field)
+    else:
+        raise GaloisScopeError("--point or --coords is required")
+    return {"point": render_point(p), "verdict": point_verdict(X, p)}
 
 
 def cmd_classify_cyclic(args):
     inst, X = _load_surface(args)
-    w = _witness(inst, X, args.aut)
-    rows = classify_cyclic(X, w)
-    _emit({
-        "schema": SCHEMA,
-        "command": "classify-cyclic",
+    rows = classify_cyclic(X, _witness(inst, X, args.aut))
+    return {
         "automorphism": args.aut,
         "rows": [{"row": r.row, "n_fixed": r.n_fixed, "divisor": r.divisor} for r in rows],
-    }, args.json_out)
-    return EXIT_OK
-
-
-def _closure(inst, args):
-    names = args.group.split(",") if "," in args.group else None
-    if names is None:
-        members = inst.groups.get(args.group)
-        if members is None:
-            raise GaloisScopeError(f"group {args.group!r} is not defined")
-    else:
-        members = names
-    return group_closure([inst.automorphisms[m] for m in members], bound=args.bound)
+    }
 
 
 def cmd_group_closure(args):
-    inst, X = _load_surface(args)
-    G = _closure(inst, args)
-    _emit({
-        "schema": SCHEMA,
-        "command": "group-closure",
-        "group": args.group,
-        "order": G.order,
-        "abelian": G.abelian,
-        "cyclic": G.cyclic,
-    }, args.json_out)
-    return EXIT_OK
+    inst, _ = _load_surface(args)
+    G = group_closure(resolve_group(inst, args.group), bound=args.bound)
+    return {"group": args.group, "order": G.order, "abelian": G.abelian, "cyclic": G.cyclic}
 
 
 def cmd_rh_genus(args):
     inst, X = _load_surface(args)
-    G = _closure(inst, args)
-    rep = quotient_genus(X, G)
-    _emit({
-        "schema": SCHEMA,
-        "command": "rh-genus",
-        "group": args.group,
-        "curve_genus": rep.curve_genus,
-        "stabilizer_sum": rep.stabilizer_sum,
-        "group_order": rep.group_order,
-        "quotient_genus": rep.quotient_genus,
-        "fix_counts": list(rep.fix_counts),
-    }, args.json_out)
-    return EXIT_OK
+    G = group_closure(resolve_group(inst, args.group), bound=args.bound)
+    return rh_section(X, G, args.group)
 
 
 def cmd_count_points(args):
@@ -228,44 +134,68 @@ def cmd_count_points(args):
         coords = json.loads(Path(args.candidates).read_text())
         cands = [parse_point(c, X.field) for c in coords]
     elif args.eigen and inst is not None:
-        ws = [_witness(inst, X, name) for name in inst.automorphisms]
-        cands = eigen_candidate_points(X, ws)
+        cands = eigen_candidate_points(X, [_witness(inst, X, name) for name in inst.automorphisms])
     else:
         cands = coordinate_points(X)
-    rep = count_certified_points(X, cands)
-    _emit({
-        "schema": SCHEMA,
-        "command": "count-points",
-        "inner": rep.inner,
-        "outer": rep.outer,
-        "inner_bound": rep.inner_bound,
-        "outer_bound": rep.outer_bound,
-        "per_point": [[render_point(p), v] for p, v in rep.per_point],
-    }, args.json_out)
-    return EXIT_OK
+    return counts_section(X, cands)
 
 
 def cmd_corpus_run(args):
     reports = run_corpus(args.directory, jobs=args.jobs,
                          smooth_deadline=args.deadline, seed=args.seed)
-    failures = sum(len(r["expectations"]["failures"]) for r in reports)
     matrix = [
         {
             "name": r["name"],
             "checked": r["expectations"]["checked"],
             "failures": r["expectations"]["failures"],
-            "status": "pass" if not r["expectations"]["failures"] else "fail",
+            "status": "fail" if r["expectations"]["failures"] else "pass",
         }
         for r in reports
     ]
-    _emit({
-        "schema": SCHEMA,
-        "command": "corpus-run",
-        "matrix": matrix,
-        "reports": reports,
-        "status": "pass" if failures == 0 else "fail",
-    }, args.json_out)
-    return EXIT_OK if failures == 0 else EXIT_ASSERTION
+    failed = any(m["failures"] for m in matrix)
+    body = {"matrix": matrix, "reports": reports, "status": "fail" if failed else "pass"}
+    return body, EXIT_ASSERTION if failed else EXIT_OK
+
+
+INSTANCE_ARGS = [
+    ("instance", {"nargs": "?", "help": "instance JSON file"}),
+    ("--poly", {"help": "inline polynomial text instead of an instance file"}),
+    ("--field", {"type": int, "default": 1, "help": "conductor N for --poly"}),
+    ("--nvars", {"type": int, "default": 3, "help": "variable count for --poly"}),
+]
+AUT_ARGS = [("--aut", {"required": True})]
+GROUP_ARGS = [
+    ("--group", {"required": True, "help": "group name or comma-separated generators"}),
+    ("--bound", {"type": int, "default": 4096}),
+]
+
+# name, function, help, arguments besides INSTANCE_ARGS (corpus-run takes none of those)
+COMMANDS = [
+    ("check-smooth", cmd_check_smooth, "certify smoothness via the Jacobian criterion",
+     [("--deadline", {"type": float, "default": 60.0, "help": "time budget in seconds"})]),
+    ("verify-aut", cmd_verify_aut, "verify a named matrix as an automorphism", AUT_ARGS),
+    ("order", cmd_order, "projective order of a named matrix", AUT_ARGS),
+    ("fix-locus", cmd_fix_locus, "fixed locus of an automorphism on X", AUT_ARGS),
+    ("galois-detect", cmd_galois_detect, "certificate from an automorphism", AUT_ARGS),
+    ("galois-at-point", cmd_galois_at_point, "normal-form test at a candidate point",
+     [("--point", {"help": "named point or e0/e1/..."}),
+      ("--coords", {"help": "comma-separated coordinates"})]),
+    ("classify-cyclic", cmd_classify_cyclic, "classification rows of a cyclic automorphism",
+     AUT_ARGS),
+    ("group-closure", cmd_group_closure, "projective closure of named generators", GROUP_ARGS),
+    ("rh-genus", cmd_rh_genus, "quotient genus by a finite group", GROUP_ARGS),
+    ("count-points", cmd_count_points, "certified Galois points over a candidate set",
+     [("--candidates", {"help": "JSON file with a list of coordinate arrays"}),
+      ("--eigen", {"action": "store_true",
+                   "help": "candidates = coordinate points + eigenpoints of all automorphisms"})]),
+    ("corpus-run", cmd_corpus_run, "run the bundled (or given) corpus of instances",
+     [("directory", {"nargs": "?", "help": "directory of instance files"}),
+      ("--jobs", {"type": int, "default": 1}),
+      ("--deadline", {"type": float, "default": None,
+                      "help": "override the per-instance smoothness budget"}),
+      ("--seed", {"type": int, "default": None,
+                  "help": "override the seed of generator instances"})]),
+]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -273,88 +203,28 @@ def build_parser() -> argparse.ArgumentParser:
         prog="galois-scope",
         description="exact detection and certification of Galois points on smooth hypersurfaces")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def common(p, instance=True):
-        if instance:
-            p.add_argument("instance", nargs="?", help="instance JSON file")
-            p.add_argument("--poly", help="inline polynomial text instead of an instance file")
-            p.add_argument("--field", type=int, default=1, help="conductor N for --poly")
-            p.add_argument("--nvars", type=int, default=3, help="variable count for --poly")
+    for name, fn, help_text, extra in COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        common = [] if fn is cmd_corpus_run else INSTANCE_ARGS
+        for flag, kwargs in common + extra:
+            p.add_argument(flag, **kwargs)
         p.add_argument("--json-out", help="also write the JSON document to this path")
-
-    p = sub.add_parser("check-smooth", help="certify smoothness via the Jacobian criterion")
-    common(p)
-    p.add_argument("--deadline", type=float, default=60.0, help="time budget in seconds")
-    p.set_defaults(fn=cmd_check_smooth)
-
-    p = sub.add_parser("verify-aut", help="verify a named matrix as an automorphism")
-    common(p)
-    p.add_argument("--aut", required=True)
-    p.set_defaults(fn=cmd_verify_aut)
-
-    p = sub.add_parser("order", help="projective order of a named matrix")
-    common(p)
-    p.add_argument("--aut", required=True)
-    p.set_defaults(fn=cmd_order)
-
-    p = sub.add_parser("fix-locus", help="fixed locus of an automorphism on X")
-    common(p)
-    p.add_argument("--aut", required=True)
-    p.set_defaults(fn=cmd_fix_locus)
-
-    p = sub.add_parser("galois-detect", help="certificate from an automorphism")
-    common(p)
-    p.add_argument("--aut", required=True)
-    p.set_defaults(fn=cmd_galois_detect)
-
-    p = sub.add_parser("galois-at-point", help="normal-form test at a candidate point")
-    common(p)
-    p.add_argument("--point", help="named point or e0/e1/...")
-    p.add_argument("--coords", help="comma-separated coordinates")
-    p.set_defaults(fn=cmd_galois_at_point)
-
-    p = sub.add_parser("classify-cyclic", help="classification rows of a cyclic automorphism")
-    common(p)
-    p.add_argument("--aut", required=True)
-    p.set_defaults(fn=cmd_classify_cyclic)
-
-    p = sub.add_parser("group-closure", help="projective closure of named generators")
-    common(p)
-    p.add_argument("--group", required=True, help="group name or comma-separated generators")
-    p.add_argument("--bound", type=int, default=4096)
-    p.set_defaults(fn=cmd_group_closure)
-
-    p = sub.add_parser("rh-genus", help="quotient genus by a finite group")
-    common(p)
-    p.add_argument("--group", required=True)
-    p.add_argument("--bound", type=int, default=4096)
-    p.set_defaults(fn=cmd_rh_genus)
-
-    p = sub.add_parser("count-points", help="certified Galois points over a candidate set")
-    common(p)
-    p.add_argument("--candidates", help="JSON file with a list of coordinate arrays")
-    p.add_argument("--eigen", action="store_true",
-                   help="candidates = coordinate points + eigenpoints of all automorphisms")
-    p.set_defaults(fn=cmd_count_points)
-
-    p = sub.add_parser("corpus-run", help="run the bundled (or given) corpus of instances")
-    p.add_argument("directory", nargs="?", help="directory of instance files")
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--deadline", type=float, default=None,
-                   help="override the per-instance smoothness budget")
-    p.add_argument("--seed", type=int, default=None,
-                   help="override the seed of generator instances")
-    p.add_argument("--json-out")
-    p.set_defaults(fn=cmd_corpus_run)
+        p.set_defaults(fn=fn)
     return ap
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
-    except (ParseError, FileNotFoundError, json.JSONDecodeError, GaloisScopeError) as e:
+        out = args.fn(args)
+        body, code = out if isinstance(out, tuple) else (out, EXIT_OK)
+        text = json.dumps({"schema": SCHEMA, "command": args.command, **body},
+                          indent=2, sort_keys=True)
+        print(text)
+        if args.json_out:
+            Path(args.json_out).write_text(text + "\n")
+        return code
+    except (OSError, json.JSONDecodeError, GaloisScopeError) as e:
         print(json.dumps({"schema": SCHEMA, "error": str(e)}), file=sys.stderr)
         return EXIT_INPUT
 

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import GaloisScopeError, SingularPoint
+from .errors import GaloisScopeError
 from .exactnum import cyclo_field
 from .fixlocus import codim_criterion, curve_criterion, fixed_locus, power_criterion
 from .galois import (
@@ -23,6 +23,7 @@ from .galois import (
     count_certified_points,
     eigen_candidate_points,
     galois_at_point,
+    point_verdict,
 )
 from .hypersurface import Hypersurface, is_smooth, verify_automorphism
 from .parsing import parse_matrix, parse_point, parse_polynomial, render_poly, render_scalar
@@ -32,6 +33,7 @@ from .projlin import ProjMatrix, projective_order
 
 SCHEMA = "galois-scope/1"
 DEFAULT_SMOOTH_DEADLINE = 60.0
+REQUIRED_KEYS = ("name", "n", "d", "field", "polynomial")
 
 
 @dataclass
@@ -62,6 +64,9 @@ def load_instance(source) -> Instance:
         raw = source
     if raw.get("schema") != SCHEMA:
         raise GaloisScopeError(f"unsupported schema {raw.get('schema')!r}")
+    missing = [key for key in REQUIRED_KEYS if key not in raw]
+    if missing:
+        raise GaloisScopeError(f"instance is missing required keys {missing}")
     field = cyclo_field(int(raw["field"]))
     n, d = int(raw["n"]), int(raw["d"])
     F = parse_polynomial(raw["polynomial"], n + 2, field, degree=d)
@@ -84,8 +89,78 @@ def load_instance(source) -> Instance:
     )
 
 
+# ---------------------------------------------------------------------------
+# name resolution, shared with the CLI
+
+def resolve_matrix(inst: Instance | None, name: str) -> ProjMatrix:
+    if inst is None or name not in inst.automorphisms:
+        raise GaloisScopeError(f"automorphism {name!r} is not defined")
+    return inst.automorphisms[name]
+
+
+def resolve_point(inst: Instance | None, X: Hypersurface, name: str) -> tuple:
+    """A named point of the instance, or the coordinate point e<i>, i < n+2."""
+    if name.startswith("e") and name[1:].isdigit():
+        i = int(name[1:])
+        if i >= X.n + 2:
+            raise GaloisScopeError(f"point {name!r} needs an index below {X.n + 2}")
+        return coordinate_points(X)[i]
+    if inst is None or name not in inst.points:
+        raise GaloisScopeError(f"point {name!r} is not defined")
+    return inst.points[name]
+
+
+def resolve_group(inst: Instance | None, spec: str) -> list[ProjMatrix]:
+    """Generators of a named group, or else of comma-separated matrix names."""
+    members = inst.groups.get(spec) if inst is not None else None
+    names = members if members is not None else spec.split(",")
+    return [resolve_matrix(inst, m) for m in names]
+
+
+# ---------------------------------------------------------------------------
+# report sections, shared with the CLI
+
 def render_point(p) -> list[str]:
     return [render_scalar(x) for x in p]
+
+
+def smoothness_section(X: Hypersurface, deadline: float) -> dict:
+    res = is_smooth(X, deadline=deadline, allow_large=True)
+    return {"status": res.status,
+            "witness": render_point(res.witness) if res.witness else None}
+
+
+def automorphism_section(X: Hypersurface, A: ProjMatrix) -> tuple:
+    """({verified, order, scale}, witness or None) for a candidate matrix."""
+    w = verify_automorphism(X, A)
+    return {
+        "verified": w is not None,
+        "order": w.order if w is not None else projective_order(A),
+        "scale": render_scalar(w.scale) if w is not None else None,
+    }, w
+
+
+def counts_section(X: Hypersurface, candidates) -> dict:
+    cr = count_certified_points(X, candidates)
+    return {
+        "inner": cr.inner,
+        "outer": cr.outer,
+        "inner_bound": cr.inner_bound,
+        "outer_bound": cr.outer_bound,
+        "per_point": [[render_point(p), v] for p, v in cr.per_point],
+    }
+
+
+def rh_section(X: Hypersurface, G, group: str) -> dict:
+    rep = quotient_genus(X, G)
+    return {
+        "group": group,
+        "curve_genus": rep.curve_genus,
+        "stabilizer_sum": rep.stabilizer_sum,
+        "group_order": rep.group_order,
+        "quotient_genus": rep.quotient_genus,
+        "fix_counts": list(rep.fix_counts),
+    }
 
 
 def certificate_json(cert):
@@ -162,30 +237,21 @@ def build_report(inst: Instance, smooth_deadline: float | None = None) -> dict:
     smooth_expect = expect.get("smooth", "skip")
     if smooth_expect != "skip":
         deadline = smooth_deadline or expect.get("smooth_deadline", DEFAULT_SMOOTH_DEADLINE)
-        res = is_smooth(X, deadline=deadline, allow_large=True)
-        report["smoothness"] = {
-            "status": res.status,
-            "witness": render_point(res.witness) if res.witness else None,
-        }
+        sm = report["smoothness"] = smoothness_section(X, deadline)
         if smooth_expect == "optional":
             exp.check("smoothness (optional: smooth or timeout)", True,
-                      res.status in ("certified_smooth", "timeout"))
+                      sm["status"] in ("certified_smooth", "timeout"))
         else:
-            exp.check("smoothness", smooth_expect, res.status)
+            exp.check("smoothness", smooth_expect, sm["status"])
             if "singular_witness" in expect:
-                exp.check("singular witness", expect["singular_witness"],
-                          render_point(res.witness) if res.witness else None)
+                exp.check("singular witness", expect["singular_witness"], sm["witness"])
     else:
         report["smoothness"] = None
 
     aut_reports = {}
     witnesses = {}
     for name, A in inst.automorphisms.items():
-        entry: dict = {}
-        w = verify_automorphism(X, A)
-        entry["verified"] = w is not None
-        entry["order"] = w.order if w is not None else projective_order(A)
-        entry["scale"] = render_scalar(w.scale) if w is not None else None
+        entry, w = automorphism_section(X, A)
         if w is not None:
             witnesses[name] = w
             cert = certificate_from_automorphism(X, w)
@@ -251,18 +317,7 @@ def build_report(inst: Instance, smooth_deadline: float | None = None) -> dict:
     if "points" in expect:
         verdicts = {}
         for pname, want in expect["points"].items():
-            if pname.startswith("e") and pname[1:].isdigit():
-                i = int(pname[1:])
-                f = X.field
-                p = tuple(f.one if j == i else f.zero for j in range(X.n + 2))
-            else:
-                p = inst.points[pname]
-            try:
-                pv = galois_at_point(X, p)
-                got = "none" if pv is None else pv.kind
-            except SingularPoint:
-                got = "singular"
-            verdicts[pname] = got
+            got = verdicts[pname] = point_verdict(X, resolve_point(inst, X, pname))
             exp.check(f"point {pname}", want, got)
         report["points"] = verdicts
 
@@ -272,33 +327,15 @@ def build_report(inst: Instance, smooth_deadline: float | None = None) -> dict:
             cands = eigen_candidate_points(X, list(witnesses.values()))
         else:
             cands = coordinate_points(X)
-        cr = count_certified_points(X, cands)
-        report["counts"] = {
-            "inner": cr.inner,
-            "outer": cr.outer,
-            "inner_bound": cr.inner_bound,
-            "outer_bound": cr.outer_bound,
-            "per_point": [[render_point(p), v] for p, v in cr.per_point],
-        }
-        exp.check("counts.inner", want.get("inner"), cr.inner)
-        exp.check("counts.outer", want.get("outer"), cr.outer)
+        counts = report["counts"] = counts_section(X, cands)
+        exp.check("counts.inner", want.get("inner"), counts["inner"])
+        exp.check("counts.outer", want.get("outer"), counts["outer"])
 
-    closures = {}
-    for gname, members in inst.groups.items():
-        closures[gname] = group_closure([inst.automorphisms[m] for m in members])
+    closures = {gname: group_closure(resolve_group(inst, gname)) for gname in inst.groups}
 
     if "rh" in expect:
         want = expect["rh"]
-        G = closures[want["group"]]
-        rep = quotient_genus(X, G)
-        report["rh"] = {
-            "group": want["group"],
-            "curve_genus": rep.curve_genus,
-            "stabilizer_sum": rep.stabilizer_sum,
-            "group_order": rep.group_order,
-            "quotient_genus": rep.quotient_genus,
-            "fix_counts": list(rep.fix_counts),
-        }
+        report["rh"] = rh_section(X, closures[want["group"]], want["group"])
         for key in ("curve_genus", "stabilizer_sum", "group_order", "quotient_genus", "fix_counts"):
             if key in want:
                 exp.check(f"rh.{key}", want[key], report["rh"][key])

@@ -137,6 +137,16 @@ def galois_at_point(X: Hypersurface, point) -> PointVerdict | None:
     return PointVerdict(kind, change)
 
 
+def point_verdict(X: Hypersurface, point) -> str:
+    """"inner"/"outer" for a Galois point, "none" if it is not one, "singular"
+    for a point of multiplicity >= 2."""
+    try:
+        pv = galois_at_point(X, point)
+    except SingularPoint:
+        return "singular"
+    return "none" if pv is None else pv.kind
+
+
 def _shift_matrix(field, size, linear: HomogPoly | None, factor: Fraction):
     """Matrix of X_0 -> X_0 + factor * linear(X_1..), identity elsewhere."""
     if linear is None:
@@ -225,19 +235,10 @@ def count_certified_points(X: Hypersurface, candidates) -> CountReport:
         if any(vec_proj_eq(p, q) for q in seen):
             continue
         seen.append(p)
-        try:
-            verdict = galois_at_point(Xl, p)
-        except SingularPoint:
-            results.append((p, "singular"))
-            continue
-        if verdict is None:
-            results.append((p, "none"))
-        else:
-            results.append((p, verdict.kind))
-            if verdict.kind == "inner":
-                inner += 1
-            else:
-                outer += 1
+        verdict = point_verdict(Xl, p)
+        results.append((p, verdict))
+        inner += verdict == "inner"
+        outer += verdict == "outer"
     inner_bound, outer_bound = galois_count_bounds(X.n, X.d)
     if inner > inner_bound or outer > outer_bound:
         raise BoundViolation(

@@ -4,6 +4,7 @@ abelian-subgroup structure check."""
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
@@ -130,7 +131,8 @@ def group_closure(generators, bound: int = 4096) -> GroupClosure:
 
     Elements are deduplicated by their canonical scalar normalization, so the
     result is the image in PGL; products alone suffice because a finite
-    closure of invertible elements is already a group.
+    closure of invertible elements is already a group.  The group is abelian
+    exactly when its generators commute up to scalar.
     """
     gens = [g.canonical() for g in generators]
     if not gens:
@@ -140,9 +142,9 @@ def group_closure(generators, bound: int = 4096) -> GroupClosure:
     ident = ProjMatrix.identity(field, size)
     elements = [ident]
     keys = {ident.rows}
-    queue = [ident]
+    queue = deque([ident])
     while queue:
-        current = queue.pop(0)
+        current = queue.popleft()
         for g in gens:
             nxt = (current @ g).canonical()
             if nxt.rows not in keys:
@@ -151,8 +153,7 @@ def group_closure(generators, bound: int = 4096) -> GroupClosure:
                 keys.add(nxt.rows)
                 elements.append(nxt)
                 queue.append(nxt)
-    abelian = all((a @ b).proj_eq(b @ a)
-                  for i, a in enumerate(elements) for b in elements[i + 1:])
+    abelian = all((a @ b).proj_eq(b @ a) for i, a in enumerate(gens) for b in gens[i + 1:])
     order = len(elements)
     cyclic = False
     for e in elements:

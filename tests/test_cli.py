@@ -1,9 +1,12 @@
 import json
 
+import pytest
+
 from galois_scope.cli import main
 from galois_scope.corpus import bundled_corpus_dir, load_instance, run_one
 
 DATA = bundled_corpus_dir()
+POLY = ["--poly", "x0^4 + x1^4 + x2^4"]
 
 
 def run_cli(capsys, *argv):
@@ -84,14 +87,6 @@ def test_json_out_writes_file(capsys, tmp_path):
     assert json.loads(out.read_text()) == doc
 
 
-def test_fix_locus_matches_corpus_fragment(capsys):
-    # a single command reproduces the corpus report section bit for bit
-    code, doc = run_cli(capsys, "fix-locus", str(DATA / "exa4.json"), "--aut", "g")
-    assert code == 0
-    report = run_one(DATA / "exa4.json")
-    assert doc["fixed_locus"] == report["automorphisms"]["g"]["fixed_locus"]
-
-
 def test_corpus_single_instance_deterministic():
     r1 = run_one(DATA / "exa1.json")
     r2 = run_one(DATA / "exa1.json")
@@ -162,8 +157,36 @@ def test_group_closure_inline_generators(capsys):
     assert doc["order"] == 4 and doc["abelian"] and not doc["cyclic"]
 
 
-def test_detect_matches_corpus_fragment(capsys):
-    code, doc = run_cli(capsys, "galois-detect", str(DATA / "ex1-fermat.json"), "--aut", "h4")
+def test_group_single_generator(capsys):
+    # a --group value that names no group is read as generator names
+    code, doc = run_cli(capsys, "group-closure", str(DATA / "ex1-fermat.json"),
+                        "--group", "h4")
     assert code == 0
-    report = run_one(DATA / "ex1-fermat.json")
-    assert doc["certificate"] == report["automorphisms"]["h4"]["certificate"]
+    assert doc["order"] == 4 and doc["cyclic"]
+
+
+# each argv ends in exit 2 with a JSON error; "{data}" is the bundled corpus,
+# "{dir}" holds inst.json, ex1-fermat.json with the given keys replaced
+# (None: removed)
+INPUT_FAULTS = [
+    *(([cmd, *POLY, "--aut", "g"], {}) for cmd in
+      ("verify-aut", "order", "fix-locus", "galois-detect", "classify-cyclic")),
+    (["rh-genus", *POLY, "--group", "G"], {}),
+    (["group-closure", "{data}/ex1-fermat.json", "--group", "g1,nope"], {}),
+    (["galois-at-point", "{data}/ex1-fermat.json", "--point", "e3"], {}),
+    (["corpus-run", "{dir}"], {"groups": {"G": ["g1", "nope"]}}),
+    (["check-smooth", "{dir}/inst.json"], {"polynomial": None}),
+]
+
+
+@pytest.mark.parametrize("argv, edit", INPUT_FAULTS, ids=[" ".join(a) for a, _ in INPUT_FAULTS])
+def test_input_fault_exit_two(capsys, tmp_path, argv, edit):
+    raw = json.loads((DATA / "ex1-fermat.json").read_text())
+    raw.update(edit)
+    raw = {k: v for k, v in raw.items() if v is not None}
+    (tmp_path / "inst.json").write_text(json.dumps(raw))
+    code = main([a.format(data=DATA, dir=tmp_path) for a in argv])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "error" in json.loads(err)
+    assert "Traceback" not in err

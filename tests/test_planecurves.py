@@ -133,6 +133,16 @@ def test_group_closure_nine():
     assert len(reps) == 9
 
 
+def test_group_closure_s3_not_abelian():
+    # a transposition and a 3-cycle as permutation matrices generate S3
+    t = ProjMatrix.from_entries(Q, [[0, 1, 0], [1, 0, 0], [0, 0, 1]])
+    c = ProjMatrix.from_entries(Q, [[0, 0, 1], [1, 0, 0], [0, 1, 0]])
+    G = group_closure([t, c])
+    assert G.order == 6
+    assert not G.abelian
+    assert not G.cyclic
+
+
 def test_group_closure_lagrange():
     G = group_closure([
         ProjMatrix.diagonal(Q, [-1, 1, 1]),
