@@ -29,7 +29,6 @@ from .corpus import (
     smoothness_section,
 )
 from .errors import GaloisScopeError
-from .exactnum import cyclo_field
 from .fixlocus import fixed_locus
 from .galois import (
     certificate_from_automorphism,
@@ -38,7 +37,7 @@ from .galois import (
     point_verdict,
 )
 from .hypersurface import Hypersurface, verify_automorphism
-from .parsing import parse_point, parse_polynomial
+from .parsing import parse_field, parse_point, parse_polynomial
 from .planecurves import classify_cyclic, group_closure
 from .projlin import projective_order
 
@@ -54,8 +53,7 @@ def _load_surface(args) -> tuple:
         inst = load_instance(args.instance)
         return inst, inst.surface
     if args.poly:
-        field = cyclo_field(args.field)
-        F = parse_polynomial(args.poly, args.nvars, field)
+        F = parse_polynomial(args.poly, args.nvars, parse_field(args.field))
         return None, Hypersurface(F.nvars - 2, F.degree, F)
     raise GaloisScopeError("an instance file or --poly is required")
 
@@ -101,7 +99,7 @@ def cmd_galois_at_point(args):
     if args.point:
         p = resolve_point(inst, X, args.point)
     elif args.coords:
-        p = parse_point(args.coords.split(","), X.field)
+        p = parse_point(args.coords.split(","), X.field, X.n + 2)
     else:
         raise GaloisScopeError("--point or --coords is required")
     return {"point": render_point(p), "verdict": point_verdict(X, p)}
@@ -132,7 +130,7 @@ def cmd_count_points(args):
     inst, X = _load_surface(args)
     if args.candidates:
         coords = json.loads(Path(args.candidates).read_text())
-        cands = [parse_point(c, X.field) for c in coords]
+        cands = [parse_point(c, X.field, X.n + 2) for c in coords]
     elif args.eigen and inst is not None:
         cands = eigen_candidate_points(X, [_witness(inst, X, name) for name in inst.automorphisms])
     else:

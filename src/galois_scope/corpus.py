@@ -26,7 +26,14 @@ from .galois import (
     point_verdict,
 )
 from .hypersurface import Hypersurface, is_smooth, verify_automorphism
-from .parsing import parse_matrix, parse_point, parse_polynomial, render_poly, render_scalar
+from .parsing import (
+    parse_field,
+    parse_matrix,
+    parse_point,
+    parse_polynomial,
+    render_poly,
+    render_scalar,
+)
 from .planecurves import abelian_constraint_check, classify_cyclic, group_closure, quotient_genus
 from .polyring import HomogPoly
 from .projlin import ProjMatrix, projective_order
@@ -67,12 +74,12 @@ def load_instance(source) -> Instance:
     missing = [key for key in REQUIRED_KEYS if key not in raw]
     if missing:
         raise GaloisScopeError(f"instance is missing required keys {missing}")
-    field = cyclo_field(int(raw["field"]))
+    field = parse_field(raw["field"])
     n, d = int(raw["n"]), int(raw["d"])
     F = parse_polynomial(raw["polynomial"], n + 2, field, degree=d)
     auts = {name: parse_matrix(rows, field)
             for name, rows in raw.get("automorphisms", {}).items()}
-    pts = {name: parse_point(coords, field)
+    pts = {name: parse_point(coords, field, n + 2)
            for name, coords in raw.get("points", {}).items()}
     return Instance(
         name=raw["name"],

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BoundViolation, ConsistencyError, SingularPoint
+from .errors import BoundViolation, ConsistencyError, GaloisScopeError, SingularPoint
 from .exactnum import CycloField, CycloNum, cyclo_field
 from .hypersurface import AutWitness, Hypersurface, basis_through, multiplicity_at_point
 from .polyring import HomogPoly
@@ -43,7 +43,7 @@ class PointVerdict:
 
 def _require_detectable(X: Hypersurface):
     if X.d < 4:
-        raise ValueError("Galois-point detection requires degree >= 4")
+        raise GaloisScopeError("Galois-point detection requires degree >= 4")
 
 
 def _lift_surface(X: Hypersurface, field: CycloField) -> Hypersurface:
@@ -100,24 +100,22 @@ def galois_at_point(X: Hypersurface, point) -> PointVerdict | None:
     """
     _require_detectable(X)
     field = X.field
-    p = vector(field, point)
-    mult = multiplicity_at_point(X, p)
-    if mult >= 2:
-        raise SingularPoint(f"point has multiplicity {mult}; it is neither smooth nor exterior")
-    move = basis_through(p, field, X.n + 2)
+    move = basis_through(vector(field, point), field, X.n + 2)
     F1 = X.F.transform(move)
     d = X.d
+    parts = F1.expand_in(0)
+    mult = d - max(parts)  # the multiplicity of X at the point
+    if mult >= 2:
+        raise SingularPoint(f"point has multiplicity {mult}; it is neither smooth nor exterior")
     if mult == 0:
         const_mono = (0,) * (X.n + 2)
-        top = F1.expand_in(0)[d].terms[const_mono]
-        F1 = F1.scale(top.inverse())
+        F1 = F1.scale(parts[d].terms[const_mono].inverse())
         parts = F1.expand_in(0)
         G1 = parts.get(d - 1)
         shift = _shift_matrix(field, X.n + 2, G1, Fraction(-1, d))
         allowed = {d, 0}
         kind = "outer"
     else:
-        parts = F1.expand_in(0)
         G1 = parts[d - 1]
         G2 = parts.get(d - 2)
         if G2 is None:

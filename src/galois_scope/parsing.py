@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import ConductorMismatch, ParseError
-from .exactnum import CycloField, CycloNum, root_of_unity
+from .exactnum import CycloField, CycloNum, cyclo_field, root_of_unity
 from .polyring import HomogPoly
 
 
@@ -93,6 +93,8 @@ def _parse_item(lex: _Lexer, field: CycloField):
         lex.next()
         lex.expect("(")
         m = lex.expect("nat")[1]
+        if m < 1:
+            raise ParseError("z(0): a root of unity needs a positive order", pos)
         lex.expect(")")
         exp = 1
         if lex.peek()[0] == "^":
@@ -255,9 +257,26 @@ def render_poly(f: HomogPoly) -> str:
     return " ".join(chunks)
 
 
-def parse_point(entries, field: CycloField):
-    return tuple(parse_scalar(e, field) if isinstance(e, str) else field.from_rational(e)
-                 for e in entries)
+def parse_point(entries, field: CycloField, size: int):
+    """A point of P^(size-1): exactly `size` coordinates, not all zero."""
+    if not isinstance(entries, (list, tuple)) or len(entries) != size:
+        raise ParseError(f"point {entries!r} does not have {size} coordinates")
+    p = tuple(parse_scalar(e, field) if isinstance(e, str) else field.from_rational(e)
+              for e in entries)
+    if all(x.is_zero() for x in p):
+        raise ParseError(f"point {entries!r} is the zero vector")
+    return p
+
+
+def parse_field(conductor) -> CycloField:
+    """Q(zeta_N) for a conductor N given as input; N must be a positive integer."""
+    try:
+        N = int(conductor)
+    except (TypeError, ValueError):
+        N = 0
+    if N < 1:
+        raise ParseError(f"conductor {conductor!r} is not a positive integer")
+    return cyclo_field(N)
 
 
 def parse_matrix(rows, field: CycloField):

@@ -193,52 +193,50 @@ class HomogPoly:
     def transform(self, matrix) -> "HomogPoly":
         """f(M.X): substitute X_i -> sum_j M[i][j] X_j."""
         rows = matrix.rows if hasattr(matrix, "rows") else matrix
-        linear = []
-        for i in range(self.nvars):
-            lt = {}
-            for j in range(self.nvars):
-                c = rows[i][j]
-                if isinstance(c, (int, Fraction)):
-                    c = self.field.from_rational(c)
-                if not c.is_zero():
-                    mono = tuple(1 if k == j else 0 for k in range(self.nvars))
-                    lt[mono] = c
-            linear.append(HomogPoly(self.field, self.nvars, 1, lt))
-        return self._substitute(linear, self.nvars)
+        return self.restrict([[row[j] for row in rows] for j in range(self.nvars)])
 
     def restrict(self, basis) -> "HomogPoly":
-        """Restriction to the span of the basis vectors, in len(basis) variables."""
-        m = len(basis)
-        linear = []
-        for i in range(self.nvars):
-            lt = {}
-            for j, vec in enumerate(basis):
-                c = vec[i]
-                if isinstance(c, (int, Fraction)):
-                    c = self.field.from_rational(c)
-                if not c.is_zero():
-                    mono = tuple(1 if k == j else 0 for k in range(m))
-                    lt[mono] = c
-            linear.append(HomogPoly(self.field, m, 1, lt))
-        return self._substitute(linear, m)
+        """f(sum_j Y_j basis[j]) in len(basis) variables: the restriction to
+        the span of the basis vectors.
 
-    def _substitute(self, linear, out_nvars):
-        one = HomogPoly.monomial(self.field, out_nvars, (0,) * out_nvars)
-        powers: dict[int, list[HomogPoly]] = {}
-        result = HomogPoly.zero(self.field, out_nvars, self.degree)
-        for mono, c in self.terms.items():
-            term = one.scale(c)
-            for i, e in enumerate(mono):
-                if not e:
-                    continue
-                cache = powers.setdefault(i, [one])
-                while len(cache) <= e:
-                    cache.append(cache[-1] * linear[i])
-                term = term * cache[e]
-            if term.is_zero():
-                continue
-            result = result + term
-        return result
+        Horner's scheme over the input variables: with f = sum_k X_i^k G_k
+        and L_i = sum_j basis[j][i] Y_j, f is (..(G_top' L_i + ..) L_i) + G_0',
+        G_k' the same recursion on the remaining variables, so the only
+        products are an accumulator times a linear form.  A level runs once
+        per exponent prefix above it, so the longest L_i go first.
+        """
+        m, nvars = len(basis), self.nvars
+        linear = []
+        for i in range(nvars):
+            coeffs = [v[i] if isinstance(v[i], CycloNum) else self.field.from_rational(v[i])
+                      for v in basis]
+            linear.append([(j, c) for j, c in enumerate(coeffs) if not c.is_zero()])
+        order = sorted(range(nvars), key=lambda i: -len(linear[i]))
+
+        def horner(terms, depth):
+            if depth == nvars:  # the exponents agree everywhere: a single term
+                return {(0,) * m: terms[0][1]}
+            i = order[depth]
+            groups: dict[int, list] = {}
+            for term in terms:
+                groups.setdefault(term[0][i], []).append(term)
+            acc: dict[Exponents, CycloNum] = {}
+            for k in range(max(groups), -1, -1):
+                prod: dict[Exponents, CycloNum] = {}
+                for mono, c in acc.items():
+                    for j, l in linear[i]:
+                        key = mono[:j] + (mono[j] + 1,) + mono[j + 1:]
+                        p = c * l
+                        prod[key] = prod[key] + p if key in prod else p
+                acc = prod
+                if k in groups:
+                    for mono, c in horner(groups[k], depth + 1).items():
+                        acc[mono] = acc[mono] + c if mono in acc else c
+            return acc
+
+        terms = horner(list(self.terms.items()), 0) if self.terms else {}
+        return HomogPoly(self.field, m, self.degree,
+                         {mono: c for mono, c in terms.items() if not c.is_zero()})
 
     def expand_in(self, i: int) -> dict[int, "HomogPoly"]:
         """Write f = sum_k X_i^k * G_k with G_k free of X_i; keys are the nonzero k."""

@@ -167,7 +167,7 @@ def test_group_single_generator(capsys):
 
 # each argv ends in exit 2 with a JSON error; "{data}" is the bundled corpus,
 # "{dir}" holds inst.json, ex1-fermat.json with the given keys replaced
-# (None: removed)
+# (None: removed), and short.json, a candidate list with a 2-coordinate point
 INPUT_FAULTS = [
     *(([cmd, *POLY, "--aut", "g"], {}) for cmd in
       ("verify-aut", "order", "fix-locus", "galois-detect", "classify-cyclic")),
@@ -176,6 +176,16 @@ INPUT_FAULTS = [
     (["galois-at-point", "{data}/ex1-fermat.json", "--point", "e3"], {}),
     (["corpus-run", "{dir}"], {"groups": {"G": ["g1", "nope"]}}),
     (["check-smooth", "{dir}/inst.json"], {"polynomial": None}),
+    *((["galois-at-point", "{data}/ex1-fermat.json", "--coords", c], {})
+      for c in ("1,0", "0,0,0", "1,0,0,0")),
+    (["count-points", "{data}/ex1-fermat.json", "--candidates", "{dir}/short.json"], {}),
+    (["galois-at-point", "{dir}/inst.json", "--point", "p"], {"points": {"p": [1, 0]}}),
+    (["count-points", "{dir}/inst.json"], {"points": {"p": [0, 0, 0]}}),
+    (["galois-at-point", "--poly", "x0^3 + x1^3 + x2^3", "--point", "e0"], {}),
+    (["count-points", "--poly", "x0^3 + x1^3 + x2^3"], {}),
+    (["check-smooth", *POLY, "--field", "0"], {}),
+    (["verify-aut", "{dir}/inst.json", "--aut", "g1"], {"field": 0}),
+    (["check-smooth", "--poly", "x0^4 + z(0)*x1^4 + x2^4"], {}),
 ]
 
 
@@ -185,6 +195,7 @@ def test_input_fault_exit_two(capsys, tmp_path, argv, edit):
     raw.update(edit)
     raw = {k: v for k, v in raw.items() if v is not None}
     (tmp_path / "inst.json").write_text(json.dumps(raw))
+    (tmp_path / "short.json").write_text(json.dumps([[1, 0, 0], [1, 0]]))
     code = main([a.format(data=DATA, dir=tmp_path) for a in argv])
     err = capsys.readouterr().err
     assert code == 2

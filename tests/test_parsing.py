@@ -117,5 +117,5 @@ def test_parse_matrix_and_point():
     M = parse_matrix([["z(5)^3", "0", "0"], ["0", "z(5)^2", "0"], ["0", "0", "1"]], F5)
     assert M.rows[0][0] == F5.zeta(3)
     assert M.rows[2][2] == 1
-    p = parse_point(["1", "0", "-1"], F5)
+    p = parse_point(["1", "0", "-1"], F5, 3)
     assert p[0] == 1 and p[2] == -1

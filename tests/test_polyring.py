@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from galois_scope.errors import DegreeMismatch
 from galois_scope.exactnum import cyclo_field
@@ -214,6 +216,81 @@ def test_restrict_examples():
     h = poly(Q, 3, {(4, 0, 0): 1})
     rr = h.restrict([(0, 1, 0), (0, 0, 1)])
     assert rr.is_zero() and rr.degree == 4
+
+
+def test_substitution_of_zero_form():
+    zero = HomogPoly.zero(Q, 3, 4)
+    assert zero.transform([[1, 2, 0], [0, 1, 0], [3, 0, 1]]) == zero
+    assert zero.restrict([(1, 0, 0)]) == HomogPoly.zero(Q, 1, 4)
+
+
+SMALL = st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 2, 3]))
+
+
+@st.composite
+def scalars(draw, field):
+    """A tagged c*z^k, or a dense vector in the power basis."""
+    if draw(st.booleans()):
+        return field.from_rational(draw(SMALL)) * field.zeta(draw(st.integers(0, field.N - 1)))
+    return field.element(draw(st.lists(SMALL, min_size=field.degree, max_size=field.degree)))
+
+
+@st.composite
+def forms(draw, field, nvars):
+    """A form of degree <= 5 with up to six terms; it may be zero."""
+    d = draw(st.integers(0, 5))
+    monos = st.lists(st.integers(0, nvars - 1), min_size=d, max_size=d).map(
+        lambda vs: tuple(vs.count(i) for i in range(nvars)))
+    terms = draw(st.dictionaries(monos, scalars(field), max_size=6))
+    return HomogPoly.from_terms(field, nvars, terms, degree=d)
+
+
+def value_at(f, pt):
+    """f at a coordinate vector; a form of positive degree vanishes at 0."""
+    if all(c.is_zero() for c in pt):
+        return f.coefficient((0,) * f.nvars)
+    return f.eval_at(pt)
+
+
+def substituted_by_sympy(f, vectors):
+    """f(sum_j y_j vectors[j]) expanded by sympy; rational inputs only."""
+    import sympy
+
+    expr, xs = sympy_poly(f)
+    ys = sympy.symbols(f"y0:{len(vectors)}")
+    image = {}
+    for i, x in enumerate(xs):
+        rs = [v[i].rational() for v in vectors]
+        image[x] = sum((sympy.Rational(r.numerator, r.denominator) * y for r, y in zip(rs, ys)),
+                       sympy.Integer(0))
+    return sympy.expand(expr.xreplace(image))
+
+
+@given(st.data())
+def test_substitution_matches_evaluation_and_sympy(data):
+    """transform(M) and restrict(basis) agree with evaluating f at the image
+    point, and with sympy's expansion when every input is rational."""
+    import sympy
+
+    field = cyclo_field(data.draw(st.sampled_from([1, 3, 4, 5, 7]), label="N"))
+    nvars = data.draw(st.integers(2, 5), label="nvars")
+    f = data.draw(forms(field, nvars), label="f")
+    vec = st.lists(scalars(field), min_size=nvars, max_size=nvars)
+    M = data.draw(st.lists(vec, min_size=nvars, max_size=nvars), label="M")
+    m = data.draw(st.integers(1, nvars), label="m")
+    basis = data.draw(st.lists(vec, min_size=m, max_size=m), label="basis")
+    columns = [[row[j] for row in M] for j in range(nvars)]
+    for g, vectors in ((f.transform(M), columns), (f.restrict(basis), basis)):
+        assert (g.nvars, g.degree) == (len(vectors), f.degree)
+        assert not any(c.is_zero() for c in g.terms.values())
+        point = st.lists(SMALL, min_size=len(vectors), max_size=len(vectors)).map(
+            lambda y: y if any(y) else [Fraction(1)] + y[1:])
+        for y in data.draw(st.lists(point, min_size=3, max_size=3), label="points"):
+            x = [sum((yj * v[i] for yj, v in zip(y, vectors)), field.zero) for i in range(nvars)]
+            assert g.eval_at(y) == value_at(f, x)
+        inputs = list(f.terms.values()) + [c for v in vectors for c in v]
+        if all(c.rational() is not None for c in inputs):
+            assert sympy.expand(sympy_poly(g)[0] - substituted_by_sympy(f, vectors)) == 0
 
 
 def test_distinct_root_count_examples():
