@@ -4,7 +4,8 @@ Each command prints `schema` and `command` plus the corpus report section of
 the same shape, built by the same function in `corpus.py`.
 
 Exit codes: 0 success, 1 corpus expectation failure, 2 input error,
-3 timeout (smoothness deadline exceeded).
+3 timeout (smoothness deadline exceeded), 4 internal fault (a theorem-level
+check, ConsistencyError or BoundViolation, failed: a bug, not bad input).
 """
 from __future__ import annotations
 
@@ -20,6 +21,7 @@ from .corpus import (
     counts_section,
     fixed_locus_json,
     load_instance,
+    parse_surface,
     render_point,
     resolve_group,
     resolve_matrix,
@@ -28,7 +30,7 @@ from .corpus import (
     run_corpus,
     smoothness_section,
 )
-from .errors import GaloisScopeError
+from .errors import BoundViolation, ConsistencyError, GaloisScopeError, ParseError
 from .fixlocus import fixed_locus
 from .galois import (
     certificate_from_automorphism,
@@ -36,8 +38,8 @@ from .galois import (
     eigen_candidate_points,
     point_verdict,
 )
-from .hypersurface import Hypersurface, verify_automorphism
-from .parsing import parse_field, parse_point, parse_polynomial
+from .hypersurface import verify_automorphism
+from .parsing import parse_field, parse_point
 from .planecurves import classify_cyclic, group_closure
 from .projlin import projective_order
 
@@ -45,6 +47,7 @@ EXIT_OK = 0
 EXIT_ASSERTION = 1
 EXIT_INPUT = 2
 EXIT_TIMEOUT = 3
+EXIT_INTERNAL = 4
 
 
 def _load_surface(args) -> tuple:
@@ -53,8 +56,9 @@ def _load_surface(args) -> tuple:
         inst = load_instance(args.instance)
         return inst, inst.surface
     if args.poly:
-        F = parse_polynomial(args.poly, args.nvars, parse_field(args.field))
-        return None, Hypersurface(F.nvars - 2, F.degree, F)
+        if args.nvars < 3:
+            raise GaloisScopeError(f"--nvars {args.nvars}: a hypersurface needs at least 3")
+        return None, parse_surface(args.poly, args.nvars - 2, parse_field(args.field))
     raise GaloisScopeError("an instance file or --poly is required")
 
 
@@ -130,9 +134,13 @@ def cmd_count_points(args):
     inst, X = _load_surface(args)
     if args.candidates:
         coords = json.loads(Path(args.candidates).read_text())
+        if not isinstance(coords, list):
+            raise ParseError("--candidates must hold a JSON list of points")
         cands = [parse_point(c, X.field, X.n + 2) for c in coords]
     elif args.eigen and inst is not None:
-        cands = eigen_candidate_points(X, [_witness(inst, X, name) for name in inst.automorphisms])
+        # as in the corpus counts: eigenpoints of the matrices that verify
+        ws = (verify_automorphism(X, A) for A in inst.automorphisms.values())
+        cands = eigen_candidate_points(X, [w for w in ws if w is not None])
     else:
         cands = coordinate_points(X)
     return counts_section(X, cands)
@@ -222,6 +230,9 @@ def main(argv=None) -> int:
         if args.json_out:
             Path(args.json_out).write_text(text + "\n")
         return code
+    except (ConsistencyError, BoundViolation) as e:
+        print(json.dumps({"schema": SCHEMA, "error": f"internal fault: {e}"}), file=sys.stderr)
+        return EXIT_INTERNAL
     except (OSError, json.JSONDecodeError, GaloisScopeError) as e:
         print(json.dumps({"schema": SCHEMA, "error": str(e)}), file=sys.stderr)
         return EXIT_INPUT

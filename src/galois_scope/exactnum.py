@@ -220,6 +220,11 @@ def cyclo_field(N: int) -> CycloField:
     return CycloField(N)
 
 
+def common_field(*conductors: int) -> CycloField:
+    """The smallest Q(zeta_N) containing every Q(zeta_M) listed; Q for none."""
+    return cyclo_field(math.lcm(*conductors))
+
+
 # ---------------------------------------------------------------------------
 # elements
 

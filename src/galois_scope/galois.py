@@ -11,16 +11,15 @@ Two independent detectors are implemented and cross-validated elsewhere:
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BoundViolation, ConsistencyError, GaloisScopeError, SingularPoint
-from .exactnum import CycloField, CycloNum, cyclo_field
+from .exactnum import CycloField, CycloNum, common_field
 from .hypersurface import AutWitness, Hypersurface, basis_through, multiplicity_at_point
 from .polyring import HomogPoly
-from .projlin import ProjMatrix, Vector, vec_embed, vec_normalize, vec_proj_eq, vector
-from .projlin import homology_form
+from .projlin import ProjMatrix, Vector, eigen_structure, homology_form, vec_normalize
+from .projlin import vec_proj_eq, vector
 
 
 @dataclass(frozen=True)
@@ -46,16 +45,6 @@ def _require_detectable(X: Hypersurface):
         raise GaloisScopeError("Galois-point detection requires degree >= 4")
 
 
-def _lift_surface(X: Hypersurface, field: CycloField) -> Hypersurface:
-    if field.N == X.field.N:
-        return X
-    return Hypersurface(X.n, X.d, X.F.embed(field))
-
-
-def common_field(*conductors: int) -> CycloField:
-    return cyclo_field(math.lcm(*conductors))
-
-
 def certificate_from_automorphism(X: Hypersurface, w: AutWitness) -> GaloisCertificate | None:
     """Certify a Galois point from a verified automorphism, or return None.
 
@@ -68,8 +57,7 @@ def certificate_from_automorphism(X: Hypersurface, w: AutWitness) -> GaloisCerti
     h = homology_form(w.matrix, X.d, X.n)
     if h is None:
         return None
-    Xl = _lift_surface(X, h.field)
-    mult = multiplicity_at_point(Xl, h.center)
+    mult = multiplicity_at_point(X.embed(h.field), h.center)
     expected_mult = 1 if h.kind == "inner" else 0
     if mult != expected_mult:
         raise ConsistencyError(
@@ -166,26 +154,22 @@ def belongs_to(X: Hypersurface, w: AutWitness, point) -> bool:
     cert = certificate_from_automorphism(X, w)
     if cert is None:
         return False
-    target = common_field(cert.field.N, X.field.N)
-    p = vec_embed(vector(X.field, point), target)
-    return vec_proj_eq(vec_embed(cert.point, target), p)
+    return vec_proj_eq(cert.point, vector(X.field, point))
 
 
 def transport_certificate(cert: GaloisCertificate, h: AutWitness) -> GaloisCertificate:
     """Push a certificate through another automorphism h of the same X."""
     target = common_field(cert.field.N, h.matrix.field.N)
-    H = h.matrix.embed(target)
     gen = h.matrix @ cert.generator @ h.matrix.inverse()
-    point = vec_normalize(H.apply(vec_embed(cert.point, target)))
+    point = vec_normalize(h.matrix.embed(target).apply(cert.point))
     return GaloisCertificate(point, cert.kind, gen, cert.group_order, cert.ratio, target)
 
 
 def commute_check(cert: GaloisCertificate, k: AutWitness) -> str:
     """"commutes" / "fails" when k fixes the certified point, else "not-applicable"."""
     target = common_field(cert.field.N, k.matrix.field.N)
-    K = k.matrix.embed(target)
-    p = vec_embed(cert.point, target)
-    if not vec_proj_eq(K.apply(p), p):
+    p = vector(target, cert.point)
+    if not vec_proj_eq(k.matrix.embed(target).apply(p), p):
         return "not-applicable"
     kg = k.matrix @ cert.generator
     gk = cert.generator @ k.matrix
@@ -218,18 +202,14 @@ def count_certified_points(X: Hypersurface, candidates) -> CountReport:
     """
     _require_detectable(X)
     candidates = list(candidates)
-    target_N = X.field.N
-    for cand in candidates:
-        for c in cand:
-            if isinstance(c, CycloNum):
-                target_N = math.lcm(target_N, c.field.N)
-    field = cyclo_field(target_N)
-    Xl = _lift_surface(X, field)
+    field = common_field(X.field.N, *(c.field.N for cand in candidates for c in cand
+                                      if isinstance(c, CycloNum)))
+    Xl = X.embed(field)
     seen: list[Vector] = []
     results = []
     inner = outer = 0
     for cand in candidates:
-        p = vec_normalize(_lift_point(field, cand))
+        p = vec_normalize(vector(field, cand))
         if any(vec_proj_eq(p, q) for q in seen):
             continue
         seen.append(p)
@@ -244,18 +224,6 @@ def count_certified_points(X: Hypersurface, candidates) -> CountReport:
     return CountReport(inner, outer, tuple(results), inner_bound, outer_bound)
 
 
-def _lift_point(field: CycloField, cand) -> Vector:
-    from .exactnum import embed_lift
-
-    out = []
-    for c in cand:
-        if isinstance(c, CycloNum):
-            out.append(embed_lift(c, field))
-        else:
-            out.append(field.from_rational(c))
-    return tuple(out)
-
-
 def coordinate_points(X: Hypersurface) -> list[Vector]:
     field = X.field
     size = X.n + 2
@@ -264,18 +232,7 @@ def coordinate_points(X: Hypersurface) -> list[Vector]:
 
 def eigen_candidate_points(X: Hypersurface, witnesses) -> list[Vector]:
     """Coordinate points plus all eigenspace basis vectors of the witnesses."""
-    from .projlin import eigen_structure
-
-    out = list(coordinate_points(X))
-    target_N = X.field.N
-    collected = []
-    for w in witnesses:
-        es = eigen_structure(w.matrix)
-        target_N = math.lcm(target_N, es.field.N)
-        for pair in es.pairs:
-            collected.extend(pair.basis)
-    if target_N != X.field.N:
-        field = cyclo_field(target_N)
-        out = [vec_embed(p, field) for p in out]
-        collected = [vec_embed(p, field) for p in collected]
-    return out + collected
+    structures = [eigen_structure(w.matrix) for w in witnesses]
+    field = common_field(X.field.N, *(es.field.N for es in structures))
+    points = coordinate_points(X) + [v for es in structures for p in es.pairs for v in p.basis]
+    return [vector(field, p) for p in points]

@@ -42,6 +42,12 @@ class Hypersurface:
     def __repr__(self):
         return f"Hypersurface(n={self.n}, d={self.d})"
 
+    def embed(self, target) -> "Hypersurface":
+        """X over a larger cyclotomic field; self at the same conductor."""
+        if target.N == self.field.N:
+            return self
+        return Hypersurface(self.n, self.d, self.F.embed(target))
+
     @property
     def smooth_status(self) -> str:
         return "unchecked" if self._smooth is None else self._smooth.status

@@ -23,6 +23,8 @@ from .polyring import HomogPoly
 
 class _Lexer:
     def __init__(self, text: str):
+        if not isinstance(text, str):
+            raise ParseError(f"expected text, found {text!r}")
         self.text = text
         self.pos = 0
         self.tokens: list[tuple[str, object, int]] = []
@@ -257,31 +259,51 @@ def render_poly(f: HomogPoly) -> str:
     return " ".join(chunks)
 
 
+def parse_entry(entry, field: CycloField) -> CycloNum:
+    """One coordinate or matrix entry: scalar text or a JSON number."""
+    if isinstance(entry, str):
+        return parse_scalar(entry, field)
+    try:
+        return field.from_rational(entry)
+    except (TypeError, ValueError, OverflowError):
+        raise ParseError(f"entry {entry!r} is neither a number nor scalar text") from None
+
+
 def parse_point(entries, field: CycloField, size: int):
     """A point of P^(size-1): exactly `size` coordinates, not all zero."""
     if not isinstance(entries, (list, tuple)) or len(entries) != size:
         raise ParseError(f"point {entries!r} does not have {size} coordinates")
-    p = tuple(parse_scalar(e, field) if isinstance(e, str) else field.from_rational(e)
-              for e in entries)
+    p = tuple(parse_entry(e, field) for e in entries)
     if all(x.is_zero() for x in p):
         raise ParseError(f"point {entries!r} is the zero vector")
     return p
 
 
-def parse_field(conductor) -> CycloField:
-    """Q(zeta_N) for a conductor N given as input; N must be a positive integer."""
-    try:
-        N = int(conductor)
-    except (TypeError, ValueError):
-        N = 0
-    if N < 1:
-        raise ParseError(f"conductor {conductor!r} is not a positive integer")
-    return cyclo_field(N)
-
-
-def parse_matrix(rows, field: CycloField):
+def parse_matrix(rows, field: CycloField, size: int):
+    """An invertible size x size matrix, given as a list of rows."""
     from .projlin import ProjMatrix
 
-    parsed = [[parse_scalar(e, field) if isinstance(e, str) else field.from_rational(e)
-               for e in row] for row in rows]
-    return ProjMatrix.from_entries(field, parsed)
+    if not isinstance(rows, (list, tuple)) or len(rows) != size or any(
+            not isinstance(r, (list, tuple)) or len(r) != size for r in rows):
+        raise ParseError(f"matrix {rows!r} is not {size} x {size}")
+    A = ProjMatrix.from_entries(field, [[parse_entry(e, field) for e in r] for r in rows])
+    # a monomial matrix is invertible; only the others need the determinant
+    if A.monomial_permutation() is None and A.det().is_zero():
+        raise ParseError(f"matrix {rows!r} is singular")
+    return A
+
+
+def parse_count(value, what: str) -> int:
+    """A positive integer given as input (n, d, a conductor)."""
+    try:
+        k = int(value)
+    except (TypeError, ValueError, OverflowError):
+        k = 0
+    if k < 1:
+        raise ParseError(f"{what} {value!r} is not a positive integer")
+    return k
+
+
+def parse_field(conductor) -> CycloField:
+    """Q(zeta_N) for a conductor N given as input; N must be a positive integer."""
+    return cyclo_field(parse_count(conductor, "conductor"))

@@ -8,10 +8,11 @@ lexicographic order.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .errors import DegreeMismatch, FieldMismatch
-from .exactnum import CycloField, CycloNum, embed_lift
+from .exactnum import CycloField, CycloNum, _root_in_field, embed_lift, recognize_root_of_unity
 
 Exponents = tuple[int, ...]
 
@@ -367,9 +368,6 @@ def binary_form_roots(b: HomogPoly):
     -B/A is a root of unity with an m-th root inside the working field;
     returns None when the form does not split this way.
     """
-    from .exactnum import _root_in_field, recognize_root_of_unity
-    import math as _math
-
     if b.nvars != 2 or b.is_zero():
         raise ValueError("nonzero binary form expected")
     monos = sorted(b.terms, key=lambda m: m[1])
@@ -395,15 +393,11 @@ def binary_form_roots(b: HomogPoly):
     if rec is None:
         return None
     om, oj = rec
-    L = _math.lcm(2, b.field.N)
-    if L % (om * m) != 0:
+    # the roots of unity of Q(zeta_N) are the lcm(2, N)-th roots
+    if math.lcm(2, b.field.N) % (om * m) != 0:
         return None
-    try:
-        base = _root_in_field(b.field, om * m, oj)
-        step = _root_in_field(b.field, m, 1)
-    except Exception:
-        return None
-    t = base
+    t = _root_in_field(b.field, om * m, oj)
+    step = _root_in_field(b.field, m, 1)
     for _ in range(m):
         roots.append((b.field.one, t))
         t = t * step

@@ -15,16 +15,15 @@ from .errors import (
     SingularMatrix,
     UnsupportedShape,
 )
-from .exactnum import CycloField, CycloNum, cyclo_field, embed_lift, recognize_root_of_unity, root_of_unity
+from .exactnum import CycloField, CycloNum, common_field, embed_lift, recognize_root_of_unity, root_of_unity
 
 Vector = tuple[CycloNum, ...]
 
 
 def as_scalar(field: CycloField, value) -> CycloNum:
+    """value in `field`: a rational, or an element of a subfield lifted by embed_lift."""
     if isinstance(value, CycloNum):
-        if value.field.N != field.N:
-            raise FieldMismatch("entry from a different field")
-        return value
+        return value if value.field.N == field.N else embed_lift(value, field)
     return field.from_rational(value)
 
 
@@ -32,14 +31,12 @@ def vector(field: CycloField, entries) -> Vector:
     return tuple(as_scalar(field, e) for e in entries)
 
 
-def vec_embed(v: Vector, target: CycloField) -> Vector:
-    return tuple(embed_lift(x, target) for x in v)
-
-
-def vec_proj_eq(u: Vector, v: Vector) -> bool:
-    """Projective equality of coordinate vectors over the same field."""
+def vec_proj_eq(u, v) -> bool:
+    """Projective equality of coordinate vectors, compared in their common field."""
     if len(u) != len(v):
         return False
+    field = common_field(*(x.field.N for x in (*u, *v) if isinstance(x, CycloNum)))
+    u, v = vector(field, u), vector(field, v)
     pivot = next((i for i, x in enumerate(u) if not x.is_zero()), None)
     pivot_v = next((i for i, x in enumerate(v) if not x.is_zero()), None)
     if pivot is None or pivot_v is None:
@@ -253,7 +250,7 @@ class ProjMatrix:
     def embed(self, target: CycloField) -> "ProjMatrix":
         if target.N == self.field.N:
             return self
-        return ProjMatrix(target, tuple(vec_embed(r, target) for r in self.rows))
+        return ProjMatrix(target, tuple(vector(target, r) for r in self.rows))
 
 
 # ---------------------------------------------------------------------------
@@ -351,21 +348,26 @@ def eigen_structure(A: ProjMatrix, witness: ProjMatrix | None = None) -> EigenSt
         return EigenStructure(inner.field, pairs)
     if A.is_diagonal():
         field = A.field
-        groups: list[tuple[CycloNum, list[Vector]]] = []
-        for i in range(A.size):
-            val = A.rows[i][i]
-            e_i = tuple(field.one if j == i else field.zero for j in range(A.size))
-            for gval, basis in groups:
-                if gval == val:
-                    basis.append(e_i)
-                    break
-            else:
-                groups.append((val, [e_i]))
-        return EigenStructure(field, tuple(EigenPair(v, tuple(b)) for v, b in groups))
+        return EigenStructure(field, _group_by_value(
+            (A.rows[i][i], tuple(field.one if j == i else field.zero for j in range(A.size)))
+            for i in range(A.size)))
     sigma = A.monomial_permutation()
     if sigma is None:
         raise UnsupportedShape("eigenstructure needs a diagonal, monomial, or witnessed matrix")
     return _monomial_eigen(A, sigma)
+
+
+def _group_by_value(items) -> tuple[EigenPair, ...]:
+    """EigenPairs from (value, vector) items: equal values share a basis, in first-seen order."""
+    groups: list[tuple[CycloNum, list[Vector]]] = []
+    for val, vec in items:
+        for gval, basis in groups:
+            if gval == val:
+                basis.append(vec)
+                break
+        else:
+            groups.append((val, [vec]))
+    return tuple(EigenPair(v, tuple(b)) for v, b in groups)
 
 
 def _monomial_eigen(A: ProjMatrix, sigma) -> EigenStructure:
@@ -381,27 +383,22 @@ def _monomial_eigen(A: ProjMatrix, sigma) -> EigenStructure:
                 cyc.append(j)
                 j = sigma[j]
             cycles.append(cyc)
-    # conductor big enough for every cycle's ell-th roots
-    target_N = A.field.N
     recs = []
     for cyc in cycles:
-        ell = len(cyc)
         q = A.field.one
         for t in cyc:
             q = q * A.entry(sigma[t], t)
         rec = recognize_root_of_unity(q)
         if rec is None:
             raise UnsupportedShape("cycle product is not a recognized root of unity")
-        m, j = rec
-        recs.append((cyc, ell, m, j))
-        target_N = math.lcm(target_N, ell * m, ell)
-    field = cyclo_field(target_N)
+        recs.append((cyc, len(cyc), *rec))
+    # conductor big enough for every cycle's ell-th roots
+    field = common_field(A.field.N, *(ell * m for _, ell, m, _ in recs))
     B = A.embed(field)
-    found: list[tuple[CycloNum, list[Vector]]] = []
+    items = []
     for cyc, ell, m, j in recs:
-        mu0 = root_of_unity(field, ell * m, j)
+        mu = root_of_unity(field, ell * m, j)
         step = root_of_unity(field, ell, 1)
-        mu = mu0
         for _ in range(ell):
             v = [field.zero] * n
             coeff = field.one
@@ -411,14 +408,9 @@ def _monomial_eigen(A: ProjMatrix, sigma) -> EigenStructure:
                 v[cyc[t]] = coeff
             vec_v = tuple(v)
             assert B.apply(vec_v) == tuple(x * mu for x in vec_v)
-            for gval, basis in found:
-                if gval == mu:
-                    basis.append(vec_v)
-                    break
-            else:
-                found.append((mu, [vec_v]))
+            items.append((mu, vec_v))
             mu = mu * step
-    return EigenStructure(field, tuple(EigenPair(v, tuple(b)) for v, b in found))
+    return EigenStructure(field, _group_by_value(items))
 
 
 # ---------------------------------------------------------------------------
@@ -443,40 +435,26 @@ def homology_form(A: ProjMatrix, d: int, n: int) -> Homology | None:
     extraction: for each candidate ratio rho the trace pins b via
     trace = b*(rho + n + 1), and conjugacy is equivalent to
     (A - aI)(A - bI) = 0 with rank(A - bI) <= 1.  Diagonal and monomial
-    matrices short-circuit through their multiplicity pattern; the result is
-    identical and at most one candidate ratio can ever succeed.
+    matrices short-circuit through the multiplicity pattern of their
+    eigen_structure.  The verdict, kind and center are the same either way,
+    but the short-cut works in the eigenvalues' field: for diag(z4, 1, 1)
+    over Q(zeta_8) and d = 4 it reports Q(zeta_8) and ratio z(8)^2, where
+    the rank trick reports Q(zeta_24) and z(24)^6.
     """
     if A.size != n + 2:
         raise ValueError(f"matrix size {A.size} does not match n = {n}")
-    if A.is_diagonal():
-        return _pattern_homology(
-            A.field, [(A.rows[i][i], i) for i in range(A.size)], d, n,
-            lambda idx: tuple(A.field.one if j == idx else A.field.zero for j in range(A.size)))
-    if A.monomial_permutation() is not None:
-        es = eigen_structure(A)
-        items = []
-        for p in es.pairs:
-            for v in p.basis:
-                items.append((p.value, v))
-        return _pattern_homology(es.field, items, d, n, lambda v: v)
+    if A.is_diagonal() or A.monomial_permutation() is not None:
+        return _pattern_homology(eigen_structure(A), d, n)
     return _rank_trick_homology(A, d, n)
 
 
-def _pattern_homology(field, valued_items, d, n, to_vector):
-    groups: list[tuple[CycloNum, list]] = []
-    for val, payload in valued_items:
-        for gval, members in groups:
-            if gval == val:
-                members.append(payload)
-                break
-        else:
-            groups.append((val, [payload]))
-    if len(groups) != 2:
+def _pattern_homology(es: EigenStructure, d: int, n: int) -> Homology | None:
+    if len(es.pairs) != 2:
         return None
-    groups.sort(key=lambda g: len(g[1]))
-    (a, singles), (b, rest) = groups
-    if len(singles) != 1 or len(rest) != n + 1:
+    single, rest = sorted(es.pairs, key=lambda p: p.multiplicity)
+    if single.multiplicity != 1 or rest.multiplicity != n + 1:
         return None
+    a, b = single.value, rest.value
     rec = recognize_root_of_unity(a / b)
     if rec is None:
         return None
@@ -487,13 +465,11 @@ def _pattern_homology(field, valued_items, d, n, to_vector):
         kind = "outer"
     else:
         return None
-    center = vec_normalize(to_vector(singles[0]))
-    return Homology(kind, a, b, center, field)
+    return Homology(kind, a, b, vec_normalize(single.basis[0]), es.field)
 
 
 def _rank_trick_homology(A: ProjMatrix, d: int, n: int) -> Homology | None:
-    N = math.lcm(A.field.N, d - 1, d)
-    field = cyclo_field(N)
+    field = common_field(A.field.N, d - 1, d)
     B = A.embed(field)
     trace = field.zero
     for i in range(B.size):

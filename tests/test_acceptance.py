@@ -27,7 +27,7 @@ from galois_scope.galois import (
 from galois_scope.hypersurface import Hypersurface, is_smooth, verify_automorphism
 from galois_scope.planecurves import group_closure, plane_curve_genus, quotient_genus
 from galois_scope.polyring import HomogPoly
-from galois_scope.projlin import ProjMatrix, vec_embed, vec_proj_eq
+from galois_scope.projlin import ProjMatrix, vec_proj_eq, vector
 
 Q = cyclo_field(1)
 
@@ -132,7 +132,7 @@ def test_ac4_detector_round_trip_family():
             cert = certificate_from_automorphism(X, w)
             assert cert is not None and cert.kind == kind
             target = cyclo_field(math.lcm(cert.field.N, X.field.N))
-            assert vec_proj_eq(vec_embed(cert.point, target), vec_embed(p, target))
+            assert vec_proj_eq(vector(target, cert.point), vector(target, p))
             pv = galois_at_point(X, p)
             assert pv is not None and pv.kind == kind
             agreements += 1

@@ -2,8 +2,10 @@ import json
 
 import pytest
 
+from galois_scope import cli
 from galois_scope.cli import main
 from galois_scope.corpus import bundled_corpus_dir, load_instance, run_one
+from galois_scope.errors import BoundViolation, ConsistencyError
 
 DATA = bundled_corpus_dir()
 POLY = ["--poly", "x0^4 + x1^4 + x2^4"]
@@ -165,9 +167,37 @@ def test_group_single_generator(capsys):
     assert doc["order"] == 4 and doc["cyclic"]
 
 
+def test_count_points_eigen_skips_unverified(capsys):
+    # exa6's h is no automorphism; as in the corpus counts, only verified
+    # matrices contribute eigenpoints
+    code, doc = run_cli(capsys, "count-points", str(DATA / "exa6.json"), "--eigen")
+    assert code == 0
+    assert (doc["inner"], doc["outer"]) == (0, 0)
+
+
+@pytest.mark.parametrize("error", [ConsistencyError, BoundViolation])
+def test_internal_fault_exit_four(capsys, monkeypatch, error):
+    def fail(*args):
+        raise error("theorem-level check failed")
+
+    monkeypatch.setattr(cli, "certificate_from_automorphism", fail)
+    code = main(["galois-detect", str(DATA / "ex1-fermat.json"), "--aut", "h4"])
+    out, err = capsys.readouterr()
+    assert code == 4
+    assert out == ""
+    assert "theorem-level check failed" in json.loads(err)["error"]
+    assert "Traceback" not in err
+
+
 # each argv ends in exit 2 with a JSON error; "{data}" is the bundled corpus,
 # "{dir}" holds inst.json, ex1-fermat.json with the given keys replaced
-# (None: removed), and short.json, a candidate list with a 2-coordinate point
+# (None: removed), and the files of FAULT_FILES
+FAULT_FILES = {
+    "short.json": [[1, 0, 0], [1, 0]],  # a candidate with 2 coordinates
+    "null.json": [[1, None, 0]],
+    "number.json": 5,  # candidates not in a list
+    "list.json": [1, 0, 0],  # an instance that is not an object
+}
 INPUT_FAULTS = [
     *(([cmd, *POLY, "--aut", "g"], {}) for cmd in
       ("verify-aut", "order", "fix-locus", "galois-detect", "classify-cyclic")),
@@ -186,6 +216,25 @@ INPUT_FAULTS = [
     (["check-smooth", *POLY, "--field", "0"], {}),
     (["verify-aut", "{dir}/inst.json", "--aut", "g1"], {"field": 0}),
     (["check-smooth", "--poly", "x0^4 + z(0)*x1^4 + x2^4"], {}),
+    *((["count-points", "{data}/ex1-fermat.json", "--candidates", f"{{dir}}/{f}"], {})
+      for f in ("null.json", "number.json")),
+    (["verify-aut", "{dir}/inst.json", "--aut", "null"],
+     {"automorphisms": {"null": [[1, None, 0], [0, 1, 0], [0, 0, 1]]}}),
+    (["galois-at-point", "{dir}/inst.json", "--point", "nested"],
+     {"points": {"nested": [[1], 0, 0]}}),
+    (["order", "{dir}/inst.json", "--aut", "ragged"],
+     {"automorphisms": {"ragged": [[1, 0, 0], [0, 1], [0, 0, 1]]}}),
+    (["order", "{dir}/inst.json", "--aut", "tall"],
+     {"automorphisms": {"tall": [[1, 0], [0, 1], [0, 0]]}}),
+    *(([cmd, "{dir}/inst.json", "--aut", "small"],
+       {"automorphisms": {"small": [[1, 0], [0, 1]]}}) for cmd in ("order", "verify-aut")),
+    (["order", "{dir}/inst.json", "--aut", "singular"],
+     {"automorphisms": {"singular": [[1, 1, 0], [1, 1, 0], [0, 0, 1]]}}),
+    (["fix-locus", "{dir}/inst.json", "--aut", "g1"], {"n": "one"}),
+    (["galois-detect", "{dir}/inst.json", "--aut", "g1"], {"polynomial": 5}),
+    (["check-smooth", "{dir}/list.json"], {}),
+    (["check-smooth", "--poly", "x0-x0"], {}),
+    (["check-smooth", "--poly", "x0^4", "--nvars", "1"], {}),
 ]
 
 
@@ -195,7 +244,8 @@ def test_input_fault_exit_two(capsys, tmp_path, argv, edit):
     raw.update(edit)
     raw = {k: v for k, v in raw.items() if v is not None}
     (tmp_path / "inst.json").write_text(json.dumps(raw))
-    (tmp_path / "short.json").write_text(json.dumps([[1, 0, 0], [1, 0]]))
+    for name, doc in FAULT_FILES.items():
+        (tmp_path / name).write_text(json.dumps(doc))
     code = main([a.format(data=DATA, dir=tmp_path) for a in argv])
     err = capsys.readouterr().err
     assert code == 2

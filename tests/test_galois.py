@@ -18,7 +18,7 @@ from galois_scope.galois import (
 )
 from galois_scope.hypersurface import Hypersurface, verify_automorphism
 from galois_scope.polyring import HomogPoly
-from galois_scope.projlin import ProjMatrix, vec_embed, vec_proj_eq
+from galois_scope.projlin import ProjMatrix, vec_proj_eq, vector
 from galois_scope.exactnum import embed_lift
 
 Q = cyclo_field(1)
@@ -134,14 +134,14 @@ def test_transport_certificate():
     # transported certificate is again valid: its generator certifies its point
     wm = verify_automorphism(X, moved.generator)
     cert2 = certificate_from_automorphism(X, wm)
-    assert cert2 is not None and vec_proj_eq(cert2.point, vec_embed(moved.point, cert2.field))
+    assert cert2 is not None and vec_proj_eq(cert2.point, vector(cert2.field, moved.point))
     # transporting by g itself fixes the certificate
     self_moved = transport_certificate(cert, w)
-    assert vec_proj_eq(self_moved.point, vec_embed(cert.point, self_moved.field))
+    assert vec_proj_eq(self_moved.point, vector(self_moved.field, cert.point))
     # transport there and back is the identity on the point
     swap_back = verify_automorphism(X, swap.matrix.inverse())
     back = transport_certificate(moved, swap_back)
-    assert vec_proj_eq(back.point, vec_embed(cert.point, back.field))
+    assert vec_proj_eq(back.point, vector(back.field, cert.point))
 
 
 def test_commute_check():
@@ -242,7 +242,7 @@ def test_detector_round_trip_small():
                     assert cert is not None and cert.kind == kind
                     target = cyclo_field(math.lcm(cert.field.N, X.field.N))
                     assert vec_proj_eq(
-                        vec_embed(cert.point, target),
+                        vector(target, cert.point),
                         tuple(embed_lift(c, target) for c in p))
                     pv = galois_at_point(X, p)
                     assert pv is not None and pv.kind == kind

@@ -196,3 +196,12 @@ def test_witness_composition_two_generators():
     assert wAB is not None
     # the composite scale is the product of the scales (diagonal case: no transport twist)
     assert wAB.scale == wA.scale * wB.scale
+
+
+def test_embed_keeps_surface_at_same_conductor():
+    F4 = cyclo_field(4)
+    X = fermat_quartic(F4)
+    assert X.embed(cyclo_field(4)) is X
+    Y = X.embed(cyclo_field(12))
+    assert Y.field.N == 12 and (Y.n, Y.d) == (X.n, X.d)
+    assert Y.F == X.F.embed(cyclo_field(12))

@@ -114,8 +114,19 @@ def test_render_zero():
 
 def test_parse_matrix_and_point():
     F5 = cyclo_field(5)
-    M = parse_matrix([["z(5)^3", "0", "0"], ["0", "z(5)^2", "0"], ["0", "0", "1"]], F5)
+    M = parse_matrix([["z(5)^3", "0", "0"], ["0", "z(5)^2", "0"], ["0", "0", "1"]], F5, 3)
     assert M.rows[0][0] == F5.zeta(3)
     assert M.rows[2][2] == 1
     p = parse_point(["1", "0", "-1"], F5, 3)
     assert p[0] == 1 and p[2] == -1
+
+
+@pytest.mark.parametrize("rows", [
+    [["1", "1", "0"], ["2", "2", "0"], ["0", "0", "1"]],  # singular
+    [["1", "0"], ["0", "1"]],  # 2 x 2 where 3 x 3 is needed
+    [["1", "0", "0"], ["0", "1"], ["0", "0", "1"]],  # ragged
+    [["1", None, "0"], ["0", "1", "0"], ["0", "0", "1"]],  # not a number
+])
+def test_parse_matrix_rejects(rows):
+    with pytest.raises(ParseError):
+        parse_matrix(rows, cyclo_field(1), 3)

@@ -3,14 +3,20 @@ import random
 
 import pytest
 
-from galois_scope.errors import OrderBoundExceeded, SingularMatrix, UnsupportedShape
-from galois_scope.exactnum import cyclo_field, recognize_root_of_unity
+from galois_scope.errors import (
+    ConductorMismatch,
+    OrderBoundExceeded,
+    SingularMatrix,
+    UnsupportedShape,
+)
+from galois_scope.exactnum import cyclo_field, embed_lift, recognize_root_of_unity
 from galois_scope.projlin import (
     ProjMatrix,
     eigen_structure,
     homology_form,
     projective_order,
     vec_proj_eq,
+    vector,
 )
 
 Q = cyclo_field(1)
@@ -183,9 +189,9 @@ def test_homology_form_conjugation_invariance():
                 assert h2 is not None and h2.kind == kind
                 expected = M.apply((base.one,) + (base.zero,) * (n + 1))
                 expected = tuple(x if x.field.N == h2.field.N else x for x in expected)
-                from galois_scope.projlin import vec_embed
+                from galois_scope.projlin import vector
 
-                assert vec_proj_eq(h2.center, vec_embed(expected, h2.field))
+                assert vec_proj_eq(h2.center, vector(h2.field, expected))
 
 
 def test_homology_form_rejects_three_eigenvalues():
@@ -201,7 +207,7 @@ def test_homology_form_rejects_three_eigenvalues():
 
 
 def test_homology_fast_path_matches_general():
-    from galois_scope.projlin import _rank_trick_homology, vec_embed
+    from galois_scope.projlin import _rank_trick_homology, vector
 
     F4 = cyclo_field(4)
     A = ProjMatrix.diagonal(F4, [F4.zeta(), 1, 1])
@@ -210,7 +216,7 @@ def test_homology_fast_path_matches_general():
     assert got is not None and fast is not None
     assert got.kind == fast.kind
     assert recognize_root_of_unity(got.a / got.b) == recognize_root_of_unity(fast.a / fast.b)
-    assert vec_proj_eq(got.center, vec_embed(fast.center, got.field))
+    assert vec_proj_eq(got.center, vector(got.field, fast.center))
 
 
 def test_scalar_matrix_never_detected():
@@ -218,3 +224,27 @@ def test_scalar_matrix_never_detected():
     for c in (F4.one, F4.zeta()):
         A = ProjMatrix.diagonal(F4, [c, c, c])
         assert homology_form(A, 4, 1) is None
+
+
+def test_vector_lifts_subfield_entries():
+    F4, F12 = cyclo_field(4), cyclo_field(12)
+    v = (F4.zeta(), F4.one + F4.zeta(), F4.zero, 2)
+    got = vector(F12, v)
+    assert got == tuple(embed_lift(x, F12) for x in v[:3]) + (F12.from_rational(2),)
+    assert all(x.field is F12 for x in got)
+    same = vector(F4, v)
+    assert all(a is b for a, b in zip(same, v[:3]))
+
+
+def test_vector_rejects_a_field_that_does_not_embed():
+    F5 = cyclo_field(5)
+    with pytest.raises(ConductorMismatch):
+        vector(cyclo_field(12), (F5.zeta(), F5.one))
+
+
+def test_vec_proj_eq_across_conductors():
+    F3, F4, F12 = cyclo_field(3), cyclo_field(4), cyclo_field(12)
+    u = (F3.one, F3.zeta())  # (1, w) with w = zeta_3
+    # i*(1, w), written over Q(zeta_12) as (zeta_12^3, zeta_12^7)
+    assert vec_proj_eq(u, (F12.zeta(3), F12.zeta(7)))
+    assert not vec_proj_eq(u, (F4.zeta(), F4.zeta()))
