@@ -226,9 +226,9 @@ def main(argv=None) -> int:
         body, code = out if isinstance(out, tuple) else (out, EXIT_OK)
         text = json.dumps({"schema": SCHEMA, "command": args.command, **body},
                           indent=2, sort_keys=True)
-        print(text)
-        if args.json_out:
+        if args.json_out:  # first, so a path that cannot be written leaves stdout empty
             Path(args.json_out).write_text(text + "\n")
+        print(text)
         return code
     except (ConsistencyError, BoundViolation) as e:
         print(json.dumps({"schema": SCHEMA, "error": f"internal fault: {e}"}), file=sys.stderr)

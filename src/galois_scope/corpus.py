@@ -80,6 +80,7 @@ def load_instance(source) -> Instance:
     for key in ("automorphisms", "points", "groups", "expect"):
         if not isinstance(raw.get(key, {}), dict):
             raise GaloisScopeError(f"instance key {key!r} must be a JSON object")
+    _check_groups_and_expect(raw.get("groups", {}), raw.get("expect", {}))
     field = parse_field(raw["field"])
     n, d = parse_count(raw["n"], "n"), parse_count(raw["d"], "degree")
     auts = {name: parse_matrix(rows, field, n + 2)
@@ -99,6 +100,45 @@ def load_instance(source) -> Instance:
         notes=raw.get("notes", []),
         raw=raw,
     )
+
+
+def _check_groups_and_expect(groups: dict, expect: dict) -> None:
+    """Reject nested values of the wrong shape before any section is built."""
+    def need(ok, what):
+        if not ok:
+            raise GaloisScopeError(f"instance value {what}")
+
+    for name, members in groups.items():
+        need(isinstance(members, list) and all(isinstance(m, str) for m in members),
+             f"groups.{name} must be a list of automorphism names")
+    for key in ("automorphisms", "points", "counts", "rh", "abelian_check"):
+        need(isinstance(expect.get(key, {}), dict), f"expect.{key} must be a JSON object")
+    for key in ("rh", "abelian_check"):
+        if key in expect:
+            group = expect[key].get("group")
+            need(isinstance(group, str) and group in groups,
+                 f"expect.{key}.group {group!r} is not one of the instance's groups")
+            need(key == "rh" or "verdict" in expect[key], f"expect.{key} needs a verdict")
+    deadline = expect.get("smooth_deadline", DEFAULT_SMOOTH_DEADLINE)
+    need(type(deadline) in (int, float) and deadline > 0,
+         "expect.smooth_deadline must be a positive number")
+    for name, want in expect.get("automorphisms", {}).items():
+        label = f"expect.automorphisms.{name}"
+        need(isinstance(want, dict), f"{label} must be a JSON object")
+        need(isinstance(want.get("fixed_locus", {}), dict), f"{label}.fixed_locus must be an object")
+        need(isinstance(want.get("certificate", {}), (dict, type(None))),
+             f"{label}.certificate must be an object or null")
+        powers = want.get("detect_powers_none", [])
+        need(isinstance(powers, list) and all(type(j) is int for j in powers),
+             f"{label}.detect_powers_none must be a list of integers")
+        need(isinstance(want.get("rows_include", []), list), f"{label}.rows_include must be a list")
+        if "criterion" in want:
+            crit = want["criterion"]
+            need(isinstance(crit, dict) and crit.get("name") in ("curve", "codim", "power")
+                 and "verdict" in crit, f"{label}.criterion needs a verdict and a name: "
+                 "curve, codim or power")
+            need(crit["name"] != "power" or (type(crit.get("k")) is int and crit["k"] >= 2),
+                 f"{label}.criterion power needs an integer k >= 2")
 
 
 def parse_surface(text, n: int, field, degree: int | None = None) -> Hypersurface:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import zip_longest
 
 from .errors import ConductorMismatch, FieldMismatch
 
@@ -56,33 +57,53 @@ def divisors(n: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# integer polynomial helpers (ascending coefficient lists) for Phi_N
+# univariate polynomials: dense ascending coefficient lists over int, Fraction
+# or CycloNum; the empty list is the zero polynomial
+
+def poly_trim(p: list) -> list:
+    """Drop trailing zero coefficients in place; returns p."""
+    while p and not p[-1]:
+        p.pop()
+    return p
+
+
+def poly_mul(a, b) -> list:
+    """The product of two coefficient lists, untrimmed; the sums start from Fraction 0."""
+    out = [_ZERO] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    out[i + j] += x * y
+    return out
+
+
+def poly_divmod(num, den) -> tuple[list, list]:
+    """(q, r) with num = q*den + r and deg r < deg den, r trimmed.
+
+    den must have a nonzero last coefficient.  A monic den takes no division,
+    so integer lists stay integral; integer lists need a monic den.
+    """
+    r = list(num)
+    dn = len(den) - 1
+    lead = den[-1]
+    monic = lead == 1
+    nz = [(j, d) for j, d in enumerate(den[:-1]) if d]
+    q = [None] * max(len(r) - dn, 0)
+    for i in range(len(q) - 1, -1, -1):
+        c = r[i + dn] if monic else r[i + dn] / lead
+        q[i] = c
+        if c:
+            for j, d in nz:
+                r[i + j] -= c * d
+    return q, poly_trim(r[:dn])
+
 
 def _poly_subs_power(p: tuple[int, ...], k: int) -> tuple[int, ...]:
     out = [0] * ((len(p) - 1) * k + 1)
     for i, c in enumerate(p):
         out[i * k] = c
     return tuple(out)
-
-
-def _poly_divexact(num: tuple[int, ...], den: tuple[int, ...]) -> tuple[int, ...]:
-    num_l = list(num)
-    dn = len(den) - 1
-    lead = den[-1]
-    q = [0] * (len(num_l) - dn)
-    for i in range(len(q) - 1, -1, -1):
-        c = num_l[i + dn]
-        if c:
-            if c % lead:
-                raise ArithmeticError("non-exact polynomial division")
-            c //= lead
-            q[i] = c
-            for j, dj in enumerate(den):
-                if dj:
-                    num_l[i + j] -= c * dj
-    if any(num_l[:dn]):
-        raise ArithmeticError("non-exact polynomial division")
-    return tuple(q)
 
 
 @lru_cache(maxsize=None)
@@ -99,24 +120,16 @@ def _cyclotomic(N: int) -> tuple[int, ...]:
     primes = sorted(fac)
     poly: tuple[int, ...] = (1,) * primes[0]
     for p in primes[1:]:
-        poly = _poly_divexact(_poly_subs_power(poly, p), poly)
+        q, r = poly_divmod(_poly_subs_power(poly, p), poly)
+        if r:
+            raise ArithmeticError("non-exact polynomial division")
+        poly = tuple(q)
     return poly
 
 
 def _check_phi_divides(phi: tuple[int, ...], N: int) -> None:
     # construction self-test: Phi_N must divide x^N - 1 exactly
-    m = len(phi) - 1
-    rem = [0] * (N + 1)
-    rem[N] = 1
-    rem[0] = -1
-    nz = [(j, c) for j, c in enumerate(phi[:-1]) if c]
-    for i in range(N - m, -1, -1):
-        q = rem[i + m]
-        if q:
-            rem[i + m] = 0
-            for j, c in nz:
-                rem[i + j] -= q * c
-    if any(rem):
+    if poly_divmod([-1] + [0] * (N - 1) + [1], phi)[1]:
         raise ArithmeticError(f"cyclotomic polynomial for N={N} failed its division self-test")
 
 
@@ -268,6 +281,9 @@ class CycloNum:
             return self._tag[0] == 0
         return not any(self._vec)
 
+    def __bool__(self):
+        return not self.is_zero()
+
     def rational(self):
         """The value as a Fraction if it is rational, else None."""
         if self._tag is not None:
@@ -343,15 +359,7 @@ class CycloNum:
             return CycloNum(self.field, vec=tuple(a[0] * y for y in other.coeffs))
         if b is not None and b[1] == 0:
             return CycloNum(self.field, vec=tuple(b[0] * x for x in self.coeffs))
-        u, v = self.coeffs, other.coeffs
-        m = self.field.degree
-        acc = [_ZERO] * (2 * m - 1)
-        for i, x in enumerate(u):
-            if x:
-                for j, y in enumerate(v):
-                    if y:
-                        acc[i + j] += x * y
-        return CycloNum(self.field, vec=self.field._reduce(acc))
+        return CycloNum(self.field, vec=self.field._reduce(poly_mul(self.coeffs, other.coeffs)))
 
     __rmul__ = __mul__
 
@@ -417,64 +425,14 @@ class CycloNum:
 
 def _modular_inverse(vec: tuple[Fraction, ...], field: CycloField) -> tuple[Fraction, ...]:
     """Inverse mod Phi_N by the extended Euclidean algorithm over Q[x]."""
-    phi = [Fraction(c) for c in field.phi]
-    a = list(vec)
-    while a and a[-1] == 0:
-        a.pop()
-    r0, r1 = phi, a
-    s0, s1 = [_ZERO], [_ONE]
-    while True:
-        while r1 and r1[-1] == 0:
-            r1.pop()
-        if len(r1) == 1:
-            inv_c = 1 / r1[0]
-            out = [c * inv_c for c in s1]
-            return field._reduce(out)
-        q, r = _frac_divmod(r0, r1)
-        s0, s1 = s1, _frac_sub(s0, _frac_mul(q, s1))
+    r0, r1 = [Fraction(c) for c in field.phi], poly_trim(list(vec))
+    s0, s1 = [], [_ONE]
+    while len(r1) > 1:
+        q, r = poly_divmod(r0, r1)
+        s0, s1 = s1, [x - y for x, y in zip_longest(s0, poly_mul(q, s1), fillvalue=_ZERO)]
         r0, r1 = r1, r
-
-
-def _frac_mul(a, b):
-    out = [_ZERO] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return out
-
-
-def _frac_sub(a, b):
-    n = max(len(a), len(b))
-    out = [_ZERO] * n
-    for i, x in enumerate(a):
-        out[i] = x
-    for i, y in enumerate(b):
-        out[i] -= y
-    return out
-
-
-def _frac_divmod(num, den):
-    num = list(num)
-    dn = len(den) - 1
-    lead = den[-1]
-    if len(num) - 1 < dn:
-        return [_ZERO], num
-    q = [_ZERO] * (len(num) - dn)
-    for i in range(len(q) - 1, -1, -1):
-        c = num[i + dn] / lead
-        if c:
-            q[i] = c
-            for j, dj in enumerate(den):
-                if dj:
-                    num[i + j] -= c * dj
-    rem = num[:dn]
-    while rem and rem[-1] == 0:
-        rem.pop()
-    if not rem:
-        rem = [_ZERO]
-    return q, rem
+    inv_c = 1 / r1[0]
+    return field._reduce([c * inv_c for c in s1])
 
 
 # ---------------------------------------------------------------------------

@@ -208,27 +208,25 @@ def _scalar_parts(x: CycloNum) -> list[tuple[Fraction, int]]:
     return [(c, k) for k, c in enumerate(x.coeffs) if c != 0]
 
 
-def _render_part(c: Fraction, k: int, N: int, lead: bool) -> str:
-    sign = "-" if c < 0 else ("+" if not lead else "")
+def _render_part(c: Fraction, k: int, N: int, lead: bool, mono: str = "") -> str:
+    """One signed term c*z(N)^k*mono of a rendered sum; a unit c is left out
+    unless it is the whole term."""
+    sign = "-" if c < 0 else ("" if lead else "+")
     mag = abs(c)
-    if k == 0:
-        body = render_fraction(mag)
-    else:
-        z = f"z({N})" if k == 1 else f"z({N})^{k}"
-        body = z if mag == 1 else f"{render_fraction(mag)}*{z}"
-    if not lead:
-        return f"{sign} {body}"
-    return sign + body
+    factors = [render_fraction(mag)] if mag != 1 or not (k or mono) else []
+    if k:
+        factors.append(f"z({N})" if k == 1 else f"z({N})^{k}")
+    if mono:
+        factors.append(mono)
+    body = "*".join(factors)
+    return sign + body if lead else f"{sign} {body}"
 
 
 def render_scalar(x: CycloNum) -> str:
     parts = _scalar_parts(x)
     if not parts:
         return "0"
-    out = []
-    for i, (c, k) in enumerate(parts):
-        out.append(_render_part(c, k, x.field.N, lead=(i == 0)))
-    return " ".join(out)
+    return " ".join(_render_part(c, k, x.field.N, i == 0) for i, (c, k) in enumerate(parts))
 
 
 def render_poly(f: HomogPoly) -> str:
@@ -236,26 +234,13 @@ def render_poly(f: HomogPoly) -> str:
     into one output term per power-basis component so the grammar stays flat."""
     if f.is_zero():
         return "0"
-    N = f.field.N
     chunks = []
     for mono, coeff in f.sorted_terms():
         vars_txt = "*".join(
             f"x{i}" if e == 1 else f"x{i}^{e}"
             for i, e in enumerate(mono) if e)
         for c, k in _scalar_parts(coeff):
-            lead = not chunks
-            sign = "-" if c < 0 else ("+" if not lead else "")
-            mag = abs(c)
-            factors = []
-            if mag != 1 or (k == 0 and not vars_txt):
-                factors.append(render_fraction(mag))
-            if k:
-                factors.append(f"z({N})" if k == 1 else f"z({N})^{k}")
-            if vars_txt:
-                factors.append(vars_txt)
-            body = "*".join(factors) if factors else "1"
-            chunks.append(body if lead and not sign else
-                          (sign + body if lead else f"{sign} {body}"))
+            chunks.append(_render_part(c, k, f.field.N, not chunks, vars_txt))
     return " ".join(chunks)
 
 

@@ -12,7 +12,15 @@ import math
 from fractions import Fraction
 
 from .errors import DegreeMismatch, FieldMismatch
-from .exactnum import CycloField, CycloNum, _root_in_field, embed_lift, recognize_root_of_unity
+from .exactnum import (
+    CycloField,
+    CycloNum,
+    _root_in_field,
+    embed_lift,
+    poly_divmod,
+    poly_trim,
+    recognize_root_of_unity,
+)
 
 Exponents = tuple[int, ...]
 
@@ -297,45 +305,6 @@ class HomogPoly:
                          {m: embed_lift(c, target) for m, c in self.terms.items()})
 
 
-# ---------------------------------------------------------------------------
-# univariate helpers over the field (dense ascending lists of CycloNum)
-
-def _uni_trim(p):
-    while p and p[-1].is_zero():
-        p.pop()
-    return p
-
-
-def _uni_deg(p):
-    return len(p) - 1
-
-
-def _uni_divmod(num, den):
-    num = list(num)
-    dn = _uni_deg(den)
-    lead = den[-1]
-    if _uni_deg(num) < dn:
-        return [], num
-    q = [None] * (_uni_deg(num) - dn + 1)
-    for i in range(len(q) - 1, -1, -1):
-        c = num[i + dn] / lead
-        q[i] = c
-        if not c.is_zero():
-            for j, dj in enumerate(den):
-                num[i + j] = num[i + j] - c * dj
-    return q, _uni_trim(num[:dn])
-
-
-def _uni_gcd_degree(a, b):
-    a, b = list(a), list(b)
-    _uni_trim(a)
-    _uni_trim(b)
-    while b:
-        _, r = _uni_divmod(a, b)
-        a, b = b, r
-    return _uni_deg(a)
-
-
 def distinct_root_count(b: HomogPoly) -> int:
     """Number of distinct projective roots of a nonzero binary form.
 
@@ -351,14 +320,13 @@ def distinct_root_count(b: HomogPoly) -> int:
     u = [b.field.zero] * (d + 1)
     for (e0, e1), c in b.terms.items():
         u[e1] = c
-    at_infinity = 1 if u[d].is_zero() else 0
-    u = _uni_trim(list(u))
-    if _uni_deg(u) <= 0:
-        return at_infinity
-    du = [u[k + 1] * (k + 1) for k in range(_uni_deg(u))]
-    _uni_trim(du)
-    g = _uni_gcd_degree(u, du) if du else _uni_deg(u)
-    return _uni_deg(u) - g + at_infinity
+    at_infinity = 0 if u[d] else 1
+    u = poly_trim(u)
+    # in characteristic 0, u' = 0 only for a constant u
+    g, h = u, poly_trim([u[k] * k for k in range(1, len(u))])
+    while h:
+        g, h = h, poly_divmod(g, h)[1]
+    return len(u) - len(g) + at_infinity
 
 
 def binary_form_roots(b: HomogPoly):

@@ -154,60 +154,16 @@ class ProjMatrix:
         return result
 
     def det(self) -> CycloNum:
-        n = self.size
-        m = [list(r) for r in self.rows]
-        det = self.field.one
-        for col in range(n):
-            piv = next((r for r in range(col, n) if not m[r][col].is_zero()), None)
-            if piv is None:
-                return self.field.zero
-            if piv != col:
-                m[col], m[piv] = m[piv], m[col]
-                det = -det
-            det = det * m[col][col]
-            inv = m[col][col].inverse()
-            for r in range(col + 1, n):
-                if not m[r][col].is_zero():
-                    f = m[r][col] * inv
-                    for c in range(col, n):
-                        m[r][c] = m[r][c] - f * m[col][c]
-        return det
+        return _gauss_jordan(self.field, [list(r) for r in self.rows], self.size)[1]
 
     def rank(self) -> int:
-        n = self.size
-        m = [list(r) for r in self.rows]
-        rank = 0
-        row = 0
-        for col in range(n):
-            piv = next((r for r in range(row, n) if not m[r][col].is_zero()), None)
-            if piv is None:
-                continue
-            m[row], m[piv] = m[piv], m[row]
-            inv = m[row][col].inverse()
-            for r in range(row + 1, n):
-                if not m[r][col].is_zero():
-                    f = m[r][col] * inv
-                    for c in range(col, n):
-                        m[r][c] = m[r][c] - f * m[row][c]
-            rank += 1
-            row += 1
-        return rank
+        return len(_gauss_jordan(self.field, [list(r) for r in self.rows], self.size)[0])
 
     def inverse(self) -> "ProjMatrix":
-        n = self.size
-        m = [list(r) + [self.field.one if i == j else self.field.zero for j in range(n)]
-             for i, r in enumerate(self.rows)]
-        for col in range(n):
-            piv = next((r for r in range(col, n) if not m[r][col].is_zero()), None)
-            if piv is None:
-                raise SingularMatrix("matrix is singular")
-            m[col], m[piv] = m[piv], m[col]
-            inv = m[col][col].inverse()
-            m[col] = [x * inv for x in m[col]]
-            for r in range(n):
-                if r != col and not m[r][col].is_zero():
-                    f = m[r][col]
-                    m[r] = [x - f * y for x, y in zip(m[r], m[col])]
+        n, one, zero = self.size, self.field.one, self.field.zero
+        m = [list(r) + [one if i == j else zero for j in range(n)] for i, r in enumerate(self.rows)]
+        if len(_gauss_jordan(self.field, m, n)[0]) < n:
+            raise SingularMatrix("matrix is singular")
         return ProjMatrix(self.field, tuple(tuple(row[n:]) for row in m))
 
     # -- shape queries ----------------------------------------------------
@@ -253,29 +209,59 @@ class ProjMatrix:
         return ProjMatrix(target, tuple(vector(target, r) for r in self.rows))
 
 
+def _gauss_jordan(field: CycloField, m: list[list[CycloNum]], ncols: int):
+    """Reduce the rows of m in place, over its first ncols columns, to reduced
+    row echelon form.  Returns (pivot columns, determinant of those columns),
+    the determinant being zero unless every row holds a pivot."""
+    pivots = []
+    det = field.one
+    for col in range(ncols):
+        row = len(pivots)
+        piv = next((r for r in range(row, len(m)) if m[r][col]), None)
+        if piv is None:
+            continue
+        if piv != row:
+            m[row], m[piv] = m[piv], m[row]
+            det = -det
+        det = det * m[row][col]
+        # left of col the pivot row is zero, so only columns col.. change
+        inv = m[row][col].inverse()
+        top = m[row][col:] = [x * inv for x in m[row][col:]]
+        for r, other in enumerate(m):
+            f = other[col]
+            if r != row and f:
+                other[col:] = [x - f * y for x, y in zip(other[col:], top)]
+        pivots.append(col)
+    return pivots, det if len(pivots) == len(m) else field.zero
+
+
 # ---------------------------------------------------------------------------
 # projective order
 
 def projective_order(A: ProjMatrix, k_max: int = 10000) -> int:
-    """Least k >= 1 with A^k scalar; OrderBoundExceeded if none up to k_max."""
+    """Least k >= 1 with A^k scalar; OrderBoundExceeded if none up to k_max.
+
+    A monomial matrix (diagonal ones included) with permutation sigma has
+    order L * ord(A^L), L the order of sigma and A^L diagonal; when a ratio of
+    the diagonal of A^L is not a root of unity no power of A is scalar.
+    """
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
-    if A.is_diagonal():
-        order = _diag_projective_order(A)
-        if order is not None:
-            if order > k_max:
-                raise OrderBoundExceeded(f"projective order {order} exceeds bound {k_max}")
-            return order
     sigma = A.monomial_permutation()
-    if sigma is not None and not A.is_diagonal():
-        L = _perm_order(sigma)
-        D = A ** L
-        sub = _diag_projective_order(D)
-        if sub is not None:
-            order = L * sub
-            if order > k_max:
-                raise OrderBoundExceeded(f"projective order {order} exceeds bound {k_max}")
-            return order
+    if sigma is not None:
+        L = math.lcm(*(len(c) for c in _cycles(sigma)))
+        D = A if L == 1 else A ** L
+        sub = 1
+        for i in range(1, D.size):
+            rec = recognize_root_of_unity(D.rows[i][i] / D.rows[0][0])
+            if rec is None:
+                raise OrderBoundExceeded(
+                    f"infinite projective order: a diagonal ratio of A^{L} is not a root of unity")
+            sub = math.lcm(sub, rec[0])
+        order = L * sub
+        if order > k_max:
+            raise OrderBoundExceeded(f"projective order {order} exceeds bound {k_max}")
+        return order
     power = A
     for k in range(1, k_max + 1):
         if power.is_scalar():
@@ -284,30 +270,20 @@ def projective_order(A: ProjMatrix, k_max: int = 10000) -> int:
     raise OrderBoundExceeded(f"no scalar power within bound {k_max}")
 
 
-def _diag_projective_order(A: ProjMatrix):
-    d0 = A.rows[0][0]
-    order = 1
-    for i in range(1, A.size):
-        rec = recognize_root_of_unity(A.rows[i][i] / d0)
-        if rec is None:
-            return None
-        order = math.lcm(order, rec[0])
-    return order
-
-
-def _perm_order(sigma) -> int:
+def _cycles(sigma) -> list[list[int]]:
+    """The cycles of a permutation, each from its least index, by that index."""
     seen = [False] * len(sigma)
-    order = 1
+    cycles = []
     for i in range(len(sigma)):
         if not seen[i]:
-            length = 0
+            cyc = []
             j = i
             while not seen[j]:
                 seen[j] = True
+                cyc.append(j)
                 j = sigma[j]
-                length += 1
-            order = math.lcm(order, length)
-    return order
+            cycles.append(cyc)
+    return cycles
 
 
 # ---------------------------------------------------------------------------
@@ -372,19 +348,8 @@ def _group_by_value(items) -> tuple[EigenPair, ...]:
 
 def _monomial_eigen(A: ProjMatrix, sigma) -> EigenStructure:
     n = A.size
-    seen = [False] * n
-    cycles = []
-    for i in range(n):
-        if not seen[i]:
-            cyc = []
-            j = i
-            while not seen[j]:
-                seen[j] = True
-                cyc.append(j)
-                j = sigma[j]
-            cycles.append(cyc)
     recs = []
-    for cyc in cycles:
+    for cyc in _cycles(sigma):
         q = A.field.one
         for t in cyc:
             q = q * A.entry(sigma[t], t)

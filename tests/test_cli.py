@@ -89,6 +89,15 @@ def test_json_out_writes_file(capsys, tmp_path):
     assert json.loads(out.read_text()) == doc
 
 
+def test_json_out_unwritable_prints_nothing(capsys, tmp_path):
+    code = main(["order", str(DATA / "exa1.json"), "--aut", "g",
+                 "--json-out", str(tmp_path / "missing" / "x.json")])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert "error" in json.loads(err)
+
+
 def test_corpus_single_instance_deterministic():
     r1 = run_one(DATA / "exa1.json")
     r2 = run_one(DATA / "exa1.json")
@@ -235,10 +244,32 @@ INPUT_FAULTS = [
     (["check-smooth", "{dir}/list.json"], {}),
     (["check-smooth", "--poly", "x0-x0"], {}),
     (["check-smooth", "--poly", "x0^4", "--nvars", "1"], {}),
+    *((["corpus-run", "{dir}"], edit) for edit in (
+        {"groups": {"G": 5}},
+        {"expect": {"automorphisms": []}},
+        {"expect": {"counts": 3}},
+        {"expect": {"points": ["e0"]}},
+        {"expect": {"automorphisms": {"h4": 3}}},
+        {"expect": {"rh": {"group": "H"}}},
+        {"expect": {"abelian_check": {"group": "H", "verdict": "pass"}}},
+        {"expect": {"automorphisms": {"h4": {"detect_powers_none": ["x"]}}}},
+        {"expect": {"automorphisms": {"h4": {"rows_include": 4}}}},
+        {"expect": {"automorphisms": {"h4": {"criterion": {"verdict": "holds"}}}}},
+        {"expect": {"automorphisms": {"h4": {"criterion": {"name": "power", "verdict": "holds"}}}}},
+    )),
 ]
 
 
-@pytest.mark.parametrize("argv, edit", INPUT_FAULTS, ids=[" ".join(a) for a, _ in INPUT_FAULTS])
+def fault_ids(rows):
+    """The argv of each row; a repeated argv adds the row's edit."""
+    ids = []
+    for argv, edit in rows:
+        name = " ".join(argv)
+        ids.append(f"{name} {json.dumps(edit)}" if name in ids else name)
+    return ids
+
+
+@pytest.mark.parametrize("argv, edit", INPUT_FAULTS, ids=fault_ids(INPUT_FAULTS))
 def test_input_fault_exit_two(capsys, tmp_path, argv, edit):
     raw = json.loads((DATA / "ex1-fermat.json").read_text())
     raw.update(edit)

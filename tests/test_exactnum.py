@@ -3,12 +3,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from galois_scope.errors import ConductorMismatch, FieldMismatch
 from galois_scope.exactnum import (
     cyclo_field,
     divisors,
     embed_lift,
+    poly_divmod,
     recognize_root_of_unity,
     root_of_unity,
     totient,
@@ -172,3 +175,30 @@ def test_pow_and_rational():
     assert (z ** 4).rational() == -1
     assert F8.from_rational(Fraction(3, 2)).rational() == Fraction(3, 2)
     assert (1 + z).rational() is None
+
+
+RATS = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))
+
+
+def sympy_uni(coeffs):
+    """An ascending coefficient list as a sympy polynomial in t over QQ."""
+    import sympy
+
+    t = sympy.symbols("t")
+    return sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(coeffs)]
+                      or [0], t, domain="QQ")
+
+
+@given(st.lists(RATS, max_size=7), st.lists(RATS, min_size=1, max_size=5))
+@example([Fraction(1), Fraction(2)], [Fraction(1), Fraction(0), Fraction(3)])  # num shorter
+@example([Fraction(1), Fraction(0), Fraction(5), Fraction(2)], [Fraction(-1), Fraction(2)])
+def test_poly_divmod_matches_sympy(num, den):
+    """num = q*den + r with deg r < deg den, and (q, r) equal to sympy's div."""
+    import sympy
+
+    if den[-1] == 0:
+        den = den + [Fraction(3, 2)]  # a non-monic leading coefficient
+    q, r = poly_divmod(num, den)
+    assert len(r) < len(den) and (not r or r[-1] != 0)
+    assert sympy_uni(q) * sympy_uni(den) + sympy_uni(r) == sympy_uni(num)
+    assert sympy.div(sympy_uni(num), sympy_uni(den)) == (sympy_uni(q), sympy_uni(r))

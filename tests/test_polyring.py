@@ -311,6 +311,27 @@ def test_distinct_root_count_examples():
     assert distinct_root_count(sq) == 1
 
 
+def test_distinct_root_count_of_chosen_roots():
+    """X0^e * prod (X1 - r X0)^m over distinct dense roots r: the count is the
+    number of roots, plus one for [0:1] when e > 0."""
+    rng = random.Random(3)
+    for N in (1, 7, 12):
+        F = cyclo_field(N)
+        x0, x1 = HomogPoly.variable(F, 2, 0), HomogPoly.variable(F, 2, 1)
+        for _ in range(6):
+            roots = []
+            while len(roots) < rng.randint(1, 3):
+                r = F.element([rng.randint(-2, 2) for _ in range(F.degree)])
+                if r not in roots:
+                    roots.append(r)
+            e = rng.choice([0, 0, 1, 2])
+            b = x0 ** e * F.element([rng.randint(1, 3)] + [rng.randint(-2, 2)
+                                                          for _ in range(F.degree - 1)])
+            for r in roots:
+                b = b * (x1 - x0 * r) ** rng.randint(1, 3)
+            assert distinct_root_count(b) == len(roots) + (e > 0)
+
+
 def test_binary_form_roots_enumeration():
     F8 = cyclo_field(8)
     b = poly(F8, 2, {(4, 0): 1, (0, 4): 1})

@@ -1,5 +1,7 @@
+import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -94,6 +96,15 @@ def test_projective_order_bound():
     A = ProjMatrix.diagonal(F8, [F8.zeta(), 1])
     with pytest.raises(OrderBoundExceeded):
         projective_order(A, k_max=3)
+
+
+def test_projective_order_infinite_raises_at_once():
+    # diag(1 + z(7), 1, 1), and a swap whose square is diag(2, 2, 1)
+    F7 = cyclo_field(7)
+    for A in (ProjMatrix.diagonal(F7, [1 + F7.zeta(), 1, 1]),
+              ProjMatrix.from_entries(Q, [[0, 2, 0], [1, 0, 0], [0, 0, 1]])):
+        with pytest.raises(OrderBoundExceeded, match="infinite projective order"):
+            projective_order(A)
 
 
 def test_order_conjugation_invariant():
@@ -248,3 +259,78 @@ def test_vec_proj_eq_across_conductors():
     # i*(1, w), written over Q(zeta_12) as (zeta_12^3, zeta_12^7)
     assert vec_proj_eq(u, (F12.zeta(3), F12.zeta(7)))
     assert not vec_proj_eq(u, (F4.zeta(), F4.zeta()))
+
+
+def leibniz_det(M):
+    """sum over permutations of sign * prod M[i][perm(i)]: no division, no pivots."""
+    n = M.size
+    total = M.field.zero
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j])
+        term = M.field.from_rational((-1) ** inversions)
+        for i in range(n):
+            term = term * M.rows[i][perm[i]]
+        total = total + term
+    return total
+
+
+def sympy_rank(M):
+    """Rank over QQ(zeta_N) by sympy's DomainMatrix, from power-basis coordinates."""
+    import sympy
+    from sympy.polys.matrices import DomainMatrix
+
+    z = sympy.exp(2 * sympy.pi * sympy.I / M.field.N)
+    K = sympy.QQ.algebraic_field(z)
+    gen = K.from_sympy(z)
+
+    def element(x):
+        acc = K.zero
+        for c in reversed(x.coeffs):
+            acc = acc * gen + K.from_sympy(sympy.Rational(c.numerator, c.denominator))
+        return acc
+
+    rows = [[element(x) for x in r] for r in M.rows]
+    return DomainMatrix(rows, (M.size, M.size), K).rank()
+
+
+def reference_matrices():
+    """Rational and dense Q(zeta_7), Q(zeta_12) matrices of sizes 2..4 and every
+    rank: full, rows that are combinations of others, a zero first column,
+    and zero leading entries that force row swaps."""
+    rng = random.Random(9)
+    out = []
+    for N in (1, 7, 12):
+        F = cyclo_field(N)
+
+        def dense():
+            return F.element([Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                              for _ in range(F.degree)])
+
+        for n in (2, 3, 4):
+            for rank in range(n + 1):
+                base = [[dense() for _ in range(n)] for _ in range(rank)]
+                rows = list(base)
+                while len(rows) < n:
+                    coeffs = [dense() for _ in base]
+                    rows.append([sum((c * b[j] for c, b in zip(coeffs, base)), F.zero)
+                                 for j in range(n)])
+                rng.shuffle(rows)
+                out.append(ProjMatrix.from_entries(F, rows))
+            out.append(ProjMatrix.from_entries(F, [
+                [F.zero] + [dense() for _ in range(n - 1)] for _ in range(n)]))
+            # zero above the anti-diagonal: the first pivot lies in the last row
+            out.append(ProjMatrix.from_entries(F, [
+                [F.zero if i + j < n - 1 else dense() for j in range(n)] for i in range(n)]))
+    return out
+
+
+def test_det_matches_leibniz_expansion():
+    mats = reference_matrices()
+    assert any(leibniz_det(M).is_zero() for M in mats)
+    for M in mats:
+        assert M.det() == leibniz_det(M)
+
+
+def test_rank_matches_sympy():
+    for M in reference_matrices():
+        assert M.rank() == sympy_rank(M)
