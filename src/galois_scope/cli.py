@@ -222,6 +222,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        deadline = getattr(args, "deadline", None)
+        if deadline is not None and not deadline > 0:  # NaN too, as for expect.smooth_deadline
+            raise GaloisScopeError(f"--deadline {deadline}: must be a positive number of seconds")
         out = args.fn(args)
         body, code = out if isinstance(out, tuple) else (out, EXIT_OK)
         text = json.dumps({"schema": SCHEMA, "command": args.command, **body},

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import GaloisScopeError, ParseError
+from .errors import CriterionNotApplicable, GaloisScopeError, ParseError
 from .exactnum import cyclo_field
 from .fixlocus import codim_criterion, curve_criterion, fixed_locus, power_criterion
 from .galois import (
@@ -364,15 +364,18 @@ def build_report(inst: Instance, smooth_deadline: float | None = None) -> dict:
         if "criterion" in aut_expect and w is not None:
             spec_c = aut_expect["criterion"]
             cname = spec_c["name"]
-            if cname == "curve":
-                res = curve_criterion(X, w)
-            elif cname == "codim":
-                res = codim_criterion(X, w)
+            try:
+                if cname == "curve":
+                    res = curve_criterion(X, w)
+                elif cname == "codim":
+                    res = codim_criterion(X, w)
+                else:
+                    res = power_criterion(X, w, spec_c["k"])
+            except CriterionNotApplicable as e:  # the order is only known after verification
+                exp.check(f"{name}.criterion.verdict", spec_c["verdict"], f"not applicable: {e}")
             else:
-                res = power_criterion(X, w, spec_c["k"])
-            cj = criterion_json(res)
-            entry["criterion"] = cj
-            exp.check(f"{name}.criterion.verdict", spec_c["verdict"], cj["verdict"])
+                cj = entry["criterion"] = criterion_json(res)
+                exp.check(f"{name}.criterion.verdict", spec_c["verdict"], cj["verdict"])
 
     if "points" in expect:
         verdicts = {}

@@ -41,6 +41,10 @@ class ConsistencyError(GaloisScopeError):
     """Two routes that must agree by theorem disagreed; indicates an internal bug."""
 
 
+class CriterionNotApplicable(GaloisScopeError, ValueError):
+    """A fixed-locus criterion was asked about an automorphism outside its hypotheses."""
+
+
 class ClosureBound(GaloisScopeError):
     """Group closure did not terminate within the element bound."""
 

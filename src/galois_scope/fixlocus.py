@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ConsistencyError
+from .errors import ConsistencyError, CriterionNotApplicable
 from .exactnum import CycloNum
 from .galois import GaloisCertificate, certificate_from_automorphism
 from .hypersurface import AutWitness, Hypersurface, is_smooth, verify_automorphism
@@ -107,7 +107,7 @@ def curve_criterion(X: Hypersurface, w: AutWitness,
     must exist and a missing one is a fatal inconsistency.
     """
     if X.n != 1:
-        raise ValueError("curve criterion requires n = 1")
+        raise CriterionNotApplicable("curve criterion requires n = 1")
     d = X.d
     if w.order == d - 1:
         kind = "inner"
@@ -118,7 +118,7 @@ def curve_criterion(X: Hypersurface, w: AutWitness,
         report = fixed_locus(X, w, witness_matrix)
         holds = report.cardinality() != 0
     else:
-        raise ValueError(f"order {w.order} is neither d-1 nor d")
+        raise CriterionNotApplicable(f"order {w.order} is neither d-1 nor d")
     cert = certificate_from_automorphism(X, w)
     if holds and (cert is None or cert.kind != kind):
         raise ConsistencyError("curve criterion holds but no certificate was produced")
@@ -138,14 +138,14 @@ def codim_criterion(X: Hypersurface, w: AutWitness,
     computed here).
     """
     if X.n < 2:
-        raise ValueError("codimension criterion requires n >= 2")
+        raise CriterionNotApplicable("codimension criterion requires n >= 2")
     d = X.d
     if w.order == d:
         kind = "outer"
     elif w.order == d - 1:
         kind = "inner"
     else:
-        raise ValueError(f"order {w.order} is neither d-1 nor d")
+        raise CriterionNotApplicable(f"order {w.order} is neither d-1 nor d")
     report = fixed_locus(X, w, witness_matrix)
     detail = ""
     if kind == "outer" or X.n >= 3:
@@ -176,11 +176,11 @@ def power_criterion(X: Hypersurface, w: AutWitness, k: int,
     """Criterion for order k(d-1), k >= 2: many fixed points (n = 2) or a
     fixed locus of dimension n-2 (n >= 3) force an inner point for g^k."""
     if k < 2:
-        raise ValueError("power criterion requires k >= 2")
+        raise CriterionNotApplicable("power criterion requires k >= 2")
     if w.order != k * (X.d - 1):
-        raise ValueError(f"order {w.order} is not k(d-1) = {k * (X.d - 1)}")
+        raise CriterionNotApplicable(f"order {w.order} is not k(d-1) = {k * (X.d - 1)}")
     if X.n < 2:
-        raise ValueError("power criterion requires n >= 2")
+        raise CriterionNotApplicable("power criterion requires n >= 2")
     report = fixed_locus(X, w, witness_matrix)
     if X.n == 2:
         holds = report.cardinality() >= 5

@@ -1,13 +1,20 @@
 """Buchberger Groebner-basis kernel in grevlex order.
 
-Only what the smoothness certificate needs: S-polynomial reduction with the
-coprime-leading-term criterion and a cooperative deadline.  Coefficients are
-exact field elements, so no precision concerns; leading coefficients are
-normalized to 1 as polynomials enter the basis.
+Only what the smoothness certificate needs.  Every basis element is monic and
+carries its leading monomial.  A normal form reduces a mutable term dict and
+takes each next leading term from a heap.  S-pairs leave a heap in order of
+lcm degree (normal selection), and the update of Gebauer and Moeller ("On an
+installation of Buchberger's algorithm", J. Symb. Comp. 6, 1988) applies
+Buchberger's coprime and chain criteria as each element enters the basis.
+Coefficients are exact field elements.  A cooperative deadline is checked at
+every pair and at every reduction step.
 """
 from __future__ import annotations
 
+import heapq
+import itertools
 import time
+from operator import add, le, sub
 
 from .polyring import HomogPoly, grevlex_key
 
@@ -22,98 +29,148 @@ class Deadline:
         return self.limit is not None and time.monotonic() > self.limit
 
 
+class Monic:
+    """A polynomial {exponents: coefficient} scaled so that the coefficient of
+    its leading monomial lm is 1."""
+
+    __slots__ = ("lm", "terms")
+
+    def __init__(self, lm, terms: dict):
+        inv = terms[lm].inverse()
+        self.lm = lm
+        self.terms = {m: c * inv for m, c in terms.items()}
+
+
 def _divides(m1, m2) -> bool:
-    return all(a <= b for a, b in zip(m1, m2))
-
-
-def _mono_mul(m1, m2):
-    return tuple(a + b for a, b in zip(m1, m2))
+    return all(map(le, m1, m2))
 
 
 def _mono_lcm(m1, m2):
-    return tuple(max(a, b) for a, b in zip(m1, m2))
+    return tuple(map(max, m1, m2))
 
 
-def _monic(f: HomogPoly) -> HomogPoly:
-    lm = f.leading_monomial()
-    return f.scale(f.terms[lm].inverse())
+def _coprime(m1, m2) -> bool:
+    return not any(a and b for a, b in zip(m1, m2))
 
 
-def normal_form(f: HomogPoly, basis: list[HomogPoly], deadline: Deadline | None = None):
-    """Remainder of f under division by the basis; None on deadline expiry."""
-    field, nvars = f.field, f.nvars
-    rem_terms: dict = {}
-    work = f
-    lms = [g.leading_monomial() for g in basis]
-    while not work.is_zero():
+def _add_multiple(work: dict, c, shift, g: Monic, heap=None) -> None:
+    """work += c * x^shift * (g - its leading term), in place.
+
+    A monomial that enters work goes on the heap (if one is given) keyed on
+    its reversed exponents, even when it was there before and cancelled.
+    """
+    for gm, gc in g.terms.items():
+        if gm == g.lm:
+            continue
+        mono = tuple(map(add, shift, gm))
+        d = c * gc
+        if mono in work:
+            v = work[mono] + d
+            if v.is_zero():
+                del work[mono]
+            else:
+                work[mono] = v
+        else:
+            work[mono] = d
+            if heap is not None:
+                heapq.heappush(heap, mono[::-1])
+
+
+def normal_form(work: dict, basis: list[Monic], deadline: Deadline | None = None):
+    """Remainder of the homogeneous {exponents: coefficient} work under
+    division by the basis, in descending grevlex order; None on deadline expiry.
+
+    work is consumed.  Among monomials of one degree the grevlex largest has
+    the least reversed exponent tuple, so a min-heap of those tuples yields
+    the leading terms in turn.  Entries whose term has cancelled are skipped.
+    """
+    heap = [m[::-1] for m in work]
+    heapq.heapify(heap)
+    rem: dict = {}
+    while heap:
         if deadline is not None and deadline.expired():
             return None
-        lm = work.leading_monomial()
-        lc = work.terms[lm]
-        for g, glm in zip(basis, lms):
-            if _divides(glm, lm):
-                shift = tuple(a - b for a, b in zip(lm, glm))
-                factor = HomogPoly(field, nvars, sum(shift), {shift: lc / g.terms[glm]})
-                work = work - factor * g
+        m = heapq.heappop(heap)[::-1]
+        c = work.pop(m, None)
+        if c is None:
+            continue
+        for g in basis:
+            if _divides(g.lm, m):
+                _add_multiple(work, -c, tuple(map(sub, m, g.lm)), g, heap)
                 break
         else:
-            rem_terms[lm] = lc
-            work = HomogPoly(field, nvars, work.degree,
-                             {m: c for m, c in work.terms.items() if m != lm})
-    return rem_terms
+            rem[m] = c
+    return rem
 
 
-def s_polynomial(f: HomogPoly, g: HomogPoly) -> HomogPoly:
-    lf, lg = f.leading_monomial(), g.leading_monomial()
-    lcm = _mono_lcm(lf, lg)
-    field, nvars = f.field, f.nvars
-    mf = tuple(a - b for a, b in zip(lcm, lf))
-    mg = tuple(a - b for a, b in zip(lcm, lg))
-    tf = HomogPoly(field, nvars, sum(mf), {mf: f.terms[lf].inverse()})
-    tg = HomogPoly(field, nvars, sum(mg), {mg: g.terms[lg].inverse()})
-    return tf * f - tg * g
+def s_polynomial(f: Monic, g: Monic) -> dict:
+    """x^(L - lm f) f - x^(L - lm g) g with L = lcm(lm f, lm g); the leading terms cancel."""
+    lcm = _mono_lcm(f.lm, g.lm)
+    shift = tuple(map(sub, lcm, f.lm))
+    out = {tuple(map(add, shift, m)): c for m, c in f.terms.items() if m != f.lm}
+    _add_multiple(out, -g.terms[g.lm], tuple(map(sub, lcm, g.lm)), g)
+    return out
+
+
+def _update(active: list[Monic], pairs: list, h: Monic, order) -> list[Monic]:
+    """Gebauer-Moeller update as h enters the basis; returns the new active set.
+
+    pairs is a heap of (lcm degree, insertion order, f, g, lcm), filtered in
+    place.  A new pair (h, g) with lm h, lm g not coprime is dropped when the
+    lcm of a later new pair, or of one already kept, divides its lcm (chain
+    criterion); coprime pairs take part in that test and are dropped after it
+    (coprime criterion).  An old pair (f, g) is dropped when lm h divides its
+    lcm and lcm(lm f, lm h), lcm(lm g, lm h) both differ from it.  An active
+    element whose leading monomial lm h divides leaves the active set.
+    """
+    t = h.lm
+    new = [(g, _mono_lcm(t, g.lm)) for g in active]
+    kept = []
+    for k, (g, lcm) in enumerate(new):
+        if (_coprime(t, g.lm)
+                or not any(_divides(other, lcm) for _, other in new[k + 1:])
+                and not any(_divides(other, lcm) for _, other in kept)):
+            kept.append((g, lcm))
+    pairs[:] = [p for p in pairs
+                if not (_divides(t, p[4])
+                        and _mono_lcm(p[2].lm, t) != p[4]
+                        and _mono_lcm(p[3].lm, t) != p[4])]
+    pairs.extend((sum(lcm), next(order), h, g, lcm)
+                 for g, lcm in kept if not _coprime(t, g.lm))
+    heapq.heapify(pairs)
+    return [g for g in active if not _divides(t, g.lm)] + [h]
 
 
 def groebner_basis(gens: list[HomogPoly], deadline: Deadline | None = None):
-    """Groebner basis of the ideal (grevlex); None if the deadline expires."""
-    basis = [_monic(g) for g in gens if not g.is_zero()]
-    if not basis:
+    """Groebner basis of the ideal (grevlex); None if the deadline expires.
+
+    The result is minimal: one monic element per minimal leading monomial,
+    sorted by leading monomial.  Those monomials generate the leading ideal,
+    so they do not depend on the order in which pairs are processed.
+    """
+    gens = [g for g in gens if not g.is_zero()]
+    if not gens:
         return []
-    nvars = basis[0].nvars
-    pairs = [(i, j) for i in range(len(basis)) for j in range(i)]
+    field, nvars = gens[0].field, gens[0].nvars
+    active: list[Monic] = []
+    pairs: list = []
+    order = itertools.count()
+    for g in gens:
+        active = _update(active, pairs, Monic(g.leading_monomial(), g.terms), order)
     while pairs:
         if deadline is not None and deadline.expired():
             return None
-        # normal selection: smallest lcm degree first
-        pairs.sort(key=lambda p: sum(_mono_lcm(basis[p[0]].leading_monomial(),
-                                                basis[p[1]].leading_monomial())), reverse=True)
-        i, j = pairs.pop()
-        lf = basis[i].leading_monomial()
-        lg = basis[j].leading_monomial()
-        if _mono_lcm(lf, lg) == _mono_mul(lf, lg):
-            continue  # coprime leading terms reduce to zero
-        s = s_polynomial(basis[i], basis[j])
-        if s.is_zero():
-            continue
-        rem = normal_form(s, basis, deadline)
+        _, _, f, g, _ = heapq.heappop(pairs)
+        rem = normal_form(s_polynomial(f, g), active, deadline)
         if rem is None:
             return None
-        if rem:
-            h = _monic(HomogPoly(s.field, nvars, s.degree, rem))
-            basis.append(h)
-            pairs.extend((len(basis) - 1, k) for k in range(len(basis) - 1))
-    return _interreduce(basis)
-
-
-def _interreduce(basis: list[HomogPoly]) -> list[HomogPoly]:
-    lms = [g.leading_monomial() for g in basis]
-    keep = []
-    for i, lm in enumerate(lms):
-        if not any(j != i and _divides(lms[j], lm) and (lms[j] != lm or j < i)
-                   for j in range(len(basis))):
-            keep.append(basis[i])
-    keep.sort(key=lambda g: grevlex_key(g.leading_monomial()))
-    return keep
+        if rem:  # the first remainder term is the leading one
+            active = _update(active, pairs, Monic(next(iter(rem)), rem), order)
+    minimal = [g for k, g in enumerate(active)
+               if not any(_divides(o.lm, g.lm) and (o.lm != g.lm or j < k)
+                          for j, o in enumerate(active) if j != k)]
+    minimal.sort(key=lambda g: grevlex_key(g.lm))
+    return [HomogPoly(field, nvars, sum(g.lm), g.terms) for g in minimal]
 
 
 def leading_pure_powers(basis: list[HomogPoly], nvars: int) -> list[bool]:

@@ -66,8 +66,6 @@ class AutWitness:
 class SmoothnessResult:
     status: str
     witness: Vector | None = None
-    basis: tuple | None = None
-    no_point: bool = False
 
 
 def verify_automorphism(X: Hypersurface, A: ProjMatrix) -> AutWitness | None:
@@ -115,14 +113,14 @@ def is_smooth(X: Hypersurface, deadline: float | None = None,
         return SmoothnessResult(TIMEOUT)
     covered = leading_pure_powers(basis, nvars)
     if all(covered):
-        result = SmoothnessResult(SMOOTH, basis=tuple(basis))
+        result = SmoothnessResult(SMOOTH)
     else:
-        result = _singular_result(X, basis, covered)
+        result = _singular_result(X, covered)
     X._smooth = result
     return result
 
 
-def _singular_result(X: Hypersurface, basis, covered) -> SmoothnessResult:
+def _singular_result(X: Hypersurface, covered) -> SmoothnessResult:
     field = X.field
     partials = jacobian_generators(X)
     for i, has_power in enumerate(covered):
@@ -130,8 +128,8 @@ def _singular_result(X: Hypersurface, basis, covered) -> SmoothnessResult:
             continue
         point = tuple(field.one if j == i else field.zero for j in range(X.n + 2))
         if all(p.is_zero() or p.eval_at(point).is_zero() for p in partials):
-            return SmoothnessResult(SINGULAR, witness=point, basis=tuple(basis))
-    return SmoothnessResult(SINGULAR, basis=tuple(basis), no_point=True)
+            return SmoothnessResult(SINGULAR, witness=point)
+    return SmoothnessResult(SINGULAR)
 
 
 def basis_through(point, field, size: int) -> ProjMatrix:

@@ -246,11 +246,11 @@ def test_ac7_smoothness_kernel():
         assert is_smooth(sextic, deadline=budgets).status == "certified_smooth"
         assert time.monotonic() - t0 < budgets
 
-        # degree 30: a timeout is accepted, a misclassification is not
+        # degree 30: certified well inside the 10 s budget
         d30 = Hypersurface(1, 30, poly(Q, 3, {
             (30, 0, 0): 1, (0, 30, 0): 1, (0, 0, 30): 1, (5, 6, 19): 1}))
         res = is_smooth(d30, deadline=10.0, allow_large=True)
-        assert res.status in ("certified_smooth", "timeout")
+        assert res.status == "certified_smooth"
 
 
 def test_ac8_power_criterion_instance():

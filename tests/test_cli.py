@@ -49,8 +49,9 @@ def test_input_error_exit_two(capsys, tmp_path):
 
 
 def test_timeout_exit_three(capsys):
+    # a budget that expires before the first S-pair: the timeout path, every time
     code, doc = run_cli(capsys, "check-smooth", str(DATA / "exa2.json"),
-                        "--deadline", "0.005")
+                        "--deadline", "0.000001")
     assert code == 3
     assert doc["status"] == "timeout"
 
@@ -121,6 +122,20 @@ def test_corpus_run_failure_exit_one(capsys, tmp_path):
     assert code == 1
     assert doc["status"] == "fail"
     assert any("order" in f for f in doc["matrix"][0]["failures"])
+
+
+@pytest.mark.parametrize("criterion, reason", [
+    ({"name": "power", "k": 2}, "order 4 is not k(d-1) = 6"),
+    ({"name": "codim"}, "codimension criterion requires n >= 2"),
+], ids=["power", "codim"])
+def test_corpus_run_inapplicable_criterion_exit_one(capsys, tmp_path, criterion, reason):
+    raw = json.loads((DATA / "ex1-fermat.json").read_text())
+    raw["expect"] = {"automorphisms": {"h4": {"criterion": {**criterion, "verdict": "holds"}}}}
+    (tmp_path / "inst.json").write_text(json.dumps(raw))
+    code, doc = run_cli(capsys, "corpus-run", str(tmp_path))
+    assert code == 1
+    assert doc["matrix"][0]["failures"] == [
+        f"h4.criterion.verdict: expected 'holds', got 'not applicable: {reason}'"]
 
 
 def test_corpus_run_jobs_parallel(capsys, tmp_path):
@@ -257,6 +272,9 @@ INPUT_FAULTS = [
         {"expect": {"automorphisms": {"h4": {"criterion": {"verdict": "holds"}}}}},
         {"expect": {"automorphisms": {"h4": {"criterion": {"name": "power", "verdict": "holds"}}}}},
     )),
+    *(([cmd, path, "--deadline", value], {})
+      for cmd, path in (("check-smooth", "{data}/exa5.json"), ("corpus-run", "{data}"))
+      for value in ("nan", "0", "-1")),
 ]
 
 

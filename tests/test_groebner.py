@@ -1,0 +1,168 @@
+"""The Groebner kernel against references that do not come from it.
+
+Two checks, on random forms and on fixed cases:
+
+* the minimal leading monomials of the basis equal those of sympy's reduced
+  grevlex basis, whenever the coefficients are rational;
+* Buchberger's criterion, by the plain reducer below: every generator and
+  every S-pair of the returned basis reduces to zero.
+"""
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from galois_scope.corpus import corpus_paths, load_instance
+from galois_scope.exactnum import cyclo_field
+from galois_scope.groebner import groebner_basis
+from galois_scope.polyring import HomogPoly
+
+Q = cyclo_field(1)
+
+
+def grevlex(mono):
+    """Degree first, then the smaller exponent in the last variable that differs."""
+    return (sum(mono), [-e for e in reversed(mono)])
+
+
+def lead(f: dict):
+    return max(f, key=grevlex)
+
+
+def sub_multiple(f: dict, c, shift, g: dict) -> dict:
+    """f - c * x^shift * g as a new dict without zero terms."""
+    out = dict(f)
+    for m, gc in g.items():
+        mono = tuple(a + b for a, b in zip(shift, m))
+        v = out[mono] - c * gc if mono in out else -(c * gc)
+        if v.is_zero():
+            out.pop(mono, None)
+        else:
+            out[mono] = v
+    return out
+
+
+def plain_reduce(f: dict, basis: list[dict]) -> dict:
+    """Full remainder of f by the basis, recomputing the leading term each step."""
+    rem = {}
+    while f:
+        m = lead(f)
+        for g in basis:
+            gm = lead(g)
+            if all(a <= b for a, b in zip(gm, m)):
+                f = sub_multiple(f, f[m] / g[gm], tuple(a - b for a, b in zip(m, gm)), g)
+                break
+        else:
+            rem[m] = f.pop(m)
+    return rem
+
+
+def plain_s_polynomial(f: dict, g: dict) -> dict:
+    lf, lg = lead(f), lead(g)
+    lcm = tuple(max(a, b) for a, b in zip(lf, lg))
+    shifted = sub_multiple({}, -f[lf].inverse(), tuple(a - b for a, b in zip(lcm, lf)), f)
+    return sub_multiple(shifted, g[lg].inverse(), tuple(a - b for a, b in zip(lcm, lg)), g)
+
+
+def check_buchberger_criterion(gens: list[HomogPoly], basis: list[HomogPoly]) -> None:
+    G = [g.terms for g in basis]
+    for g in gens:
+        assert plain_reduce(dict(g.terms), G) == {}, "a generator is not in the basis ideal"
+    for i in range(len(G)):
+        for j in range(i):
+            assert plain_reduce(plain_s_polynomial(G[i], G[j]), G) == {}, (i, j)
+
+
+def minimal_leads(basis: list[HomogPoly]) -> list:
+    leads = [lead(g.terms) for g in basis]
+    for g, m in zip(basis, leads):
+        assert g.terms[m] == g.field.one, "basis elements are monic"
+    for i, m in enumerate(leads):
+        assert not any(j != i and all(a <= b for a, b in zip(o, m))
+                       for j, o in enumerate(leads)), "the basis is not minimal"
+    return sorted(leads)
+
+
+def sympy_minimal_leads(gens: list[HomogPoly]) -> list:
+    """Leading exponents of sympy's reduced grevlex basis over QQ."""
+    import sympy
+
+    xs = sympy.symbols(f"s0:{gens[0].nvars}")
+    polys = []
+    for g in gens:
+        coeffs = {}
+        for mono, c in g.terms.items():
+            r = c.rational()
+            coeffs[mono] = sympy.Rational(r.numerator, r.denominator)
+        polys.append(sympy.Poly.from_dict(coeffs, *xs, domain=sympy.QQ))
+    G = sympy.groebner(polys, *xs, order="grevlex", domain=sympy.QQ)
+    return sorted(sympy.Poly(g, *xs).monoms(order="grevlex")[0] for g in G.exprs)
+
+
+def check_kernel(F: HomogPoly) -> None:
+    """Run the kernel on the Jacobian of F and check it against both references."""
+    gens = [g for g in (F.partial(i) for i in range(F.nvars)) if not g.is_zero()]
+    basis = groebner_basis(gens)
+    leads = minimal_leads(basis)
+    check_buchberger_criterion(gens, basis)
+    if all(c.rational() is not None for c in F.terms.values()):
+        assert leads == sympy_minimal_leads(gens)
+
+
+def monomials(nvars, d):
+    if nvars == 1:
+        return [(d,)]
+    return [(e,) + rest for e in range(d + 1) for rest in monomials(nvars - 1, d - e)]
+
+
+@st.composite
+def sparse_forms(draw):
+    """Forms of 2-5 terms, sparse enough that most are singular.  About half
+    of them, quaternary quintics aside (their smooth bases take the plain
+    reducer a minute), also get the Fermat terms x_i^d, so many are smooth."""
+    field = cyclo_field(draw(st.sampled_from([1, 3, 4]), label="N"))
+    nvars = draw(st.sampled_from([3, 4]), label="nvars")
+    d = draw(st.integers(3, 5), label="d")
+    monos = draw(st.lists(st.sampled_from(monomials(nvars, d)), min_size=2, max_size=5,
+                          unique=True), label="monomials")
+    if (nvars, d) != (4, 5) and draw(st.booleans(), label="fermat"):
+        monos += [m for m in monomials(nvars, d) if d in m and m not in monos]
+    terms = {}
+    for mono in monos:
+        c = field.from_rational(draw(st.sampled_from([-2, -1, 1, 1, 3])))
+        if field.N > 1:  # c z^k, or the dense c z^k + 1
+            c = c * field.zeta(draw(st.integers(0, field.N - 1))) + draw(st.integers(0, 1))
+        terms[mono] = c
+    return HomogPoly.from_terms(field, nvars, terms, degree=d)
+
+
+@settings(max_examples=60)
+@given(sparse_forms())
+def test_random_forms_match_references(F):
+    assume(not F.is_zero())
+    check_kernel(F)
+
+
+def poly(nvars, terms):
+    return HomogPoly.from_terms(Q, nvars, terms)
+
+
+KNOWN_CASES = {  # the cases of test_hypersurface::test_smooth_matches_sympy_groebner
+    "fermat-quartic": poly(3, {(4, 0, 0): 1, (0, 4, 0): 1, (0, 0, 4): 1}),
+    "binode": poly(3, {(4, 0, 0): 1, (0, 4, 0): 1}),
+    "cusp-quartic": poly(3, {(3, 1, 0): 1, (0, 4, 0): 1, (0, 0, 4): 1}),
+    "quartic-surface": poly(4, {(3, 0, 1, 0): 1, (0, 3, 0, 1): 1,
+                                (0, 0, 4, 0): 1, (0, 0, 0, 4): 1}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KNOWN_CASES))
+def test_known_cases_match_references(name):
+    check_kernel(KNOWN_CASES[name])
+
+
+CORPUS = [p for p in corpus_paths() if p.name != "normal-form-family.json"]
+
+
+@pytest.mark.parametrize("path", CORPUS, ids=lambda p: p.stem)
+def test_corpus_jacobians_match_references(path):
+    check_kernel(load_instance(path).surface.F)
