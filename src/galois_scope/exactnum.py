@@ -1,12 +1,20 @@
 """Exact arithmetic over Q and over cyclotomic fields Q(zeta_N).
 
-Elements are stored in the power basis 1, z, ..., z^(phi(N)-1) modulo the
-N-th cyclotomic polynomial, with Fraction coordinates.  Values that are known
-to be a rational multiple of a single root of unity additionally carry a
-monomial tag c*z^k; arithmetic between tagged values stays in exponent space,
-which keeps products and powers of roots of unity cheap even when phi(N) is
-large.  The tag is canonical (for even N the exponent is folded into
-[0, N/2) with the sign absorbed into c), so tagged values compare by tag.
+A dense element is stored in the power basis 1, z, ..., z^(phi(N)-1) modulo
+the N-th cyclotomic polynomial, as a tuple of integer numerators over one
+positive denominator whose gcd with all of them is 1.  Phi_N is monic with
+integer coefficients, so a product is one integer convolution, a reduction
+with no division and one gcd pass.  `coeffs` gives the Fraction coordinates
+on demand.
+
+Values that are known to be a rational multiple of a single root of unity
+carry a monomial tag c*z^k instead; arithmetic between tagged values stays in
+exponent space, which keeps products and powers of roots of unity cheap even
+when phi(N) is large.  The tag is canonical (for even N the exponent is
+folded into [0, N/2) with the sign absorbed into c), and every rational value
+is tagged (c, 0), so a dense value is never rational.  Both forms are
+canonical: tagged values compare by tag, and any two values by their
+numerators and denominator.
 """
 from __future__ import annotations
 
@@ -68,8 +76,8 @@ def poly_trim(p: list) -> list:
 
 
 def poly_mul(a, b) -> list:
-    """The product of two coefficient lists, untrimmed; the sums start from Fraction 0."""
-    out = [_ZERO] * (len(a) + len(b) - 1)
+    """The product of two coefficient lists, untrimmed; the sums start from int 0."""
+    out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
@@ -97,6 +105,13 @@ def poly_divmod(num, den) -> tuple[list, list]:
             for j, d in nz:
                 r[i + j] -= c * d
     return q, poly_trim(r[:dn])
+
+
+def poly_gcd(a: list, b: list) -> list:
+    """A greatest common divisor of two trimmed coefficient lists, not made monic."""
+    while b:
+        a, b = b, poly_divmod(a, b)[1]
+    return a
 
 
 def _poly_subs_power(p: tuple[int, ...], k: int) -> tuple[int, ...]:
@@ -179,12 +194,10 @@ class CycloField:
         return CycloNum(self, tag=_canon_tag(self.N, _ONE, k))
 
     def element(self, coeffs) -> "CycloNum":
+        """The element sum_i coeffs[i] * z^i; any length, reduced mod Phi_N."""
         vec = [Fraction(c) for c in coeffs]
-        if len(vec) > self.degree:
-            vec = list(self._reduce(vec))
-        else:
-            vec += [_ZERO] * (self.degree - len(vec))
-        return CycloNum(self, vec=tuple(vec))
+        den = math.lcm(*(c.denominator for c in vec))
+        return _dense(self, self._reduce([c.numerator * (den // c.denominator) for c in vec]), den)
 
     # -- dense machinery -----------------------------------------------------
 
@@ -205,8 +218,8 @@ class CycloField:
             zs.append(tuple(new))
         return zs[k]
 
-    def _reduce(self, coeffs: list[Fraction]) -> tuple[Fraction, ...]:
-        """Reduce an arbitrary-length coefficient list mod Phi_N."""
+    def _reduce(self, coeffs: list[int]) -> list[int]:
+        """Reduce an arbitrary-length integer coefficient list mod Phi_N."""
         N, m = self.N, self.degree
         c = list(coeffs)
         while len(c) > N:
@@ -221,10 +234,9 @@ class CycloField:
                 for j, rj in enumerate(row):
                     if rj:
                         c[j] += ce * rj
-            if e >= m:
-                del c[e]
-        c += [_ZERO] * (m - len(c))
-        return tuple(c)
+            del c[e]
+        c += [0] * (m - len(c))
+        return c
 
 
 @lru_cache(maxsize=None)
@@ -250,48 +262,70 @@ def _canon_tag(N: int, c: Fraction, k: int) -> tuple[Fraction, int]:
     return (c, k)
 
 
+def _dense(field: CycloField, num: list[int], den: int) -> "CycloNum":
+    """The element with power basis coordinates num/den (len(num) = phi(N), den != 0).
+
+    Divides out the gcd and makes den positive; a rational value gets the
+    tag (c, 0), so no dense value is rational.
+    """
+    g = math.gcd(den, *num)
+    if den < 0:
+        g = -g
+    if g != 1:
+        num = [x // g for x in num]
+        den //= g
+    if not any(num[1:]):
+        return CycloNum(field, tag=_canon_tag(field.N, Fraction(num[0], den), 0))
+    return CycloNum(field, num=tuple(num), den=den)
+
+
 class CycloNum:
-    """An element of a CycloField in the power basis, optionally tagged c*zeta^k."""
+    """An element of a CycloField: a tag c*zeta^k, or dense numerators over a denominator."""
 
-    __slots__ = ("field", "_vec", "_tag")
+    __slots__ = ("field", "_tag", "_num", "_den")
 
-    def __init__(self, field: CycloField, vec=None, tag=None):
+    def __init__(self, field: CycloField, tag=None, num=None, den=1):
+        # internal: tagged values fill num/den on first use, see _parts
         self.field = field
-        self._vec = vec
         self._tag = tag
-        if vec is None and tag is None:
-            raise ValueError("internal: element needs a vector or a tag")
+        self._num = num
+        self._den = den
+        if num is None and tag is None:
+            raise ValueError("internal: element needs numerators or a tag")
 
     # -- representations -----------------------------------------------------
 
+    def _parts(self) -> tuple[tuple[int, ...], int]:
+        """(numerators, denominator) of the power basis coordinates, canonical."""
+        if self._num is None:
+            c, k = self._tag
+            z = self.field._zeta_vec(k)
+            # zeta^k is a unit of Z[zeta], so its coordinates have gcd 1
+            self._num = tuple(c.numerator * v for v in z)
+            self._den = c.denominator
+        return self._num, self._den
+
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
-        """Power basis coordinates, length phi(N)."""
-        if self._vec is None:
-            c, k = self._tag
-            self._vec = tuple(c * z for z in self.field._zeta_vec(k))
-        return self._vec
+        """Power basis coordinates as Fractions, length phi(N), built on each call."""
+        num, den = self._parts()
+        return tuple(Fraction(x, den) for x in num)
 
     @property
     def tag(self):
         return self._tag
 
     def is_zero(self) -> bool:
-        if self._tag is not None:
-            return self._tag[0] == 0
-        return not any(self._vec)
+        t = self._tag
+        return t is not None and t[0] == 0
 
     def __bool__(self):
         return not self.is_zero()
 
     def rational(self):
         """The value as a Fraction if it is rational, else None."""
-        if self._tag is not None:
-            c, k = self._tag
-            return c if k == 0 else None
-        if any(self._vec[1:]):
-            return None
-        return self._vec[0]
+        t = self._tag
+        return t[0] if t is not None and t[1] == 0 else None
 
     def __repr__(self):
         t = self._tag
@@ -321,15 +355,17 @@ class CycloNum:
         if other is NotImplemented:
             return NotImplemented
         a, b = self._tag, other._tag
-        if a is not None and b is not None:
-            if a[1] == b[1]:
+        if a is not None:
+            if b is not None and a[1] == b[1]:
                 return CycloNum(self.field, tag=_canon_tag(self.field.N, a[0] + b[0], a[1]))
             if a[0] == 0:
                 return other
-            if b[0] == 0:
-                return self
-        vec = tuple(x + y for x, y in zip(self.coeffs, other.coeffs))
-        return CycloNum(self.field, vec=vec)
+        if b is not None and b[0] == 0:
+            return self
+        (x, dx), (y, dy) = self._parts(), other._parts()
+        if dx == dy:
+            return _dense(self.field, [u + v for u, v in zip(x, y)], dx)
+        return _dense(self.field, [u * dy + v * dx for u, v in zip(x, y)], dx * dy)
 
     __radd__ = __add__
 
@@ -337,7 +373,7 @@ class CycloNum:
         if self._tag is not None:
             c, k = self._tag
             return CycloNum(self.field, tag=(-c, k))
-        return CycloNum(self.field, vec=tuple(-x for x in self._vec))
+        return CycloNum(self.field, num=tuple(-x for x in self._num), den=self._den)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -356,12 +392,20 @@ class CycloNum:
         if a is not None and b is not None:
             return CycloNum(self.field, tag=_canon_tag(self.field.N, a[0] * b[0], a[1] + b[1]))
         if a is not None and a[1] == 0:
-            return CycloNum(self.field, vec=tuple(a[0] * y for y in other.coeffs))
+            return other._scaled(a[0])
         if b is not None and b[1] == 0:
-            return CycloNum(self.field, vec=tuple(b[0] * x for x in self.coeffs))
-        return CycloNum(self.field, vec=self.field._reduce(poly_mul(self.coeffs, other.coeffs)))
+            return self._scaled(b[0])
+        (x, dx), (y, dy) = self._parts(), other._parts()
+        return _dense(self.field, self.field._reduce(poly_mul(x, y)), dx * dy)
 
     __rmul__ = __mul__
+
+    def _scaled(self, c: Fraction) -> "CycloNum":
+        """c * self for a dense self and a rational c."""
+        if c == 0:
+            return self.field.zero
+        p, q = c.numerator, c.denominator
+        return _dense(self.field, [p * x for x in self._num], q * self._den)
 
     def inverse(self) -> "CycloNum":
         if self.is_zero():
@@ -369,8 +413,8 @@ class CycloNum:
         if self._tag is not None:
             c, k = self._tag
             return CycloNum(self.field, tag=_canon_tag(self.field.N, 1 / c, -k))
-        inv = _modular_inverse(self.coeffs, self.field)
-        return CycloNum(self.field, vec=inv)
+        num, den = _modular_inverse(self._num, self.field)
+        return _dense(self.field, [self._den * x for x in num], den)
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -417,22 +461,44 @@ class CycloNum:
         a, b = self._tag, other._tag
         if a is not None and b is not None:
             return a == b
-        return self.coeffs == other.coeffs
+        return self._parts() == other._parts()
 
     def __hash__(self):
-        return hash((self.field.N, self.coeffs))
+        return hash((self.field.N, *self._parts()))
 
 
-def _modular_inverse(vec: tuple[Fraction, ...], field: CycloField) -> tuple[Fraction, ...]:
-    """Inverse mod Phi_N by the extended Euclidean algorithm over Q[x]."""
-    r0, r1 = [Fraction(c) for c in field.phi], poly_trim(list(vec))
-    s0, s1 = [], [_ONE]
+def _modular_inverse(num: tuple[int, ...], field: CycloField) -> tuple[list[int], int]:
+    """The inverse of the integer list num mod Phi_N as (numerators, denominator).
+
+    Extended Euclid over Z[x] with primitive pseudo-remainders: each step
+    computes lc^k * r0 = q * r1 + r, lc the leading coefficient of r1, and
+    divides r by its content, which keeps coefficients at the size of the
+    subresultants.  Throughout, s0 * num = r0 and s1 * num = r1 mod Phi_N,
+    each cofactor s an integer list over its denominator d.
+    """
+    r0, r1 = list(field.phi), poly_trim(list(num))
+    s0, d0, s1, d1 = [], 1, [1], 1
     while len(r1) > 1:
-        q, r = poly_divmod(r0, r1)
-        s0, s1 = s1, [x - y for x, y in zip_longest(s0, poly_mul(q, s1), fillvalue=_ZERO)]
-        r0, r1 = r1, r
-    inv_c = 1 / r1[0]
-    return field._reduce([c * inv_c for c in s1])
+        lc, n1 = r1[-1], len(r1)
+        r, q, scale = r0, [0] * (len(r0) - n1 + 1), 1
+        while len(r) >= n1:
+            c, shift = r[-1], len(r) - n1
+            r = [lc * x for x in r]
+            q = [lc * x for x in q]
+            q[shift] += c
+            for j, b in enumerate(r1):
+                if b:
+                    r[shift + j] -= c * b
+            poly_trim(r)
+            scale *= lc
+        g = math.gcd(*r)
+        s = [scale * d1 * x - d0 * y for x, y in zip_longest(s0, poly_mul(q, s1), fillvalue=0)]
+        den = d0 * d1 * g
+        h = math.gcd(den, *s)
+        r0, r1 = r1, [x // g for x in r]
+        s0, d0, s1, d1 = s1, d1, [x // h for x in s], den // h
+    # s1/d1 * num = r1[0], a nonzero integer, since Phi_N is irreducible
+    return field._reduce(s1), d1 * r1[0]
 
 
 # ---------------------------------------------------------------------------
@@ -453,19 +519,19 @@ def embed_lift(x: CycloNum, target: CycloField) -> CycloNum:
     if target.N % N != 0:
         raise ConductorMismatch(f"cannot embed Q(zeta_{N}) into Q(zeta_{target.N})")
     if target.N == N:
-        return x if x.field is target else CycloNum(target, vec=x._vec, tag=x._tag)
+        return x if x.field is target else CycloNum(target, tag=x._tag, num=x._num, den=x._den)
     r = target.N // N
     if x._tag is not None:
         c, k = x._tag
         return CycloNum(target, tag=_canon_tag(target.N, c, k * r))
-    acc = [_ZERO] * target.degree
-    for i, c in enumerate(x.coeffs):
+    acc = [0] * target.degree
+    for i, c in enumerate(x._num):
         if c:
             row = target._zeta_vec((i * r) % target.N)
             for j, rj in enumerate(row):
                 if rj:
                     acc[j] += c * rj
-    return CycloNum(target, vec=tuple(acc))
+    return _dense(target, acc, x._den)
 
 
 def _root_in_field(field: CycloField, m: int, j: int) -> CycloNum:
@@ -504,13 +570,7 @@ def recognize_root_of_unity(x: CycloNum):
             m = 2 * m0
             return (m, (m0 + 2 * j0) % m)
         return None
-    r = x.rational()
-    if r is not None:
-        if r == 1:
-            return (1, 0)
-        if r == -1:
-            return (2, 1)
-        return None
+    # x is dense, hence not rational
     L = math.lcm(2, N)
     one = x.field.one
     if x ** L != one:

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import SingularMatrix
 from .exactnum import CycloNum
 from .groebner import Deadline, groebner_basis, leading_pure_powers
 from .polyring import HomogPoly
@@ -134,17 +133,17 @@ def _singular_result(X: Hypersurface, covered) -> SmoothnessResult:
 
 def basis_through(point, field, size: int) -> ProjMatrix:
     """Invertible matrix whose first column is the point, completed by
-    standard basis vectors; deterministic (first nonzero coordinate pivots)."""
+    standard basis vectors; deterministic (first nonzero coordinate pivots).
+
+    Invertible by construction: expanding along the unit columns leaves the
+    nonzero pivot coordinate as the determinant, up to sign."""
     p = vector(field, point)
     pivot = next((i for i, x in enumerate(p) if not x.is_zero()), None)
     if pivot is None:
         raise ValueError("zero vector cannot be completed to a basis")
     cols = [p] + [tuple(field.one if i == j else field.zero for i in range(size))
                   for j in range(size) if j != pivot]
-    M = ProjMatrix(field, tuple(tuple(cols[j][i] for j in range(size)) for i in range(size)))
-    if M.det().is_zero():
-        raise SingularMatrix("basis completion failed")
-    return M
+    return ProjMatrix(field, tuple(tuple(cols[j][i] for j in range(size)) for i in range(size)))
 
 
 def multiplicity_at_point(X: Hypersurface, point) -> int:

@@ -17,7 +17,7 @@ from .exactnum import (
     CycloNum,
     _root_in_field,
     embed_lift,
-    poly_divmod,
+    poly_gcd,
     poly_trim,
     recognize_root_of_unity,
 )
@@ -323,9 +323,7 @@ def distinct_root_count(b: HomogPoly) -> int:
     at_infinity = 0 if u[d] else 1
     u = poly_trim(u)
     # in characteristic 0, u' = 0 only for a constant u
-    g, h = u, poly_trim([u[k] * k for k in range(1, len(u))])
-    while h:
-        g, h = h, poly_divmod(g, h)[1]
+    g = poly_gcd(u, poly_trim([u[k] * k for k in range(1, len(u))]))
     return len(u) - len(g) + at_infinity
 
 

@@ -15,7 +15,16 @@ from .errors import (
     SingularMatrix,
     UnsupportedShape,
 )
-from .exactnum import CycloField, CycloNum, common_field, embed_lift, recognize_root_of_unity, root_of_unity
+from .exactnum import (
+    CycloField,
+    CycloNum,
+    common_field,
+    embed_lift,
+    poly_gcd,
+    poly_trim,
+    recognize_root_of_unity,
+    root_of_unity,
+)
 
 Vector = tuple[CycloNum, ...]
 
@@ -244,6 +253,10 @@ def projective_order(A: ProjMatrix, k_max: int = 10000) -> int:
     A monomial matrix (diagonal ones included) with permutation sigma has
     order L * ord(A^L), L the order of sigma and A^L diagonal; when a ratio of
     the diagonal of A^L is not a root of unity no power of A is scalar.
+    Otherwise K[A] is K[x]/mu_A for the minimal polynomial mu_A, so A^k is
+    scalar exactly when x^k mod mu_A is a constant.  A power A^k = c*I makes
+    mu_A divide x^k - c, which is squarefree, so a repeated factor in mu_A
+    means that no power is scalar.
     """
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
@@ -262,12 +275,32 @@ def projective_order(A: ProjMatrix, k_max: int = 10000) -> int:
         if order > k_max:
             raise OrderBoundExceeded(f"projective order {order} exceeds bound {k_max}")
         return order
-    power = A
+    mu = _minimal_polynomial(A)
+    if len(poly_gcd(mu, poly_trim([mu[k] * k for k in range(1, len(mu))]))) > 1:
+        raise OrderBoundExceeded("infinite projective order: the minimal polynomial is not squarefree")
+    zero = A.field.zero
+    r = [A.field.one] + [zero] * (len(mu) - 2)  # x^0 mod mu
     for k in range(1, k_max + 1):
-        if power.is_scalar():
+        top = r[-1]
+        r = [zero] + r[:-1]
+        if top:
+            r = [x - top * c for x, c in zip(r, mu)]
+        if not any(r[1:]):
             return k
-        power = power @ A
     raise OrderBoundExceeded(f"no scalar power within bound {k_max}")
+
+
+def _minimal_polynomial(A: ProjMatrix) -> list[CycloNum]:
+    """The monic minimal polynomial of A, ascending: the first power A^k that
+    is a combination of I, A, ..., A^(k-1); k <= size by Cayley-Hamilton."""
+    n = A.size
+    powers = [ProjMatrix.identity(A.field, n), A]
+    while True:
+        k = len(powers) - 1
+        m = [[P.rows[i][j] for P in powers] for i in range(n) for j in range(n)]
+        if len(_gauss_jordan(A.field, m, k + 1)[0]) == k:
+            return [-m[r][k] for r in range(k)] + [A.field.one]
+        powers.append(powers[-1] @ A)
 
 
 def _cycles(sigma) -> list[list[int]]:

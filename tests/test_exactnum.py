@@ -1,9 +1,10 @@
+import functools
 import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from galois_scope.errors import ConductorMismatch, FieldMismatch
@@ -202,3 +203,125 @@ def test_poly_divmod_matches_sympy(num, den):
     assert len(r) < len(den) and (not r or r[-1] != 0)
     assert sympy_uni(q) * sympy_uni(den) + sympy_uni(r) == sympy_uni(num)
     assert sympy.div(sympy_uni(num), sympy_uni(den)) == (sympy_uni(q), sympy_uni(r))
+
+
+# ---------------------------------------------------------------------------
+# integer numerators over one denominator, against a Fraction reference
+
+REF_CONDUCTORS = [1, 3, 4, 5, 7, 12, 495]
+
+
+@functools.cache
+def ref_phi(N):
+    """Phi_N from sympy: ascending integer coefficients, monic."""
+    import sympy
+
+    x = sympy.symbols("x")
+    return [int(c) for c in reversed(sympy.Poly(sympy.cyclotomic_poly(N, x), x).all_coeffs())]
+
+
+def ref_reduce(vec, N):
+    """Schoolbook remainder of a Fraction coefficient list mod Phi_N, length phi(N)."""
+    phi = ref_phi(N)
+    m = len(phi) - 1
+    vec = list(vec) + [Fraction(0)] * (m - len(vec))
+    for e in range(len(vec) - 1, m - 1, -1):
+        c = vec[e]
+        if c:
+            for j in range(m):
+                vec[e - m + j] -= c * phi[j]
+    return tuple(vec[:m])
+
+
+def ref_mul(a, b, N):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return ref_reduce(out, N)
+
+
+def ref_embed(a, N, target):
+    """Image of a under z_N -> z_target^(target/N), from the images of the basis."""
+    r = target // N
+    out = [Fraction(0)] * target
+    for i, c in enumerate(a):
+        out[i * r] += c
+    return ref_reduce(out, target)
+
+
+def assert_canonical(x, ref):
+    """x holds the value ref in the stored form: rational values tagged (c, 0),
+    dense numerators coprime to a positive denominator."""
+    assert x.coeffs == ref
+    if not any(ref[1:]):
+        assert x.tag == (ref[0], 0)
+        return
+    if x.tag is None:
+        num, den = x._num, x._den
+        assert den > 0 and math.gcd(den, *num) == 1
+        assert all(type(v) is int for v in num)
+
+
+@st.composite
+def field_elements(draw, N):
+    """A tagged c*z^k, or a dense element with a few nonzero coordinates that
+    may be rational and whose denominators may share factors."""
+    F = cyclo_field(N)
+    c = draw(RATS)
+    if draw(st.booleans()):
+        return F.from_rational(c) * F.zeta(draw(st.integers(0, 2 * N)))
+    scale = draw(st.sampled_from([1, 2, 6]))
+    size = draw(st.integers(1, 3))
+    slots = draw(st.lists(st.integers(0, F.degree - 1), min_size=size, max_size=size))
+    vec = [Fraction(0)] * F.degree
+    for slot in slots:
+        vec[slot] += draw(RATS) / scale
+    return F.element(vec)
+
+
+@st.composite
+def element_pairs(draw):
+    N = draw(st.sampled_from(REF_CONDUCTORS))
+    return N, draw(field_elements(N)), draw(field_elements(N))
+
+
+@settings(max_examples=150, deadline=None)
+@given(element_pairs())
+def test_dense_arithmetic_matches_fraction_reference(pair):
+    """+, -, *, ==, hash and embed_lift agree with schoolbook Fraction vectors mod Phi_N."""
+    N, x, y = pair
+    F = cyclo_field(N)
+    a, b = x.coeffs, y.coeffs
+    assert len(a) == len(b) == F.degree
+    assert_canonical(x, a)
+    assert_canonical(y, b)
+    total = tuple(u + v for u, v in zip(a, b))
+    assert_canonical(x + y, total)
+    assert_canonical(x - y, tuple(u - v for u, v in zip(a, b)))
+    assert_canonical((x + y) - y, a)  # the shared denominators cancel
+    assert_canonical(x * y, ref_mul(a, b, N))
+    assert_canonical(x * 6 / 4, tuple(u * Fraction(3, 2) for u in a))
+    assert (x == y) == (a == b)
+    # the same value as a tag and as dense numerators: equal, with one hash
+    for u in (x, y, x * y):
+        v = F.element(u.coeffs)
+        assert u == v and hash(u) == hash(v)
+    for target in (M for M in REF_CONDUCTORS if M != N and M % N == 0):
+        assert_canonical(embed_lift(x * y, cyclo_field(target)), ref_embed(ref_mul(a, b, N), N, target))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(REF_CONDUCTORS[:-1]).flatmap(field_elements))
+@example(cyclo_field(495).element([Fraction(1, 2)] + [0] * 10 + [Fraction(-3, 4)] + [0] * 100 + [2]))
+def test_dense_inverse_matches_fraction_reference(x):
+    """inverse is the reference product's inverse; conductor 495 is one fixed example."""
+    if x.is_zero():
+        return
+    N = x.field.N
+    inv = x.inverse()
+    one = (Fraction(1),) + (Fraction(0),) * (x.field.degree - 1)
+    assert ref_mul(x.coeffs, inv.coeffs, N) == one
+    assert_canonical(inv, inv.coeffs)
+    assert_canonical(x / x, one)

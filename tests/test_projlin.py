@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -93,18 +94,27 @@ def test_projective_order_matches_iteration():
 
 def test_projective_order_bound():
     F8 = cyclo_field(8)
-    A = ProjMatrix.diagonal(F8, [F8.zeta(), 1])
-    with pytest.raises(OrderBoundExceeded):
-        projective_order(A, k_max=3)
+    # a diagonal matrix, and a triangular one with distinct eigenvalues 1 and 2
+    for A in (ProjMatrix.diagonal(F8, [F8.zeta(), 1]), ProjMatrix.from_entries(Q, [[1, 1], [0, 2]])):
+        with pytest.raises(OrderBoundExceeded):
+            projective_order(A, k_max=3)
 
 
 def test_projective_order_infinite_raises_at_once():
-    # diag(1 + z(7), 1, 1), and a swap whose square is diag(2, 2, 1)
+    # diag(1 + z(7), 1, 1), a swap whose square is diag(2, 2, 1), and a
+    # unipotent matrix (minimal polynomial (x-1)^2) over Q and conjugated over Q(z7)
     F7 = cyclo_field(7)
+    unipotent = [[1, 1, 0], [0, 1, 0], [0, 0, 1]]
+    M = ProjMatrix.from_entries(F7, [[1, F7.zeta(), 0], [0, 1, F7.zeta(3)], [1, 0, 1]])
     for A in (ProjMatrix.diagonal(F7, [1 + F7.zeta(), 1, 1]),
-              ProjMatrix.from_entries(Q, [[0, 2, 0], [1, 0, 0], [0, 0, 1]])):
+              ProjMatrix.from_entries(Q, [[0, 2, 0], [1, 0, 0], [0, 0, 1]]),
+              ProjMatrix.from_entries(Q, unipotent),
+              M @ ProjMatrix.from_entries(F7, unipotent) @ M.inverse()):
+        start = time.perf_counter()
         with pytest.raises(OrderBoundExceeded, match="infinite projective order"):
             projective_order(A)
+        # no power is taken beyond A^size
+        assert time.perf_counter() - start < 0.5
 
 
 def test_order_conjugation_invariant():
