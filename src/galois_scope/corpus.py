@@ -42,6 +42,9 @@ from .projlin import ProjMatrix, projective_order, vec_proj_eq
 SCHEMA = "galois-scope/1"
 DEFAULT_SMOOTH_DEADLINE = 60.0
 REQUIRED_KEYS = ("name", "n", "d", "field", "polynomial")
+# input limits, for memory: a monomial or a point has n + 2 entries, and the
+# point side keeps the d polars of F, whose coefficients grow like d!
+MAX_N = MAX_DEGREE = 1000
 
 
 @dataclass
@@ -142,10 +145,14 @@ def _check_groups_and_expect(groups: dict, expect: dict) -> None:
 
 
 def parse_surface(text, n: int, field, degree: int | None = None) -> Hypersurface:
-    """X = {F = 0} in P^(n+1) from the text of a nonzero F."""
+    """X = {F = 0} in P^(n+1) from the text of a nonzero F; n and F's degree
+    are at most MAX_N and MAX_DEGREE."""
+    parse_count(n, "n", MAX_N)
     F = parse_polynomial(text, n + 2, field, degree=degree)
     if F.is_zero():
         raise ParseError(f"polynomial {text!r} is zero")
+    if F.degree > MAX_DEGREE:
+        raise ParseError(f"degree {F.degree} exceeds the limit {MAX_DEGREE}")
     return Hypersurface(n, F.degree, F)
 
 

@@ -5,18 +5,18 @@ Two independent detectors are implemented and cross-validated elsewhere:
 * the automorphism side, which tests a representation matrix for conjugacy
   to diag(a, b*I) with primitive eigenvalue ratio and certifies the fixed
   center as a Galois point;
-* the point side, which moves a candidate point to [1:0:...:0], applies the
-  forced Tschirnhaus shift, and accepts exactly when every middle
-  coefficient of the defining polynomial vanishes.
+* the point side, which reads the polars D_p^j F of F at the candidate point
+  p (D_p = sum_i p_i d/dX_i) and accepts exactly when D_pF is a constant
+  times L^(d-1) (p off X) or T*L^(d-2) (p a smooth point of X, T the tangent
+  form), with no change of coordinates.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import BoundViolation, ConsistencyError, GaloisScopeError, SingularPoint
 from .exactnum import CycloField, CycloNum, common_field
-from .hypersurface import AutWitness, Hypersurface, basis_through, multiplicity_at_point
+from .hypersurface import AutWitness, Hypersurface, multiplicity_at_point, polar_forms
 from .polyring import HomogPoly
 from .projlin import ProjMatrix, Vector, eigen_structure, homology_form, vec_normalize
 from .projlin import vec_proj_eq, vector
@@ -37,7 +37,25 @@ class GaloisCertificate:
 @dataclass(frozen=True)
 class PointVerdict:
     kind: str
-    change: ProjMatrix  # coordinate change realizing the normal form
+    point: Vector
+    L: HomogPoly  # the normal form is c*L^d + G or L^(d-1)*T + G, with D_pG = 0
+
+    @property
+    def change(self) -> ProjMatrix:
+        """Coordinate change realizing the normal form: columns p and
+        e_k - (L_k / L(p)) p for k != pivot (p's first nonzero coordinate),
+        so L becomes L(p)*X0 and a form G with D_pG = 0 loses X0."""
+        p, L = self.point, self.L
+        field, size = L.field, len(p)
+        pivot = next(i for i, x in enumerate(p) if not x.is_zero())
+        Lp = L.eval_at(p)
+        cols = [p]
+        for k in range(size):
+            if k != pivot:
+                r = L.coefficient(tuple(int(i == k) for i in range(size))) / Lp
+                cols.append(tuple((field.one if i == k else field.zero) - r * p[i]
+                                  for i in range(size)))
+        return ProjMatrix(field, tuple(tuple(col[i] for col in cols) for i in range(size)))
 
 
 def _require_detectable(X: Hypersurface):
@@ -77,50 +95,44 @@ def certificate_from_automorphism(X: Hypersurface, w: AutWitness) -> GaloisCerti
 
 
 def galois_at_point(X: Hypersurface, point) -> PointVerdict | None:
-    """Decide whether a smooth or exterior point is a Galois point of X.
+    """Decide whether a smooth or exterior point p is a Galois point of X.
 
-    The point is moved to [1:0:...:0] and F is expanded in the first
-    coordinate.  In each branch the subleading coefficient forces the unique
-    admissible Tschirnhaus shift; the point is Galois exactly when the shift
-    exists and kills every middle coefficient.  The remaining coordinate
-    freedom (scaling the first coordinate, any change among the rest) cannot
-    affect which middle coefficients vanish, so nothing else is searched.
+    p is Galois iff F = c*L^d + G (outer) or F = L^(d-1)*T + G (inner), with
+    L(p) != 0 = T(p) and D_pG = 0 (G is free of X0 once p is [1:0:...:0]).
+    In the polars P_j = D_p^j F: P_(d-1) ~ L (outer), or P_(d-1) ~ T and
+    P_(d-2) ~ T*L (inner), and every P_j, j >= 1, is a multiple of L^(d-j),
+    resp. T*L^(d-1-j).  j = 1 is sufficient (integrate along p); the lower j
+    reject early.  L(p) != 0 follows: D_p^(d-2) P_1 is the nonzero P_(d-1).
     """
     _require_detectable(X)
-    field = X.field
-    move = basis_through(vector(field, point), field, X.n + 2)
-    F1 = X.F.transform(move)
     d = X.d
-    parts = F1.expand_in(0)
-    mult = d - max(parts)  # the multiplicity of X at the point
+    p = vector(X.field, point)
+    polars = polar_forms(X, p)
+    mult = d + 1 - len(polars)  # the multiplicity of X at the point
     if mult >= 2:
         raise SingularPoint(f"point has multiplicity {mult}; it is neither smooth nor exterior")
+    T = _monic(polars[d - 1])  # ~ L (outer) or ~ the tangent form (inner)
     if mult == 0:
-        const_mono = (0,) * (X.n + 2)
-        F1 = F1.scale(parts[d].terms[const_mono].inverse())
-        parts = F1.expand_in(0)
-        G1 = parts.get(d - 1)
-        shift = _shift_matrix(field, X.n + 2, G1, Fraction(-1, d))
-        allowed = {d, 0}
-        kind = "outer"
+        kind, L, model = "outer", T, T
     else:
-        G1 = parts[d - 1]
-        G2 = parts.get(d - 2)
-        if G2 is None:
-            shift = None
-        else:
-            q = G2.divide_by_linear(G1)
-            if q is None:
-                return None  # the forced shift is not polynomial: rejection is a proof
-            shift = _shift_matrix(field, X.n + 2, q, Fraction(-1, d - 1))
-        allowed = {d - 1, 0}
-        kind = "inner"
-    if shift is not None:
-        F1 = F1.transform(shift)
-    if any(k not in allowed for k in F1.expand_in(0)):
-        return None
-    change = move if shift is None else move @ shift
-    return PointVerdict(kind, change)
+        L = polars[d - 2].divide_by_linear(T)
+        if L is None:
+            return None
+        kind, L = "inner", _monic(L)
+        model = T * L
+    # D_p^j F ~ L^(d-j), resp. T*L^(d-1-j), for j >= 1; from the bottom up, so
+    # that most rejections need only small powers of L
+    for P in reversed(polars[1:d - 1 - mult]):
+        model = model * L
+        m = next(iter(model.terms))
+        if P.terms.keys() != model.terms.keys() or P != model.scale(P.terms[m] / model.terms[m]):
+            return None
+    return PointVerdict(kind, p, L)
+
+
+def _monic(f: HomogPoly) -> HomogPoly:
+    """f scaled to a first coefficient of 1, so powers keep small coefficients."""
+    return f.scale(next(iter(f.terms.values())).inverse())
 
 
 def point_verdict(X: Hypersurface, point) -> str:
@@ -131,22 +143,6 @@ def point_verdict(X: Hypersurface, point) -> str:
     except SingularPoint:
         return "singular"
     return "none" if pv is None else pv.kind
-
-
-def _shift_matrix(field, size, linear: HomogPoly | None, factor: Fraction):
-    """Matrix of X_0 -> X_0 + factor * linear(X_1..), identity elsewhere."""
-    if linear is None:
-        return None
-    row0 = [field.one]
-    for j in range(1, size):
-        mono = tuple(1 if k == j else 0 for k in range(size))
-        row0.append(linear.coefficient(mono) * factor)
-    if all(c.is_zero() for c in row0[1:]):
-        return None
-    rows = [tuple(row0)]
-    for i in range(1, size):
-        rows.append(tuple(field.one if j == i else field.zero for j in range(size)))
-    return ProjMatrix(field, tuple(rows))
 
 
 def belongs_to(X: Hypersurface, w: AutWitness, point) -> bool:

@@ -1,5 +1,5 @@
 """Hypersurfaces X = {F = 0} in P^(n+1): automorphism verification,
-Jacobian smoothness certification, and point multiplicity."""
+Jacobian smoothness certification, and point multiplicity from the polars."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -131,24 +131,23 @@ def _singular_result(X: Hypersurface, covered) -> SmoothnessResult:
     return SmoothnessResult(SINGULAR)
 
 
-def basis_through(point, field, size: int) -> ProjMatrix:
-    """Invertible matrix whose first column is the point, completed by
-    standard basis vectors; deterministic (first nonzero coordinate pivots).
+def polar_forms(X: Hypersurface, point) -> list[HomogPoly]:
+    """The polars F, D_pF, D_p^2 F, ... of F at p, up to the last nonzero one.
 
-    Invertible by construction: expanding along the unit columns leaves the
-    nonzero pivot coordinate as the determinant, up to sign."""
-    p = vector(field, point)
-    pivot = next((i for i, x in enumerate(p) if not x.is_zero()), None)
-    if pivot is None:
-        raise ValueError("zero vector cannot be completed to a basis")
-    cols = [p] + [tuple(field.one if i == j else field.zero for i in range(size))
-                  for j in range(size) if j != pivot]
-    return ProjMatrix(field, tuple(tuple(cols[j][i] for j in range(size)) for i in range(size)))
+    Moving p to [1:0:...:0] makes D_p^j F / j! the coefficient of X0^j, so
+    the list holds d + 1 - m forms, m the multiplicity of X at p.
+    """
+    p = vector(X.field, point)
+    if all(x.is_zero() for x in p):
+        raise ValueError("the zero vector is not a point")
+    forms = [X.F]
+    while True:
+        polar = forms[-1].polar(p)
+        if polar.is_zero():
+            return forms
+        forms.append(polar)
 
 
 def multiplicity_at_point(X: Hypersurface, point) -> int:
     """Multiplicity of X at a point: 0 off X, 1 at a smooth point of X."""
-    M = basis_through(point, X.field, X.n + 2)
-    moved = X.F.transform(M)
-    parts = moved.expand_in(0)
-    return X.d - max(parts)
+    return X.d + 1 - len(polar_forms(X, point))

@@ -20,6 +20,8 @@ from .errors import ConductorMismatch, ParseError
 from .exactnum import CycloField, CycloNum, cyclo_field, root_of_unity
 from .polyring import HomogPoly
 
+MAX_CONDUCTOR = 100_000  # Phi_N and x^N - 1 are lists of about N integers
+
 
 class _Lexer:
     def __init__(self, text: str):
@@ -278,17 +280,16 @@ def parse_matrix(rows, field: CycloField, size: int):
     return A
 
 
-def parse_count(value, what: str) -> int:
-    """A positive integer given as input (n, d, a conductor)."""
-    try:
-        k = int(value)
-    except (TypeError, ValueError, OverflowError):
-        k = 0
-    if k < 1:
+def parse_count(value, what: str, most: int | None = None) -> int:
+    """A positive integer given as input (n, d, a conductor), at most `most`:
+    a JSON integer, not a float or a string."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
         raise ParseError(f"{what} {value!r} is not a positive integer")
-    return k
+    if most is not None and value > most:
+        raise ParseError(f"{what} {value} exceeds the limit {most}")
+    return value
 
 
 def parse_field(conductor) -> CycloField:
     """Q(zeta_N) for a conductor N given as input; N must be a positive integer."""
-    return cyclo_field(parse_count(conductor, "conductor"))
+    return cyclo_field(parse_count(conductor, "conductor", MAX_CONDUCTOR))

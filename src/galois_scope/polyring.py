@@ -185,19 +185,25 @@ class HomogPoly:
 
     def partial(self, i: int) -> "HomogPoly":
         """Formal derivative with respect to variable i, degree d - 1."""
-        terms = {}
+        return self.polar([int(j == i) for j in range(self.nvars)])
+
+    def polar(self, point) -> "HomogPoly":
+        """D_p f = sum_i p_i df/dX_i, degree d - 1: the derivative of f along p."""
+        pt = [p if isinstance(p, CycloNum) else self.field.from_rational(p) for p in point]
+        support = [(i, p) for i, p in enumerate(pt) if not p.is_zero()]
+        weights: dict[tuple[int, int], CycloNum] = {}  # e * p_i, made once per (i, e)
+        terms: dict[Exponents, CycloNum] = {}
         for mono, c in self.terms.items():
-            e = mono[i]
-            if e:
-                m2 = mono[:i] + (e - 1,) + mono[i + 1:]
-                nc = c * e
-                if m2 in terms:
-                    nc = terms[m2] + nc
-                if nc.is_zero():
-                    terms.pop(m2, None)
-                else:
-                    terms[m2] = nc
-        return HomogPoly(self.field, self.nvars, max(self.degree - 1, 0), terms)
+            for i, p in support:
+                e = mono[i]
+                if e:
+                    if (i, e) not in weights:
+                        weights[i, e] = p * e
+                    m2 = mono[:i] + (e - 1,) + mono[i + 1:]
+                    v = c * weights[i, e]
+                    terms[m2] = terms[m2] + v if m2 in terms else v
+        return HomogPoly(self.field, self.nvars, max(self.degree - 1, 0),
+                         {m: c for m, c in terms.items() if not c.is_zero()})
 
     def transform(self, matrix) -> "HomogPoly":
         """f(M.X): substitute X_i -> sum_j M[i][j] X_j."""
@@ -246,16 +252,6 @@ class HomogPoly:
         terms = horner(list(self.terms.items()), 0) if self.terms else {}
         return HomogPoly(self.field, m, self.degree,
                          {mono: c for mono, c in terms.items() if not c.is_zero()})
-
-    def expand_in(self, i: int) -> dict[int, "HomogPoly"]:
-        """Write f = sum_k X_i^k * G_k with G_k free of X_i; keys are the nonzero k."""
-        out: dict[int, dict] = {}
-        for mono, c in self.terms.items():
-            k = mono[i]
-            rest = mono[:i] + (0,) + mono[i + 1:]
-            out.setdefault(k, {})[rest] = c
-        return {k: HomogPoly(self.field, self.nvars, self.degree - k, t)
-                for k, t in out.items()}
 
     def divide_by_linear(self, L: "HomogPoly"):
         """Quotient f / L for a linear form L when the division is exact, else None."""

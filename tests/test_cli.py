@@ -1,6 +1,12 @@
+import io
 import json
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from galois_scope import cli
 from galois_scope.cli import main
@@ -275,6 +281,12 @@ INPUT_FAULTS = [
     *(([cmd, path, "--deadline", value], {})
       for cmd, path in (("check-smooth", "{data}/exa5.json"), ("corpus-run", "{data}"))
       for value in ("nan", "0", "-1")),
+    # counts are JSON integers, and the conductor, n and the degree have size limits
+    *((["galois-at-point", "{dir}/inst.json", "--point", "e0"], edit) for edit in (
+        {"field": 8.0}, {"field": 4.563187474302769e16}, {"field": 100_001}, {"d": "4"},
+        {"n": True}, {"n": 10**12, "automorphisms": None})),
+    (["galois-at-point", *POLY, "--field", "100001", "--point", "e0"], {}),
+    (["galois-at-point", "--poly", "x0^1001 + x1^1001 + x2^1001", "--point", "e0"], {}),
 ]
 
 
@@ -300,3 +312,89 @@ def test_input_fault_exit_two(capsys, tmp_path, argv, edit):
     assert code == 2
     assert "error" in json.loads(err)
     assert "Traceback" not in err
+
+
+# -- the CLI contract under mutated corpus instances ------------------------
+
+INSTANCES = {p.stem: raw for p in sorted(DATA.glob("*.json"))
+             if (raw := json.loads(p.read_text())).get("kind") == "instance"}
+# values past the size limits are in the domain; large values below them are
+# not: a conductor near MAX_CONDUCTOR makes cyclo_field run for minutes, and
+# no command has a deadline yet
+scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 40), st.floats(allow_nan=True),
+    st.sampled_from([10**5 + 1, 10**12, 2**70, 4.0]),
+    st.sampled_from(["", "1", "4", "z(3)", "z(0)", "1/0", "x0", "2/3", "z(4)^-1", "-1", "1e3"]),
+    st.text(alphabet="xz0123456789()^*/+- .", max_size=12))
+values = st.one_of(scalars, st.lists(scalars, max_size=5),
+                   st.lists(st.lists(scalars, max_size=5), max_size=5))
+names = st.sampled_from(["g", "h", "p", "e0"])
+
+
+@st.composite
+def mutated_instances(draw):
+    """A bundled instance with one to three of its fields replaced or edited.
+
+    Points and matrices are mostly well-shaped: coordinates that are small
+    numbers or roots of unity, and monomial matrices, which often preserve
+    the form, so the detectors run past the parser.
+    """
+    raw = json.loads(json.dumps(INSTANCES[draw(st.sampled_from(sorted(INSTANCES)))]))
+    size = raw["n"] + 2
+    roots = [f"z({k})^{j}" for k in range(2, 7) if raw["field"] % k == 0 for j in range(k)]
+    entry = st.sampled_from(["0", "1", "-1", "2", "1/2", *roots])
+
+    def monomial_matrix():
+        perm = draw(st.permutations(range(size)))
+        return [[draw(entry.filter(lambda e: e != "0")) if j == perm[i] else "0"
+                 for j in range(size)] for i in range(size)]
+
+    for _ in range(draw(st.integers(1, 3))):
+        key = draw(st.sampled_from(["n", "d", "field", "polynomial", "points", "automorphisms"]))
+        shaped = draw(st.integers(0, 3))
+        if key == "points" and shaped:
+            raw[key] = draw(st.dictionaries(
+                names, st.lists(entry, min_size=size, max_size=size), max_size=2))
+        elif key == "automorphisms" and shaped:
+            raw[key] = {draw(names): monomial_matrix() for _ in range(shaped)}
+        elif key == "polynomial" and shaped and isinstance(raw.get(key), str):
+            text = raw[key]
+            i = draw(st.integers(0, len(text)))
+            raw[key] = text[:i] + draw(st.text(alphabet="x0123z()^*/+- ", max_size=4)) + \
+                text[i + draw(st.integers(0, 3)):]
+        elif key in ("n", "d", "field") and shaped and isinstance(raw.get(key), int):
+            raw[key] += draw(st.integers(-2, 2))
+        elif draw(st.integers(0, 9)) == 0:
+            raw.pop(key, None)
+        else:
+            raw[key] = draw(values)
+    return raw
+
+
+def fuzz_commands(raw):
+    """galois-at-point, count-points, galois-detect and check-smooth on the
+    instance's first named point and matrix, when it names any."""
+    def first(key, default):
+        named = raw.get(key)
+        return str(next(iter(named))) if isinstance(named, dict) and named else default
+
+    return [["galois-at-point", "--point", first("points", "e1")], ["count-points", "--eigen"],
+            ["galois-detect", "--aut", first("automorphisms", "g")],
+            ["check-smooth", "--deadline", "1"]]
+
+
+@settings(max_examples=60)
+@given(mutated_instances())
+def test_cli_contract_on_mutated_instances(raw):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "inst.json"
+        path.write_text(json.dumps(raw))
+        for command, *flags in fuzz_commands(raw):
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main([command, str(path), *flags])
+            assert code in (0, 1, 2, 3, 4), (command, code)
+            docs = [text for text in (out.getvalue(), err.getvalue()) if text.strip()]
+            assert len(docs) == 1, (command, docs)
+            assert isinstance(json.loads(docs[0]), dict)
+            assert "Traceback" not in docs[0]

@@ -1,8 +1,12 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from galois_scope.corpus import random_unimodular
 from galois_scope.errors import SingularPoint
 from galois_scope.exactnum import cyclo_field
 from galois_scope.galois import (
@@ -14,6 +18,7 @@ from galois_scope.galois import (
     eigen_candidate_points,
     galois_at_point,
     galois_count_bounds,
+    point_verdict,
     transport_certificate,
 )
 from galois_scope.hypersurface import Hypersurface, verify_automorphism
@@ -74,8 +79,7 @@ def test_galois_at_point_examples():
     pv = galois_at_point(Y, (1, 0, 0))
     assert pv is not None and pv.kind == "outer"
     normal = Y.F.transform(pv.change)
-    ks = set(normal.expand_in(0))
-    assert ks <= {4, 0}
+    assert {mono[0] for mono in normal.terms} <= {4, 0}
     assert galois_at_point(X, (1, 1, 0)) is None
 
 
@@ -272,3 +276,108 @@ def test_backbone_cross_check_on_corpus():
             Xl = Hypersurface(X.n, X.d, X.F.embed(cert.field))
             pv = galois_at_point(Xl, cert.point)
             assert pv is not None and pv.kind == cert.kind, (inst.name, name)
+
+
+# -- the Tschirnhaus oracle for the point side ------------------------------
+
+def x0_parts(F):
+    """F = sum_k X0^k G_k with G_k free of X0: {k: G_k} over the nonzero G_k."""
+    out = {}
+    for mono, c in F.terms.items():
+        out.setdefault(mono[0], {})[(0,) + mono[1:]] = c
+    return {k: HomogPoly(F.field, F.nvars, F.degree - k, t) for k, t in out.items()}
+
+
+def tschirnhaus_verdict(X, point):
+    """Reference point side by coordinate change: (verdict, change or None).
+
+    p moves to e0 by completing it with unit vectors (its first nonzero
+    coordinate pivots).  The X0^(d-1) coefficient (outer, after making X0^d
+    monic) or the quotient of the X0^(d-2) coefficient by the X0^(d-1) one
+    (inner) forces the only shift of X0 that can kill the middle
+    coefficients; p is Galois exactly when that shift exists and does.
+    """
+    field, size, d = X.field, X.n + 2, X.d
+    p = vector(field, point)
+    pivot = next(i for i, x in enumerate(p) if not x.is_zero())
+    unit = [tuple(field.one if i == k else field.zero for i in range(size)) for k in range(size)]
+    cols = [p] + [unit[k] for k in range(size) if k != pivot]
+    move = ProjMatrix(field, tuple(tuple(col[i] for col in cols) for i in range(size)))
+    parts = x0_parts(X.F.transform(move))
+    mult = d - max(parts)
+    if mult >= 2:
+        return "singular", None
+    if mult == 0:
+        kind, allowed, factor = "outer", {d, 0}, (parts[d].coefficient((0,) * size) * -d).inverse()
+        linear = parts.get(d - 1)
+    else:
+        kind, allowed, factor = "inner", {d - 1, 0}, field.from_rational(Fraction(-1, d - 1))
+        linear = parts.get(d - 2)
+        if linear is not None:
+            linear = linear.divide_by_linear(parts[d - 1])
+            if linear is None:
+                return "none", None
+    row0 = [field.one] + [field.zero if linear is None else factor * linear.coefficient(
+        tuple(int(i == j) for i in range(size))) for j in range(1, size)]
+    shift = ProjMatrix(field, (tuple(row0),) + tuple(unit[1:]))
+    change = move @ shift
+    if not {mono[0] for mono in X.F.transform(change).terms} <= allowed:
+        return "none", None
+    return kind, change
+
+
+@st.composite
+def point_cases(draw):
+    """A form, and points on which to run both point sides.
+
+    The form is an inner or outer normal form in coordinates Y (Galois at
+    e0), perhaps with one extra monomial or with e0 made singular, under a
+    random unimodular change C: the planted point is C.e0.
+    """
+    n = draw(st.integers(1, 2))
+    d = draw(st.integers(4, 5))
+    kind = draw(st.sampled_from(["inner", "outer"]))
+    variant = draw(st.sampled_from(["normal", "extra", "singular"]))
+    field = cyclo_field(draw(st.sampled_from([1, 3, 4])))
+    nv = n + 2
+    coeff = st.integers(-3, 3).filter(bool)
+
+    def monomial(x0_max):
+        mono = [draw(st.integers(0, x0_max))] + [0] * (nv - 1)
+        for _ in range(d - mono[0]):
+            mono[draw(st.integers(1, nv - 1))] += 1
+        return tuple(mono)
+
+    terms = {(d - 1, 1) + (0,) * n if kind == "inner" else (d,) + (0,) * (n + 1): draw(coeff)}
+    for i in range(1, nv):
+        terms[tuple(d if j == i else 0 for j in range(nv))] = draw(coeff)
+    for _ in range(draw(st.integers(0, 2))):
+        terms[monomial(0)] = draw(coeff)
+    if variant == "extra":
+        terms[monomial(d - 1)] = draw(coeff)
+    elif variant == "singular":
+        del terms[next(iter(terms))]
+        if draw(st.booleans()):
+            terms[(d - 2, 2) + (0,) * n] = draw(coeff)
+    F0 = HomogPoly.from_terms(field, nv, terms, degree=d)
+    C = random_unimodular(random.Random(draw(st.integers(0, 2**16))), field, nv)
+    X = Hypersurface(n, d, F0.transform(C.inverse()))
+    entry = st.integers(-2, 2)
+    if field.N > 1:
+        entry = entry | st.integers(0, field.N - 1).map(field.zeta)
+    points = [C.column(0)] + coordinate_points(X)
+    points += [draw(st.lists(entry, min_size=nv, max_size=nv).filter(any)) for _ in range(2)]
+    return X, points
+
+
+@given(point_cases())
+def test_point_side_matches_tschirnhaus_oracle(case):
+    X, points = case
+    for p in points:
+        expected, change = tschirnhaus_verdict(X, p)
+        assert point_verdict(X, p) == expected
+        if expected in ("inner", "outer"):
+            pv = galois_at_point(X, p)
+            assert pv.change == change
+            top = X.d if expected == "outer" else X.d - 1
+            assert {mono[0] for mono in X.F.transform(pv.change).terms} <= {top, 0}

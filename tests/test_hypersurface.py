@@ -2,13 +2,13 @@ import random
 
 import pytest
 
+from galois_scope.corpus import random_unimodular
 from galois_scope.exactnum import cyclo_field
 from galois_scope.hypersurface import (
     SINGULAR,
     SMOOTH,
     TIMEOUT,
     Hypersurface,
-    basis_through,
     is_smooth,
     jacobian_generators,
     multiplicity_at_point,
@@ -165,25 +165,43 @@ def test_smooth_conjugation_invariant():
         assert is_smooth(Y).status == SMOOTH
 
 
+def moved_multiplicity(X, M):
+    """d minus the top X0 exponent of F(M.X): the multiplicity at M's first column."""
+    return X.d - max(mono[0] for mono in X.F.transform(M).terms)
+
+
 def test_multiplicity_examples():
-    X = fermat_quartic()
-    assert multiplicity_at_point(X, (1, 0, 0)) == 0
-    Y = Hypersurface(1, 4, poly(Q, 3, {(3, 1, 0): 1, (0, 4, 0): 1, (0, 0, 4): 1}))
-    assert multiplicity_at_point(Y, (1, 0, 0)) == 1
-    Z = Hypersurface(1, 4, poly(Q, 3, {(2, 2, 0): 1, (0, 4, 0): 1, (0, 0, 4): 1}))
-    assert multiplicity_at_point(Z, (1, 0, 0)) == 2
+    cases = [
+        (fermat_quartic(), 0),
+        (Hypersurface(1, 4, poly(Q, 3, {(3, 1, 0): 1, (0, 4, 0): 1, (0, 0, 4): 1})), 1),
+        (Hypersurface(1, 4, poly(Q, 3, {(2, 2, 0): 1, (0, 4, 0): 1, (0, 0, 4): 1})), 2),
+        (Hypersurface(1, 4, poly(Q, 3, {(1, 3, 0): 1, (0, 4, 0): 1, (0, 0, 4): 1})), 3),
+        # the cone x1^4 + x2^4 has its vertex at e0
+        (Hypersurface(1, 4, poly(Q, 3, {(0, 4, 0): 1, (0, 0, 4): 1})), 4),
+        (Hypersurface(2, 5, poly(Q, 4, {(2, 3, 0, 0): 1, (0, 0, 5, 0): 1, (0, 0, 0, 5): 1,
+                                        (1, 0, 2, 2): 1})), 3),
+    ]
+    for X, mult in cases:
+        e0 = (1,) + (0,) * (X.n + 1)
+        assert multiplicity_at_point(X, e0) == mult
+        assert moved_multiplicity(X, ProjMatrix.identity(Q, X.n + 2)) == mult
+    # away from the coordinate points: the same forms under a unimodular change
+    rng = random.Random(7)
+    for X, mult in cases:
+        size = X.n + 2
+        C = random_unimodular(rng, Q, size)
+        Y = Hypersurface(X.n, X.d, X.F.transform(C.inverse()))
+        assert multiplicity_at_point(Y, C.column(0)) == mult == moved_multiplicity(Y, C)
 
 
 def test_multiplicity_basis_independent():
-    # same answer under a different (hand-rolled) basis completion
+    # the moved reading agrees under two different completions of p to a basis
     Y = Hypersurface(1, 4, poly(Q, 3, {(3, 1, 0): 1, (0, 4, 0): 1, (0, 0, 4): 1}))
     p = (1, 1, 0)
-    M1 = basis_through(p, Q, 3)
-    M2 = ProjMatrix.from_entries(Q, [[1, 0, 1], [1, 1, 0], [0, 1, 0]])  # also maps e0 to p
-    assert M2.column(0) == M1.column(0)
-    m1 = Y.F.transform(M1).expand_in(0)
-    m2 = Y.F.transform(M2).expand_in(0)
-    assert Y.d - max(m1) == Y.d - max(m2) == multiplicity_at_point(Y, p)
+    M1 = ProjMatrix.from_entries(Q, [[1, 0, 0], [1, 1, 0], [0, 0, 1]])
+    M2 = ProjMatrix.from_entries(Q, [[1, 0, 1], [1, 1, 0], [0, 1, 0]])
+    assert M1.column(0) == M2.column(0) == tuple(Q.from_rational(x) for x in p)
+    assert moved_multiplicity(Y, M1) == moved_multiplicity(Y, M2) == multiplicity_at_point(Y, p)
 
 
 def test_witness_composition_two_generators():

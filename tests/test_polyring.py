@@ -137,40 +137,6 @@ def test_partial_examples():
     assert h.partial(2) == poly(Q, 3, {(3, 0, 0): 1})
 
 
-def test_expand_in_examples():
-    f = fermat_quartic()
-    parts = f.expand_in(0)
-    assert set(parts) == {0, 4}
-    assert parts[4] == poly(Q, 3, {(0, 0, 0): 1})
-    assert parts[0] == poly(Q, 3, {(0, 4, 0): 1, (0, 0, 4): 1})
-    g = poly(Q, 3, {(3, 1, 0): 1, (0, 4, 0): 1})
-    parts = g.expand_in(0)
-    assert parts[3] == poly(Q, 3, {(0, 1, 0): 1})
-    assert parts[0] == poly(Q, 3, {(0, 4, 0): 1})
-    # binomial case, oracle-checked coefficient of x0^3
-    h = poly(Q, 3, {(4, 0, 0): 1, (3, 1, 0): 4, (2, 2, 0): 6, (1, 3, 0): 4, (0, 4, 0): 2, (0, 0, 4): 1})
-    assert h.expand_in(0)[3] == poly(Q, 3, {(0, 1, 0): 4})
-
-
-def test_expand_reassembles():
-    rng = random.Random(21)
-    for _ in range(6):
-        nv, d = 3, 5
-        terms = {}
-        for _ in range(6):
-            mono = [0] * nv
-            for _ in range(d):
-                mono[rng.randrange(nv)] += 1
-            terms[tuple(mono)] = rng.randint(-3, 3)
-        f = HomogPoly.from_terms(Q, nv, terms, degree=d)
-        i = rng.randrange(nv)
-        total = HomogPoly.zero(Q, nv, d)
-        xi = HomogPoly.variable(Q, nv, i)
-        for k, gk in f.expand_in(i).items():
-            total = total + xi**k * gk
-        assert total == f
-
-
 def test_divide_by_linear():
     x1 = HomogPoly.variable(Q, 3, 1)
     f = poly(Q, 3, {(0, 2, 0): 1, (0, 1, 1): 1})
