@@ -7,9 +7,11 @@ Galois points from two independent directions, entirely in exact cyclotomic
 arithmetic:
 
 * from an automorphism, by testing its representation matrix for conjugacy
-  to diag(a, b*I) with a primitive eigenvalue ratio;
-* from a candidate point, by normalizing the defining polynomial with the
-  forced Tschirnhaus shift and checking that every middle coefficient dies.
+  to diag(a, b*I) with a primitive eigenvalue ratio, in the matrix's own
+  field;
+* from a candidate point, by reading the polars D_p^j F of F at the point
+  and checking that the first one is a constant times L^(d-1) (p off X) or
+  T*L^(d-2) (p a smooth point of X, T the tangent form).
 
 Fixed-locus criteria, the plane-curve classification of cyclic actions,
 quotient-genus bookkeeping and a corpus of worked instances tie the two

@@ -40,7 +40,7 @@ from .galois import (
 )
 from .hypersurface import verify_automorphism
 from .parsing import parse_field, parse_point
-from .planecurves import classify_cyclic, group_closure
+from .planecurves import classify_cyclic, group_closure, require_plane_curve
 from .projlin import projective_order
 
 EXIT_OK = 0
@@ -126,6 +126,7 @@ def cmd_group_closure(args):
 
 def cmd_rh_genus(args):
     inst, X = _load_surface(args)
+    require_plane_curve(X, "quotient genus")  # before the closure, which may take minutes
     G = group_closure(resolve_group(inst, args.group), bound=args.bound)
     return rh_section(X, G, args.group)
 

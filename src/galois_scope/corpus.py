@@ -145,12 +145,14 @@ def _check_groups_and_expect(groups: dict, expect: dict) -> None:
 
 
 def parse_surface(text, n: int, field, degree: int | None = None) -> Hypersurface:
-    """X = {F = 0} in P^(n+1) from the text of a nonzero F; n and F's degree
-    are at most MAX_N and MAX_DEGREE."""
+    """X = {F = 0} in P^(n+1) from the text of a nonconstant F; n and F's
+    degree are at most MAX_N and MAX_DEGREE."""
     parse_count(n, "n", MAX_N)
     F = parse_polynomial(text, n + 2, field, degree=degree)
     if F.is_zero():
         raise ParseError(f"polynomial {text!r} is zero")
+    if F.degree == 0:
+        raise ParseError(f"polynomial {text!r} is constant")
     if F.degree > MAX_DEGREE:
         raise ParseError(f"degree {F.degree} exceeds the limit {MAX_DEGREE}")
     return Hypersurface(n, F.degree, F)
@@ -192,7 +194,7 @@ def render_point(p) -> list[str]:
 
 
 def smoothness_section(X: Hypersurface, deadline: float) -> dict:
-    res = is_smooth(X, deadline=deadline, allow_large=True)
+    res = is_smooth(X, deadline=deadline)
     return {"status": res.status,
             "witness": render_point(res.witness) if res.witness else None}
 

@@ -42,7 +42,8 @@ class ConsistencyError(GaloisScopeError):
 
 
 class CriterionNotApplicable(GaloisScopeError, ValueError):
-    """A fixed-locus criterion was asked about an automorphism outside its hypotheses."""
+    """A criterion, classification or genus count was asked about an input
+    outside its hypotheses (a plane curve, a degree, an abelian group, ...)."""
 
 
 class ClosureBound(GaloisScopeError):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .errors import BoundViolation, ConsistencyError, GaloisScopeError, SingularPoint
 from .exactnum import CycloField, CycloNum, common_field
-from .hypersurface import AutWitness, Hypersurface, multiplicity_at_point, polar_forms
+from .hypersurface import AutWitness, Hypersurface, jacobian_generators, polar_forms
 from .polyring import HomogPoly
 from .projlin import ProjMatrix, Vector, eigen_structure, homology_form, vec_normalize
 from .projlin import vec_proj_eq, vector
@@ -67,30 +67,33 @@ def certificate_from_automorphism(X: Hypersurface, w: AutWitness) -> GaloisCerti
     """Certify a Galois point from a verified automorphism, or return None.
 
     On success the center of the detected homology is classified inner or
-    outer by its multiplicity on X; a mismatch between the eigenvalue-ratio
-    kind and the membership, or an order different from d-1 / d, means the
-    witness was not verified against this hypersurface and is fatal.
+    outer by its multiplicity on X, read from F and its gradient at the
+    center; a mismatch between the eigenvalue-ratio kind and the membership,
+    or an order different from d-1 / d, means the witness was not verified
+    against this hypersurface and is fatal.  The certificate lives in the
+    field of X and of the matrix.
     """
     _require_detectable(X)
     h = homology_form(w.matrix, X.d, X.n)
     if h is None:
         return None
-    mult = multiplicity_at_point(X.embed(h.field), h.center)
-    expected_mult = 1 if h.kind == "inner" else 0
-    if mult != expected_mult:
-        raise ConsistencyError(
-            f"detected {h.kind} shape but the center has multiplicity {mult} on X")
+    p = h.center
+    # the multiplicity of X at p: 0 off X, 1 where the gradient is nonzero, else >= 2
+    mult = 0 if X.F.eval_at(p) else 1 if any(g.eval_at(p) for g in jacobian_generators(X)) else 2
+    if mult != (1 if h.kind == "inner" else 0):
+        raise ConsistencyError(f"detected {h.kind} shape but the center has multiplicity "
+                               f"{'>= 2' if mult == 2 else mult} on X")
     expected_order = X.d - 1 if h.kind == "inner" else X.d
     if w.order != expected_order:
         raise ConsistencyError(
             f"{h.kind} certificate requires projective order {expected_order}, got {w.order}")
     return GaloisCertificate(
-        point=vec_normalize(h.center),
+        point=p,
         kind=h.kind,
         generator=w.matrix,
         group_order=w.order,
-        ratio=h.a / h.b,
-        field=h.field,
+        ratio=h.ratio,
+        field=X.field,
     )
 
 
@@ -155,21 +158,16 @@ def belongs_to(X: Hypersurface, w: AutWitness, point) -> bool:
 
 def transport_certificate(cert: GaloisCertificate, h: AutWitness) -> GaloisCertificate:
     """Push a certificate through another automorphism h of the same X."""
-    target = common_field(cert.field.N, h.matrix.field.N)
     gen = h.matrix @ cert.generator @ h.matrix.inverse()
-    point = vec_normalize(h.matrix.embed(target).apply(cert.point))
-    return GaloisCertificate(point, cert.kind, gen, cert.group_order, cert.ratio, target)
+    point = vec_normalize(h.matrix.apply(cert.point))
+    return GaloisCertificate(point, cert.kind, gen, cert.group_order, cert.ratio, cert.field)
 
 
 def commute_check(cert: GaloisCertificate, k: AutWitness) -> str:
     """"commutes" / "fails" when k fixes the certified point, else "not-applicable"."""
-    target = common_field(cert.field.N, k.matrix.field.N)
-    p = vector(target, cert.point)
-    if not vec_proj_eq(k.matrix.embed(target).apply(p), p):
+    if not vec_proj_eq(k.matrix.apply(cert.point), cert.point):
         return "not-applicable"
-    kg = k.matrix @ cert.generator
-    gk = cert.generator @ k.matrix
-    return "commutes" if kg.proj_eq(gk) else "fails"
+    return "commutes" if (k.matrix @ cert.generator).proj_eq(cert.generator @ k.matrix) else "fails"
 
 
 def galois_count_bounds(n: int, d: int) -> tuple[int, int]:

@@ -13,9 +13,6 @@ SMOOTH = "certified_smooth"
 SINGULAR = "certified_singular"
 TIMEOUT = "timeout"
 
-# exact Groebner coefficients blow up quickly; refuse huge degrees by default
-DEGREE_GUARD = 40
-
 
 class Hypersurface:
     """X subset P^(n+1) of degree d, cut out by a homogeneous F in n+2 variables."""
@@ -89,8 +86,7 @@ def jacobian_generators(X: Hypersurface) -> list[HomogPoly]:
     return [X.F.partial(i) for i in range(X.n + 2)]
 
 
-def is_smooth(X: Hypersurface, deadline: float | None = None,
-              allow_large: bool = False) -> SmoothnessResult:
+def is_smooth(X: Hypersurface, deadline: float | None = None) -> SmoothnessResult:
     """Certify smoothness or produce a singular witness via the Jacobian ideal.
 
     The singular locus is empty exactly when the Jacobian ideal is
@@ -100,10 +96,6 @@ def is_smooth(X: Hypersurface, deadline: float | None = None,
     """
     if X._smooth is not None:
         return X._smooth
-    if X.d > DEGREE_GUARD and not allow_large:
-        raise ValueError(
-            f"degree {X.d} exceeds the exact-kernel guard ({DEGREE_GUARD}); "
-            "pass allow_large=True to override")
     clock = Deadline(deadline)
     gens = [g for g in jacobian_generators(X) if not g.is_zero()]
     nvars = X.n + 2

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 
-from .errors import ClosureBound, ConsistencyError, UnsupportedShape
+from .errors import ClosureBound, ConsistencyError, CriterionNotApplicable, UnsupportedShape
 from .exactnum import recognize_root_of_unity
 from .fixlocus import fixed_locus
 from .hypersurface import AutWitness, Hypersurface, verify_automorphism
@@ -50,10 +50,16 @@ def _divisor_value(label: str, d: int) -> int:
     }[label]
 
 
+def require_plane_curve(X: Hypersurface, what: str, min_degree: int = 1) -> None:
+    """CriterionNotApplicable unless X is a plane curve of degree >= min_degree."""
+    if X.n != 1 or X.d < min_degree:
+        raise CriterionNotApplicable(f"{what} requires a plane curve"
+                                     + (f" of degree >= {min_degree}" if min_degree > 1 else ""))
+
+
 def coord_point_count(X: Hypersurface, w: AutWitness) -> int:
     """n(g): how many of the three coordinate points lie on the curve."""
-    if X.n != 1:
-        raise ValueError("n(g) is defined for plane curves")
+    require_plane_curve(X, "n(g)")
     if not w.matrix.is_diagonal():
         raise UnsupportedShape("n(g) needs a diagonal representation; diagonalize first")
     count = 0
@@ -85,8 +91,7 @@ def classify_cyclic(X: Hypersurface, w: AutWitness) -> list[CyclicClass]:
     result on a verified automorphism of a smooth curve is impossible and
     treated as fatal.
     """
-    if X.n != 1 or X.d < 4:
-        raise ValueError("classification requires a plane curve of degree >= 4")
+    require_plane_curve(X, "classification", 4)
     if not w.matrix.is_diagonal():
         raise UnsupportedShape("classification needs a diagonal representation")
     nfix = coord_point_count(X, w)
@@ -180,8 +185,7 @@ def quotient_genus(X: Hypersurface, G: GroupClosure) -> QuotientGenusReport:
     sum of |Fix(g)| over the non-identity elements of G.  Non-integral or
     negative output is a consistency failure, not a value.
     """
-    if X.n != 1:
-        raise ValueError("quotient genus computed for plane curves only")
+    require_plane_curve(X, "quotient genus")
     g_X = plane_curve_genus(X.d)
     sigma = 0
     counts = []
@@ -191,7 +195,7 @@ def quotient_genus(X: Hypersurface, G: GroupClosure) -> QuotientGenusReport:
             continue
         w = verify_automorphism(X, elem)
         if w is None:
-            raise ValueError("closure contains a matrix that does not preserve X")
+            raise CriterionNotApplicable("closure contains a matrix that does not preserve X")
         report = fixed_locus(X, w)
         if report.total_finite_count is None:
             raise UnsupportedShape("an element fixes a positive-dimensional locus on a curve")
@@ -215,13 +219,12 @@ def abelian_constraint_check(X: Hypersurface, G: GroupClosure) -> AbelianCheck:
     """For an abelian non-cyclic group on a smooth plane curve of degree >= 4:
     every element order divides d and the group has rank at most 2, i.e. it
     embeds in a product of two cyclic groups of order d."""
-    if X.n != 1 or X.d < 4:
-        raise ValueError("check applies to plane curves of degree >= 4")
+    require_plane_curve(X, "abelian check", 4)
     if not G.abelian:
-        raise ValueError("closure is not abelian")
+        raise CriterionNotApplicable("closure is not abelian")
     for elem in G.elements:
         if verify_automorphism(X, elem) is None:
-            raise ValueError("closure contains a matrix that does not preserve X")
+            raise CriterionNotApplicable("closure contains a matrix that does not preserve X")
     if G.cyclic:
         return AbelianCheck("not-applicable", "cyclic group")
     for elem in G.elements:

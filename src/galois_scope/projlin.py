@@ -18,6 +18,7 @@ from .errors import (
 from .exactnum import (
     CycloField,
     CycloNum,
+    _root_in_field,
     common_field,
     embed_lift,
     poly_gcd,
@@ -422,27 +423,34 @@ class Homology:
     a: CycloNum
     b: CycloNum
     center: Vector
-    field: CycloField
+    ratio: CycloNum  # a/b
 
 
 def homology_form(A: ProjMatrix, d: int, n: int) -> Homology | None:
     """Test conjugacy of A to diag(a, b*I_(n+1)) with a/b a primitive root.
 
     The ratio a/b must be a primitive (d-1)-th root of unity (inner) or a
-    primitive d-th root (outer).  The general path avoids eigenvalue
-    extraction: for each candidate ratio rho the trace pins b via
+    primitive d-th root (outer).  Everything is decided in A's own field
+    K = Q(zeta_N): the characteristic polynomial is (x-a)(x-b)^(n+1) with
+    n+1 >= 2, and an automorphism of K preserves root multiplicities, so it
+    fixes a and b.  Hence a, b and a/b lie in K, and a/b is a root of unity
+    of order dividing lcm(2, N).
+
+    A diagonal matrix is read off its eigenvalue pattern.  A non-diagonal
+    monomial matrix is never a homology: a cycle of length l >= 2 of its
+    permutation contributes the l eigenvalues c*zeta_l^j, so A has three or
+    more eigenvalues, or two with ratio -1, while a homology has two with a
+    ratio of order d-1 >= 3 or d >= 4.  Any other matrix takes the rank
+    trick: for each candidate ratio rho in K the trace pins b by
     trace = b*(rho + n + 1), and conjugacy is equivalent to
-    (A - aI)(A - bI) = 0 with rank(A - bI) <= 1.  Diagonal and monomial
-    matrices short-circuit through the multiplicity pattern of their
-    eigen_structure.  The verdict, kind and center are the same either way,
-    but the short-cut works in the eigenvalues' field: for diag(z4, 1, 1)
-    over Q(zeta_8) and d = 4 it reports Q(zeta_8) and ratio z(8)^2, where
-    the rank trick reports Q(zeta_24) and z(24)^6.
+    (A - aI)(A - bI) = 0 with rank(A - bI) <= 1.
     """
     if A.size != n + 2:
         raise ValueError(f"matrix size {A.size} does not match n = {n}")
-    if A.is_diagonal() or A.monomial_permutation() is not None:
+    if A.is_diagonal():
         return _pattern_homology(eigen_structure(A), d, n)
+    if A.monomial_permutation() is not None:
+        return None
     return _rank_trick_homology(A, d, n)
 
 
@@ -453,51 +461,38 @@ def _pattern_homology(es: EigenStructure, d: int, n: int) -> Homology | None:
     if single.multiplicity != 1 or rest.multiplicity != n + 1:
         return None
     a, b = single.value, rest.value
-    rec = recognize_root_of_unity(a / b)
-    if rec is None:
+    ratio = a / b
+    rec = recognize_root_of_unity(ratio)
+    kind = rec and {d - 1: "inner", d: "outer"}.get(rec[0])
+    if kind is None:
         return None
-    order = rec[0]
-    if order == d - 1:
-        kind = "inner"
-    elif order == d:
-        kind = "outer"
-    else:
-        return None
-    return Homology(kind, a, b, vec_normalize(single.basis[0]), es.field)
+    return Homology(kind, a, b, vec_normalize(single.basis[0]), ratio)
 
 
 def _rank_trick_homology(A: ProjMatrix, d: int, n: int) -> Homology | None:
-    field = common_field(A.field.N, d - 1, d)
-    B = A.embed(field)
-    trace = field.zero
-    for i in range(B.size):
-        trace = trace + B.rows[i][i]
-    candidates = [("inner", root_of_unity(field, d - 1, j))
-                  for j in range(1, d - 1) if math.gcd(j, d - 1) == 1]
-    candidates += [("outer", root_of_unity(field, d, j))
-                   for j in range(1, d) if math.gcd(j, d) == 1]
-    one = ProjMatrix.identity(field, B.size)
+    field = A.field
+    roots = math.lcm(2, field.N)  # the order of the roots of unity in K
+    candidates = [(kind, _root_in_field(field, m, j))
+                  for kind, m in (("inner", d - 1), ("outer", d)) if roots % m == 0
+                  for j in range(1, m) if math.gcd(j, m) == 1]
+    if not candidates:
+        return None
+    trace = sum((A.rows[i][i] for i in range(A.size)), field.zero)
     for kind, rho in candidates:
-        denom = rho + (n + 1)
-        assert not denom.is_zero()
-        b = trace / denom
+        b = trace / (rho + (n + 1))
         if b.is_zero():
             continue
         a = rho * b
-        shift_b = ProjMatrix(field, tuple(
-            tuple(B.rows[i][j] - (b if i == j else field.zero) for j in range(B.size))
-            for i in range(B.size)))
-        shift_a = ProjMatrix(field, tuple(
-            tuple(B.rows[i][j] - (a if i == j else field.zero) for j in range(B.size))
-            for i in range(B.size)))
-        prod = shift_a @ shift_b
-        if any(not x.is_zero() for r in prod.rows for x in r):
+        shift_b, shift_a = _minus_scalar(A, b), _minus_scalar(A, a)
+        if any(x for r in (shift_a @ shift_b).rows for x in r) or shift_b.rank() > 1:
             continue
-        if shift_b.rank() > 1:
-            continue
-        col = next((shift_b.column(j) for j in range(B.size)
-                    if any(not x.is_zero() for x in shift_b.column(j))), None)
-        if col is None:
-            continue
-        return Homology(kind, a, b, vec_normalize(col), field)
+        # A = bI would make rho = 1, so shift_b has rank 1
+        col = next(c for c in map(shift_b.column, range(A.size)) if any(c))
+        return Homology(kind, a, b, vec_normalize(col), rho)
     return None
+
+
+def _minus_scalar(A: ProjMatrix, c: CycloNum) -> ProjMatrix:
+    """A - c*I."""
+    return ProjMatrix(A.field, tuple(
+        tuple(x - c if i == j else x for j, x in enumerate(r)) for i, r in enumerate(A.rows)))

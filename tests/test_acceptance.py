@@ -5,7 +5,6 @@ All equality checks are exact; the only tolerances are the stated runtime
 budgets.
 """
 import json
-import math
 import random
 import time
 from contextlib import contextmanager
@@ -27,7 +26,7 @@ from galois_scope.galois import (
 from galois_scope.hypersurface import Hypersurface, is_smooth, verify_automorphism
 from galois_scope.planecurves import group_closure, plane_curve_genus, quotient_genus
 from galois_scope.polyring import HomogPoly
-from galois_scope.projlin import ProjMatrix, vec_proj_eq, vector
+from galois_scope.projlin import ProjMatrix, vec_proj_eq
 
 Q = cyclo_field(1)
 
@@ -130,9 +129,8 @@ def test_ac4_detector_round_trip_family():
             w = verify_automorphism(X, B)
             assert w is not None
             cert = certificate_from_automorphism(X, w)
-            assert cert is not None and cert.kind == kind
-            target = cyclo_field(math.lcm(cert.field.N, X.field.N))
-            assert vec_proj_eq(vector(target, cert.point), vector(target, p))
+            assert cert is not None and cert.kind == kind and cert.field.N == X.field.N
+            assert vec_proj_eq(cert.point, p)
             pv = galois_at_point(X, p)
             assert pv is not None and pv.kind == kind
             agreements += 1
@@ -249,7 +247,7 @@ def test_ac7_smoothness_kernel():
         # degree 30: certified well inside the 10 s budget
         d30 = Hypersurface(1, 30, poly(Q, 3, {
             (30, 0, 0): 1, (0, 30, 0): 1, (0, 0, 30): 1, (5, 6, 19): 1}))
-        res = is_smooth(d30, deadline=10.0, allow_large=True)
+        res = is_smooth(d30, deadline=10.0)
         assert res.status == "certified_smooth"
 
 

@@ -197,6 +197,20 @@ def test_group_single_generator(capsys):
     assert doc["order"] == 4 and doc["cyclic"]
 
 
+def test_corpus_run_codim_criterion_degree_41(capsys, tmp_path):
+    # is_smooth has no degree limit: the fixed plane section x1^41 + x2^41 + x3^41
+    # of the order-40 homology is certified smooth, so an inner point is forced
+    (tmp_path / "d41.json").write_text(json.dumps({
+        "schema": "galois-scope/1", "kind": "instance", "name": "d41", "n": 2, "d": 41,
+        "field": 40, "polynomial": "x0^40*x1 + x1^41 + x2^41 + x3^41",
+        "automorphisms": {"g": [["z(40)", 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]},
+        "expect": {"automorphisms": {"g": {"criterion": {"name": "codim", "verdict": "holds"}}}}}))
+    code, doc = run_cli(capsys, "corpus-run", str(tmp_path))
+    assert code == 0
+    criterion = doc["reports"][0]["automorphisms"]["g"]["criterion"]
+    assert criterion["kind"] == "inner" and criterion["certificate"]["kind"] == "inner"
+
+
 def test_count_points_eigen_skips_unverified(capsys):
     # exa6's h is no automorphism; as in the corpus counts, only verified
     # matrices contribute eigenpoints
@@ -287,6 +301,16 @@ INPUT_FAULTS = [
         {"n": True}, {"n": 10**12, "automorphisms": None})),
     (["galois-at-point", *POLY, "--field", "100001", "--point", "e0"], {}),
     (["galois-at-point", "--poly", "x0^1001 + x1^1001 + x2^1001", "--point", "e0"], {}),
+    (["check-smooth", "--poly", "1"], {}),
+    # plane-curve commands off their hypotheses: a surface (the 105-element
+    # closure of exa6's g is never built), a closure element that does not
+    # preserve X, a non-abelian group
+    *((["rh-genus", f"{{data}}/{name}.json", "--group", "g"], {}) for name in ("exa4", "exa6")),
+    *((["classify-cyclic", f"{{data}}/{name}.json", "--aut", "g"], {}) for name in ("exa3", "exa4")),
+    (["rh-genus", "{dir}/inst.json", "--group", "g1"], {"polynomial": "x0^4 + x0*x1^3 + x2^4"}),
+    (["corpus-run", "{dir}"], {
+        "automorphisms": {"s": [[0, 1, 0], [1, 0, 0], [0, 0, 1]], "t": [[1, 0, 0], [0, 0, 1], [0, 1, 0]]},
+        "groups": {"S": ["s", "t"]}, "expect": {"abelian_check": {"group": "S", "verdict": "pass"}}}),
 ]
 
 
@@ -372,15 +396,17 @@ def mutated_instances(draw):
 
 
 def fuzz_commands(raw):
-    """galois-at-point, count-points, galois-detect and check-smooth on the
-    instance's first named point and matrix, when it names any."""
+    """The point, matrix and group commands on the instance's first named
+    point and matrix, when it names any, and check-smooth."""
     def first(key, default):
         named = raw.get(key)
         return str(next(iter(named))) if isinstance(named, dict) and named else default
 
+    aut = first("automorphisms", "g")
     return [["galois-at-point", "--point", first("points", "e1")], ["count-points", "--eigen"],
-            ["galois-detect", "--aut", first("automorphisms", "g")],
-            ["check-smooth", "--deadline", "1"]]
+            *([command, "--aut", aut] for command in
+              ("galois-detect", "verify-aut", "order", "fix-locus", "classify-cyclic")),
+            ["rh-genus", "--group", aut], ["check-smooth", "--deadline", "1"]]
 
 
 @settings(max_examples=60)

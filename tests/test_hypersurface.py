@@ -1,7 +1,5 @@
 import random
 
-import pytest
-
 from galois_scope.corpus import random_unimodular
 from galois_scope.exactnum import cyclo_field
 from galois_scope.hypersurface import (
@@ -145,12 +143,6 @@ def test_smooth_timeout():
     res = is_smooth(X, deadline=0.000001)
     assert res.status == TIMEOUT
     assert X.smooth_status == "unchecked"  # a timeout is not cached
-
-
-def test_degree_guard():
-    X = Hypersurface(1, 41, poly(Q, 3, {(41, 0, 0): 1, (0, 41, 0): 1, (0, 0, 41): 1}))
-    with pytest.raises(ValueError):
-        is_smooth(X)
 
 
 def test_smooth_conjugation_invariant():

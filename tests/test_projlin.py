@@ -5,14 +5,25 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from galois_scope.corpus import random_unimodular
 from galois_scope.errors import (
     ConductorMismatch,
     OrderBoundExceeded,
     SingularMatrix,
     UnsupportedShape,
 )
-from galois_scope.exactnum import cyclo_field, embed_lift, recognize_root_of_unity
+from galois_scope.exactnum import (
+    _root_in_field,
+    common_field,
+    cyclo_field,
+    divisors,
+    embed_lift,
+    recognize_root_of_unity,
+    root_of_unity,
+)
 from galois_scope.projlin import (
     ProjMatrix,
     eigen_structure,
@@ -198,8 +209,6 @@ def test_homology_form_conjugation_invariance():
         for n in (1, 2, 3):
             base = cyclo_field(math.lcm(d - 1, d))
             for kind, order in (("inner", d - 1), ("outer", d)):
-                from galois_scope.exactnum import root_of_unity
-
                 rho = root_of_unity(base, order, 1)
                 A = ProjMatrix.diagonal(base, [rho] + [1] * (n + 1))
                 h = homology_form(A, d, n)
@@ -207,12 +216,8 @@ def test_homology_form_conjugation_invariance():
                 M = rand_invertible(rng, base, n + 2, -2, 2)
                 B = M @ A @ M.inverse()
                 h2 = homology_form(B, d, n)
-                assert h2 is not None and h2.kind == kind
-                expected = M.apply((base.one,) + (base.zero,) * (n + 1))
-                expected = tuple(x if x.field.N == h2.field.N else x for x in expected)
-                from galois_scope.projlin import vector
-
-                assert vec_proj_eq(h2.center, vector(h2.field, expected))
+                assert h2 is not None and h2.kind == kind and h2.ratio == rho
+                assert vec_proj_eq(h2.center, M.apply((base.one,) + (base.zero,) * (n + 1)))
 
 
 def test_homology_form_rejects_three_eigenvalues():
@@ -228,7 +233,7 @@ def test_homology_form_rejects_three_eigenvalues():
 
 
 def test_homology_fast_path_matches_general():
-    from galois_scope.projlin import _rank_trick_homology, vector
+    from galois_scope.projlin import _rank_trick_homology
 
     F4 = cyclo_field(4)
     A = ProjMatrix.diagonal(F4, [F4.zeta(), 1, 1])
@@ -236,8 +241,90 @@ def test_homology_fast_path_matches_general():
     fast = homology_form(A, 4, 1)
     assert got is not None and fast is not None
     assert got.kind == fast.kind
-    assert recognize_root_of_unity(got.a / got.b) == recognize_root_of_unity(fast.a / fast.b)
-    assert vec_proj_eq(got.center, vector(got.field, fast.center))
+    assert got.ratio == fast.ratio
+    assert vec_proj_eq(got.center, fast.center)
+
+
+def lifted_rank_trick(A, d, n):
+    """Reference homology test in Q(zeta_lcm(N, d-1, d)), where every
+    candidate ratio exists: (kind, a/b, center) or None.  For each primitive
+    (d-1)-th or d-th root rho the trace pins b by trace = b*(rho + n + 1),
+    and A is a homology iff (A - aI)(A - bI) = 0 and rank(A - bI) <= 1."""
+    field = common_field(A.field.N, d - 1, d)
+    B = A.embed(field)
+    trace = sum((B.rows[i][i] for i in range(B.size)), field.zero)
+    for kind, m in (("inner", d - 1), ("outer", d)):
+        for j in range(1, m):
+            if math.gcd(j, m) != 1:
+                continue
+            rho = root_of_unity(field, m, j)
+            b = trace / (rho + (n + 1))
+            if b.is_zero():
+                continue
+            a = rho * b
+            shift_b, shift_a = (ProjMatrix(field, tuple(
+                tuple(B.rows[i][k] - (c if i == k else field.zero) for k in range(B.size))
+                for i in range(B.size))) for c in (b, a))
+            if any(not x.is_zero() for r in (shift_a @ shift_b).rows for x in r):
+                continue
+            if shift_b.rank() > 1:
+                continue
+            col = next((shift_b.column(k) for k in range(B.size)
+                        if any(not x.is_zero() for x in shift_b.column(k))), None)
+            if col is not None:
+                return kind, rho, col
+    return None
+
+
+@st.composite
+def homology_cases(draw):
+    """(A, d, n) over Q(zeta_N), N in 1, 3, 4, 5, 6, 7, 8, 12 and d in 4..8:
+    a conjugate of c*diag(rho, 1, .., 1), perhaps with one entry perturbed,
+    a diagonal with three entries drawn, or a non-diagonal monomial matrix.
+    rho is often of order d-1 or d when K holds such a root."""
+    N = draw(st.sampled_from([1, 3, 4, 5, 6, 7, 8, 12]))
+    d = draw(st.integers(4, 8))
+    n = draw(st.integers(1, 2))
+    K, size = cyclo_field(N), n + 2
+    roots = math.lcm(2, N)  # the order of the roots of unity in K
+
+    def root(orders=()):
+        m = draw(st.sampled_from([m for m in orders if roots % m == 0] + divisors(roots)))
+        return _root_in_field(K, m, draw(st.sampled_from(
+            [j for j in range(m) if math.gcd(j, m) == 1])))
+
+    c = draw(st.sampled_from([K.one, K.from_rational(-2)])) * root()
+    shape = draw(st.sampled_from(["conjugate", "perturbed", "three", "monomial"]))
+    if shape == "three":
+        A = ProjMatrix.diagonal(K, [c * root(), c * root(), c * root()] + [c] * (size - 3))
+    elif shape == "monomial":
+        perm = draw(st.permutations(range(size)).filter(lambda s: s != list(range(size))))
+        A = ProjMatrix.from_entries(K, [[c * root() if j == perm[i] else 0 for j in range(size)]
+                                        for i in range(size)])
+    else:
+        M = random_unimodular(random.Random(draw(st.integers(0, 2**16))), K, size)
+        A = M @ ProjMatrix.diagonal(K, [c * root((d - 1, d))] + [c] * (size - 1)) @ M.inverse()
+        if shape == "perturbed":
+            i, j = draw(st.integers(0, size - 1)), draw(st.integers(0, size - 1))
+            A = ProjMatrix(K, tuple(tuple(x + 1 if (r, k) == (i, j) else x
+                                          for k, x in enumerate(row))
+                                    for r, row in enumerate(A.rows)))
+    return A, d, n
+
+
+@settings(max_examples=150)
+@given(homology_cases())
+def test_homology_form_matches_lifted_rank_trick(case):
+    A, d, n = case
+    want = lifted_rank_trick(A, d, n)
+    h = homology_form(A, d, n)
+    assert (h is None) == (want is None)
+    if h is not None:
+        kind, rho, center = want
+        assert h.kind == kind
+        assert h.ratio.field is A.field and embed_lift(h.ratio, rho.field) == rho
+        assert all(x.field is A.field for x in h.center)
+        assert vec_proj_eq(h.center, center)
 
 
 def test_scalar_matrix_never_detected():
