@@ -3,7 +3,8 @@
 Each command prints `schema` and `command` plus the corpus report section of
 the same shape, built by the same function in `corpus.py`.
 
-Exit codes: 0 success, 1 corpus expectation failure, 2 input error,
+Exit codes: 0 success, 1 corpus expectation failure (or a corpus-run file
+that raised an input error while another gave a report), 2 input error,
 3 timeout (smoothness deadline exceeded), 4 internal fault (a theorem-level
 check, ConsistencyError or BoundViolation, failed: a bug, not bad input).
 """
@@ -147,18 +148,23 @@ def cmd_count_points(args):
     return counts_section(X, cands)
 
 
+def _matrix_row(r: dict) -> dict:
+    """The pass/fail row of a report, or the failed row of a file that raised an input error."""
+    if r["kind"] == "error":
+        failures, checked = [f"input error: {r['error']}"], 0
+    else:
+        failures, checked = r["expectations"]["failures"], r["expectations"]["checked"]
+    return {"name": r["name"], "checked": checked, "failures": failures,
+            "status": "fail" if failures else "pass"}
+
+
 def cmd_corpus_run(args):
-    reports = run_corpus(args.directory, jobs=args.jobs,
+    results = run_corpus(args.directory, jobs=args.jobs,
                          smooth_deadline=args.deadline, seed=args.seed)
-    matrix = [
-        {
-            "name": r["name"],
-            "checked": r["expectations"]["checked"],
-            "failures": r["expectations"]["failures"],
-            "status": "fail" if r["expectations"]["failures"] else "pass",
-        }
-        for r in reports
-    ]
+    reports = [r for r in results if r["kind"] == "report"]
+    if results and not reports:  # nothing ran: an input error, as for a single file
+        raise GaloisScopeError(f"{results[0]['name']}: {results[0]['error']}")
+    matrix = [_matrix_row(r) for r in results]
     failed = any(m["failures"] for m in matrix)
     body = {"matrix": matrix, "reports": reports, "status": "fail" if failed else "pass"}
     return body, EXIT_ASSERTION if failed else EXIT_OK

@@ -14,7 +14,13 @@ import random
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import CriterionNotApplicable, GaloisScopeError, ParseError
+from .errors import (
+    BoundViolation,
+    ConsistencyError,
+    CriterionNotApplicable,
+    GaloisScopeError,
+    ParseError,
+)
 from .exactnum import cyclo_field
 from .fixlocus import codim_criterion, curve_criterion, fixed_locus, power_criterion
 from .galois import (
@@ -547,12 +553,25 @@ def run_one(path, smooth_deadline=None, seed=None) -> dict:
     return build_report(load_instance(raw), smooth_deadline=smooth_deadline)
 
 
+def _run_file(path, smooth_deadline, seed) -> dict:
+    """run_one, or {schema, kind: "error", name, error} for a file that
+    raises an input error; an internal fault still ends the run."""
+    try:
+        return run_one(path, smooth_deadline, seed)
+    except (ConsistencyError, BoundViolation):
+        raise
+    except (OSError, json.JSONDecodeError, GaloisScopeError) as e:
+        return {"schema": SCHEMA, "kind": "error", "name": Path(path).name, "error": str(e)}
+
+
 def run_corpus(directory=None, jobs: int = 1, smooth_deadline=None, seed=None) -> list[dict]:
+    """One report per file, in file-name order; a file that cannot be loaded
+    or reported on gives an error entry instead (see _run_file), at any jobs."""
     paths = corpus_paths(directory)
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(run_one, str(p), smooth_deadline, seed) for p in paths]
+            futures = [pool.submit(_run_file, str(p), smooth_deadline, seed) for p in paths]
             return [f.result() for f in futures]
-    return [run_one(p, smooth_deadline, seed) for p in paths]
+    return [_run_file(p, smooth_deadline, seed) for p in paths]

@@ -6,17 +6,26 @@ takes each next leading term from a heap.  S-pairs leave a heap in order of
 lcm degree (normal selection), and the update of Gebauer and Moeller ("On an
 installation of Buchberger's algorithm", J. Symb. Comp. 6, 1988) applies
 Buchberger's coprime and chain criteria as each element enters the basis.
-Coefficients are exact field elements.  A cooperative deadline is checked at
-every pair and at every reduction step.
+
+One loop serves two coefficient domains, told apart by the characteristic p
+that every basis element carries: p = 0 for exact field elements
+(`groebner_basis`), a prime p for ints in [0, p) (`modular_leading_monomials`,
+the image of the ideal under a reduction Z[zeta_N] -> F_p).  A cooperative
+deadline is checked at every pair and at every reduction step.
 """
 from __future__ import annotations
 
 import heapq
 import itertools
 import time
+from functools import lru_cache
 from operator import add, le, sub
 
+from .exactnum import factorize
 from .polyring import HomogPoly, grevlex_key
+
+# the modular pass works mod the least prime p = 1 (mod N) in this open range
+PRIME_RANGE = (2**29, 2**30)
 
 
 class Deadline:
@@ -31,14 +40,20 @@ class Deadline:
 
 class Monic:
     """A polynomial {exponents: coefficient} scaled so that the coefficient of
-    its leading monomial lm is 1."""
+    its leading monomial lm is 1, over the field of characteristic p: exact
+    field elements for p = 0, ints in [0, p) for a prime p."""
 
-    __slots__ = ("lm", "terms")
+    __slots__ = ("lm", "terms", "p")
 
-    def __init__(self, lm, terms: dict):
-        inv = terms[lm].inverse()
+    def __init__(self, lm, terms: dict, p: int = 0):
         self.lm = lm
-        self.terms = {m: c * inv for m, c in terms.items()}
+        self.p = p
+        if p:
+            inv = pow(terms[lm], -1, p)
+            self.terms = {m: c * inv % p for m, c in terms.items()}
+        else:
+            inv = terms[lm].inverse()
+            self.terms = {m: c * inv for m, c in terms.items()}
 
 
 def _divides(m1, m2) -> bool:
@@ -54,26 +69,30 @@ def _coprime(m1, m2) -> bool:
 
 
 def _add_multiple(work: dict, c, shift, g: Monic, heap=None) -> None:
-    """work += c * x^shift * (g - its leading term), in place.
+    """work += c * x^shift * (g - its leading term), in place, mod g.p if it is a prime.
 
     A monomial that enters work goes on the heap (if one is given) keyed on
     its reversed exponents, even when it was there before and cancelled.
     """
+    p = g.p
     for gm, gc in g.terms.items():
         if gm == g.lm:
             continue
         mono = tuple(map(add, shift, gm))
         d = c * gc
-        if mono in work:
-            v = work[mono] + d
-            if v.is_zero():
-                del work[mono]
-            else:
-                work[mono] = v
-        else:
-            work[mono] = d
+        v = work.get(mono)
+        if v is None:
+            work[mono] = d % p if p else d
             if heap is not None:
                 heapq.heappush(heap, mono[::-1])
+        else:
+            v += d
+            if p:
+                v %= p
+            if v:
+                work[mono] = v
+            else:
+                del work[mono]
 
 
 def normal_form(work: dict, basis: list[Monic], deadline: Deadline | None = None):
@@ -141,22 +160,19 @@ def _update(active: list[Monic], pairs: list, h: Monic, order) -> list[Monic]:
     return [g for g in active if not _divides(t, g.lm)] + [h]
 
 
-def groebner_basis(gens: list[HomogPoly], deadline: Deadline | None = None):
-    """Groebner basis of the ideal (grevlex); None if the deadline expires.
+def _buchberger(gens: list[Monic], p: int, deadline: Deadline | None) -> list[Monic] | None:
+    """A minimal Groebner basis of the ideal of gens, whose coefficients have
+    characteristic p, sorted by leading monomial; None if the deadline expires.
 
-    The result is minimal: one monic element per minimal leading monomial,
-    sorted by leading monomial.  Those monomials generate the leading ideal,
-    so they do not depend on the order in which pairs are processed.
+    Minimal: one monic element per minimal leading monomial.  Those monomials
+    generate the leading ideal, so they do not depend on the order in which
+    pairs are processed.
     """
-    gens = [g for g in gens if not g.is_zero()]
-    if not gens:
-        return []
-    field, nvars = gens[0].field, gens[0].nvars
     active: list[Monic] = []
     pairs: list = []
     order = itertools.count()
     for g in gens:
-        active = _update(active, pairs, Monic(g.leading_monomial(), g.terms), order)
+        active = _update(active, pairs, g, order)
     while pairs:
         if deadline is not None and deadline.expired():
             return None
@@ -165,19 +181,96 @@ def groebner_basis(gens: list[HomogPoly], deadline: Deadline | None = None):
         if rem is None:
             return None
         if rem:  # the first remainder term is the leading one
-            active = _update(active, pairs, Monic(next(iter(rem)), rem), order)
+            active = _update(active, pairs, Monic(next(iter(rem)), rem, p), order)
     minimal = [g for k, g in enumerate(active)
                if not any(_divides(o.lm, g.lm) and (o.lm != g.lm or j < k)
                           for j, o in enumerate(active) if j != k)]
     minimal.sort(key=lambda g: grevlex_key(g.lm))
-    return [HomogPoly(field, nvars, sum(g.lm), g.terms) for g in minimal]
+    return minimal
 
 
-def leading_pure_powers(basis: list[HomogPoly], nvars: int) -> list[bool]:
-    """For each variable, whether some pure power of it leads a basis element."""
+def groebner_basis(gens: list[HomogPoly], deadline: Deadline | None = None):
+    """Minimal Groebner basis of the ideal (grevlex) over the gens' field,
+    sorted by leading monomial; None if the deadline expires."""
+    gens = [g for g in gens if not g.is_zero()]
+    if not gens:
+        return []
+    field, nvars = gens[0].field, gens[0].nvars
+    basis = _buchberger([Monic(g.leading_monomial(), g.terms) for g in gens], 0, deadline)
+    if basis is None:
+        return None
+    return [HomogPoly(field, nvars, sum(g.lm), g.terms) for g in basis]
+
+
+@lru_cache(maxsize=None)
+def modular_prime(N: int) -> tuple[int, int] | None:
+    """(p, w): the least prime p = 1 (mod N) inside PRIME_RANGE, and the
+    primitive N-th root of unity w = g^((p-1)/N) mod p for the least g >= 2
+    that gives order N; None when the range holds no such prime.
+
+    p = 1 (mod N) makes w exist and Phi_N(w) = 0 mod p, so zeta_N -> w is a
+    ring map from Z[zeta_N] onto F_p, the residue map at a prime above p.
+    """
+    low, high = PRIME_RANGE
+    prime_factors = factorize(N)
+    for p in range(-(-low // N) * N + 1, high, N):
+        if factorize(p) == {p: 1}:  # trial division: a few ms, once per conductor
+            for g in itertools.count(2):
+                w = pow(g, (p - 1) // N, p)
+                if all(pow(w, N // q, p) != 1 for q in prime_factors):
+                    return p, w
+    return None
+
+
+def _residue(c, p: int, w: int) -> int | None:
+    """The image of a CycloNum under zeta_N -> w mod p; None when p divides
+    its denominator."""
+    tag = c.tag
+    if tag is not None:
+        q, k = tag
+        num, den = q.numerator * pow(w, k, p), q.denominator
+    else:
+        coords, den = c._parts()
+        num = 0
+        for x in reversed(coords):  # Horner in w
+            num = (num * w + x) % p
+    if den % p == 0:
+        return None
+    return num * pow(den, -1, p) % p
+
+
+def modular_leading_monomials(gens: list[HomogPoly], deadline: Deadline | None = None):
+    """Leading monomials of a minimal grevlex Groebner basis of the gens'
+    image mod p, (p, w) = modular_prime(N); None if the deadline expires.
+
+    [] when the reduction does not apply: no prime in range, or p divides a
+    coefficient's denominator.  An empty list certifies nothing.
+    """
+    if not gens:
+        return []
+    prime = modular_prime(gens[0].field.N)
+    if prime is None:
+        return []
+    p, w = prime
+    images = []
+    for g in gens:
+        terms = {}
+        for m, c in g.terms.items():
+            r = _residue(c, p, w)
+            if r is None:
+                return []
+            if r:
+                terms[m] = r
+        if terms:
+            images.append(Monic(max(terms, key=grevlex_key), terms, p))
+    basis = _buchberger(images, p, deadline)
+    return None if basis is None else [g.lm for g in basis]
+
+
+def leading_pure_powers(leads: list, nvars: int) -> list[bool]:
+    """For each variable, whether some pure power of it is among the leading monomials."""
     out = [False] * nvars
-    for g in basis:
-        lm = g.leading_monomial()
+    for lm in leads:
         nz = [i for i, e in enumerate(lm) if e]
         if len(nz) == 1:
             out[nz[0]] = True

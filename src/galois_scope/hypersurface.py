@@ -5,7 +5,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .exactnum import CycloNum
-from .groebner import Deadline, groebner_basis, leading_pure_powers
+from .groebner import (
+    Deadline,
+    groebner_basis,
+    leading_pure_powers,
+    modular_leading_monomials,
+)
 from .polyring import HomogPoly
 from .projlin import ProjMatrix, Vector, projective_order, vector
 
@@ -93,16 +98,31 @@ def is_smooth(X: Hypersurface, deadline: float | None = None) -> SmoothnessResul
     zero-dimensional at the cone over the origin, i.e. when every variable
     has a pure power among the Groebner leading terms.  A timeout is a
     first-class result; smoothness is never guessed.
+
+    A modular pass runs first: the same kernel on the partials mod p, under
+    zeta_N -> w (groebner.modular_prime).  A pure power of every variable
+    there certifies smoothness over the field.  The partials cut out a
+    closed subscheme of projective space over the local ring R of Z[zeta_N]
+    at the prime (p, zeta_N - w); it is proper over R, so its image in
+    Spec R is closed, and a closed set that misses the closed point of a
+    local scheme is empty.  So an empty fibre at p forces an empty generic
+    fibre.  This holds even when p divides d: mod p the partials can only
+    gain zeros.  Any other outcome falls back to the exact pass, which alone
+    decides `certified_singular` and its witness.  One deadline covers both
+    passes.
     """
     if X._smooth is not None:
         return X._smooth
     clock = Deadline(deadline)
     gens = [g for g in jacobian_generators(X) if not g.is_zero()]
     nvars = X.n + 2
-    basis = groebner_basis(gens, clock) if gens else []
-    if basis is None:
+    leads = modular_leading_monomials(gens, clock)
+    if leads is not None and not all(leading_pure_powers(leads, nvars)):
+        basis = groebner_basis(gens, clock)
+        leads = None if basis is None else [g.leading_monomial() for g in basis]
+    if leads is None:
         return SmoothnessResult(TIMEOUT)
-    covered = leading_pure_powers(basis, nvars)
+    covered = leading_pure_powers(leads, nvars)
     if all(covered):
         result = SmoothnessResult(SMOOTH)
     else:

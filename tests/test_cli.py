@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from galois_scope import cli
+from galois_scope import cli, corpus
 from galois_scope.cli import main
 from galois_scope.corpus import bundled_corpus_dir, load_instance, run_one
 from galois_scope.errors import BoundViolation, ConsistencyError
@@ -150,6 +150,37 @@ def test_corpus_run_jobs_parallel(capsys, tmp_path):
     code, doc = run_cli(capsys, "corpus-run", str(tmp_path), "--jobs", "2")
     assert code == 0
     assert [m["name"] for m in doc["matrix"]] == ["exa1", "exa4"]
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_corpus_run_isolates_bad_files(capsys, tmp_path, jobs):
+    (tmp_path / "exa4.json").write_text((DATA / "exa4.json").read_text())
+    (tmp_path / "bad.json").write_text('{"schema": "galois-scope/1", "kind": "instance"')
+    (tmp_path / "list.json").write_text("[1, 0, 0]")
+    code, doc = run_cli(capsys, "corpus-run", str(tmp_path), "--jobs", jobs)
+    assert code == 1 and doc["status"] == "fail"
+    assert [m["name"] for m in doc["matrix"]] == ["bad.json", "exa4", "list.json"]
+    bad, good, listed = doc["matrix"]
+    assert good["status"] == "pass" and good["failures"] == [] and good["checked"] > 0
+    assert bad["failures"][0].startswith("input error: Expecting")
+    assert listed["failures"] == ["input error: an instance must be a JSON object"]
+    assert bad["checked"] == listed["checked"] == 0
+    assert doc["reports"] == [json.loads(json.dumps(run_one(DATA / "exa4.json")))]
+    # with no file that gives a report nothing ran: an input error, as for one file
+    (tmp_path / "exa4.json").unlink()
+    assert main(["corpus-run", str(tmp_path), "--jobs", jobs]) == 2
+    err = capsys.readouterr().err
+    assert json.loads(err)["error"].startswith("bad.json: Expecting")
+
+
+def test_corpus_run_internal_fault_exit_four(capsys, monkeypatch, tmp_path):
+    def fail(*args, **kwargs):
+        raise ConsistencyError("theorem-level check failed")
+
+    (tmp_path / "exa1.json").write_text((DATA / "exa1.json").read_text())
+    monkeypatch.setattr(corpus, "build_report", fail)
+    assert main(["corpus-run", str(tmp_path)]) == 4
+    assert "theorem-level check failed" in json.loads(capsys.readouterr().err)["error"]
 
 
 def test_round_trip_all_corpus_polynomials():

@@ -6,14 +6,26 @@ Two checks, on random forms and on fixed cases:
   grevlex basis, whenever the coefficients are rational;
 * Buchberger's criterion, by the plain reducer below: every generator and
   every S-pair of the returned basis reduces to zero.
+
+The modular pass (the same kernel mod p) may only certify smoothness where
+the exact pass does, and on the corpus, AC5 and benchmark forms it agrees.
 """
+import random
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from galois_scope.corpus import corpus_paths, load_instance
+from galois_scope.corpus import corpus_paths, load_instance, normal_form_instance
 from galois_scope.exactnum import cyclo_field
-from galois_scope.groebner import groebner_basis
+from galois_scope.groebner import (
+    PRIME_RANGE,
+    groebner_basis,
+    leading_pure_powers,
+    modular_leading_monomials,
+    modular_prime,
+)
+from galois_scope.parsing import MAX_CONDUCTOR
 from galois_scope.polyring import HomogPoly
 
 Q = cyclo_field(1)
@@ -98,14 +110,27 @@ def sympy_minimal_leads(gens: list[HomogPoly]) -> list:
     return sorted(sympy.Poly(g, *xs).monoms(order="grevlex")[0] for g in G.exprs)
 
 
-def check_kernel(F: HomogPoly) -> None:
-    """Run the kernel on the Jacobian of F and check it against both references."""
-    gens = [g for g in (F.partial(i) for i in range(F.nvars)) if not g.is_zero()]
+def jacobian(F: HomogPoly) -> list[HomogPoly]:
+    return [g for g in (F.partial(i) for i in range(F.nvars)) if not g.is_zero()]
+
+
+def modular_smooth(F: HomogPoly) -> bool:
+    """Whether the modular pass finds a pure power of every variable."""
+    return all(leading_pure_powers(modular_leading_monomials(jacobian(F)), F.nvars))
+
+
+def check_kernel(F: HomogPoly) -> tuple[bool, bool]:
+    """Run the kernel on the Jacobian of F and check it against both references;
+    returns the (exact, modular) smoothness verdicts."""
+    gens = jacobian(F)
     basis = groebner_basis(gens)
     leads = minimal_leads(basis)
     check_buchberger_criterion(gens, basis)
     if all(c.rational() is not None for c in F.terms.values()):
         assert leads == sympy_minimal_leads(gens)
+    exact, modular = all(leading_pure_powers(leads, F.nvars)), modular_smooth(F)
+    assert exact or not modular, "the modular pass certified a form the exact pass does not"
+    return exact, modular
 
 
 def monomials(nvars, d):
@@ -165,4 +190,50 @@ CORPUS = [p for p in corpus_paths() if p.name != "normal-form-family.json"]
 
 @pytest.mark.parametrize("path", CORPUS, ids=lambda p: p.stem)
 def test_corpus_jacobians_match_references(path):
-    check_kernel(load_instance(path).surface.F)
+    exact, modular = check_kernel(load_instance(path).surface.F)
+    assert modular == exact
+
+
+def exact_smooth(F: HomogPoly) -> bool:
+    basis = groebner_basis(jacobian(F))
+    return all(leading_pure_powers([g.leading_monomial() for g in basis], F.nvars))
+
+
+def test_modular_pass_agrees_on_benchmark_population():
+    # the smooth benchmark's forms, one draw per kind in each cell, and its
+    # singular quartic x0^4 + x1^4
+    forms = [poly(3, {(4, 0, 0): 1, (0, 4, 0): 1})]
+    for n, d in ((1, 4), (1, 5), (1, 6), (2, 4)):
+        for kind in ("inner", "outer"):
+            X, *_ = normal_form_instance(random.Random(f"smooth:{n}:{d}:{kind}:0"), n, d, kind)
+            forms.append(X.F)
+    verdicts = [(modular_smooth(F), exact_smooth(F)) for F in forms]
+    assert verdicts == [(False, False)] + [(True, True)] * 8
+
+
+def test_modular_pass_agrees_on_ac5_draws():
+    # every normal form AC5 (test_acceptance) draws, those that its
+    # smoothness filter rejects included
+    rng = random.Random(515151)
+    made = drawn = 0
+    while made < 44:
+        kind = "inner" if made % 2 == 0 else "outer"
+        d = rng.choice([4, 5])
+        X, *_ = normal_form_instance(rng, 1, d, kind)
+        exact = exact_smooth(X.F)
+        assert modular_smooth(X.F) == exact
+        made += exact
+        drawn += 1
+    assert drawn > made
+
+
+@pytest.mark.parametrize("N", [1, 8, 495, 6405, MAX_CONDUCTOR])
+def test_modular_prime_choice(N):
+    import sympy
+
+    low, high = PRIME_RANGE
+    p, w = modular_prime(N)
+    assert sympy.isprime(p) and (p - 1) % N == 0 and low < p < high
+    assert not any(sympy.isprime(q) for q in range(p - N, low, -N)), "not the least"
+    assert pow(w, N, p) == 1
+    assert all(pow(w, N // q, p) != 1 for q in sympy.primefactors(N))

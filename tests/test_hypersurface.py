@@ -1,7 +1,10 @@
 import random
+from fractions import Fraction
 
+from galois_scope import hypersurface
 from galois_scope.corpus import random_unimodular
 from galois_scope.exactnum import cyclo_field
+from galois_scope.groebner import leading_pure_powers, modular_leading_monomials, modular_prime
 from galois_scope.hypersurface import (
     SINGULAR,
     SMOOTH,
@@ -143,6 +146,42 @@ def test_smooth_timeout():
     res = is_smooth(X, deadline=0.000001)
     assert res.status == TIMEOUT
     assert X.smooth_status == "unchecked"  # a timeout is not cached
+
+
+def exact_pass_calls(monkeypatch) -> list:
+    """Record each call of the exact pass that is_smooth makes."""
+    calls = []
+
+    def recording(gens, deadline=None):
+        calls.append(gens)
+        return groebner_basis(gens, deadline)
+
+    groebner_basis = hypersurface.groebner_basis
+    monkeypatch.setattr(hypersurface, "groebner_basis", recording)
+    return calls
+
+
+def test_modular_pass_falls_back_to_exact(monkeypatch):
+    p, _ = modular_prime(1)
+    calls = exact_pass_calls(monkeypatch)
+    # the Fermat quartic is certified mod p, with no exact pass
+    assert is_smooth(fermat_quartic()).status == SMOOTH
+    assert calls == []
+    # x0^4 + x1^4 + p x2^4 is smooth over Q and singular mod p at (0:0:1)
+    X = Hypersurface(1, 4, poly(Q, 3, {(4, 0, 0): 1, (0, 4, 0): 1, (0, 0, 4): p}))
+    assert leading_pure_powers(modular_leading_monomials(jacobian_generators(X)), 3) == [
+        True, True, False]
+    assert is_smooth(X).status == SMOOTH
+    assert len(calls) == 1
+    # a coefficient 1/p has no image mod p: the modular pass certifies nothing
+    Y = Hypersurface(1, 4, poly(Q, 3, {(4, 0, 0): 1, (0, 4, 0): 1, (0, 0, 4): Fraction(1, p)}))
+    assert modular_leading_monomials(jacobian_generators(Y)) == []
+    assert is_smooth(Y).status == SMOOTH
+    assert len(calls) == 2
+    # AC7's x0^4 + x1^4 keeps its witness (0:0:1)
+    res = is_smooth(Hypersurface(1, 4, poly(Q, 3, {(4, 0, 0): 1, (0, 4, 0): 1})))
+    assert res.status == SINGULAR and list(res.witness) == [Q.zero, Q.zero, Q.one]
+    assert len(calls) == 3
 
 
 def test_smooth_conjugation_invariant():
