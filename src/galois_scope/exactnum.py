@@ -142,12 +142,6 @@ def _cyclotomic(N: int) -> tuple[int, ...]:
     return poly
 
 
-def _check_phi_divides(phi: tuple[int, ...], N: int) -> None:
-    # construction self-test: Phi_N must divide x^N - 1 exactly
-    if poly_divmod([-1] + [0] * (N - 1) + [1], phi)[1]:
-        raise ArithmeticError(f"cyclotomic polynomial for N={N} failed its division self-test")
-
-
 # ---------------------------------------------------------------------------
 # fields
 
@@ -162,7 +156,6 @@ class CycloField:
         self.N = N
         self.phi = _cyclotomic(N)
         self.degree = len(self.phi) - 1
-        _check_phi_divides(self.phi, N)
         # x^degree reduced mod Phi_N, as an integer vector
         self._xphi = tuple(-c for c in self.phi[:-1])
         self._zeta: list[tuple[int, ...]] = [(1,) + (0,) * (self.degree - 1)]

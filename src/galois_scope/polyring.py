@@ -15,8 +15,10 @@ from .errors import DegreeMismatch, FieldMismatch
 from .exactnum import (
     CycloField,
     CycloNum,
+    _dense,
     _root_in_field,
     embed_lift,
+    factorize,
     poly_gcd,
     poly_trim,
     recognize_root_of_unity,
@@ -219,39 +221,184 @@ class HomogPoly:
         G_k' the same recursion on the remaining variables, so the only
         products are an accumulator times a linear form.  A level runs once
         per exponent prefix above it, so the longest L_i go first.
+
+        The recursion runs over Python ints.  f and the basis are scaled to
+        integers, f' = D_f f and L_i' = D_A L_i, and every coefficient of the
+        result is divided by D_f D_A^d once, at the end.  A value is held in
+        the representation a CycloNum would give it at that step: a tag
+        c z^k as the pair (D c, k), D the scale of its level, and any other
+        value as one int p(2^B) (Kronecker substitution), p an unreduced
+        polynomial in Z[x] with x standing for zeta_N.  Every such p is a sum
+        of products of coefficients of f' and of the L_i', so its l1 norm,
+        and with it every coefficient, is below ||f'||_1 (max_i ||L_i'||_1)^d
+        < 2^(B-1), and one int product or sum is the product or sum of the
+        polynomials.  Tags enter a packed value as x^k; a sum of two tags
+        with different exponents is packed term by term.
+
+        A CycloNum keeps a value tagged when it is rational, so a packed
+        value may stand for a rational tag.  That changes the outcome of two
+        steps only, a product with a non-rational tag and a sum with one,
+        and only there the value is tested, exactly and in time linear in
+        its size.  x^N - 1 is Phi_N times the lcm of the x^(N/q) - 1, q over
+        the primes dividing N, so p = r mod Phi_N exactly when x^N - 1
+        divides (p - r) prod_q (x^(N/q) - 1).  The product is a few shifts
+        and subtractions, and reducing it mod x^N - 1 folds the packed int
+        in blocks of N B bits; the prod_q has 2^len(primes) coefficients
+        +-1, its constant one (-1)^len(primes), which gives r, and B leaves
+        room for them.  Outputs are folded the same way before unpacking.
+        So the result equals the CycloNum Horner recursion's coefficient for
+        coefficient, in value and in representation.  A substitution whose
+        inputs and sums stay tagged never packs, tests or unpacks a value.
         """
-        m, nvars = len(basis), self.nvars
+        field, N, m, d = self.field, self.field.N, len(basis), self.degree
         linear = []
-        for i in range(nvars):
-            coeffs = [v[i] if isinstance(v[i], CycloNum) else self.field.from_rational(v[i])
-                      for v in basis]
-            linear.append([(j, c) for j, c in enumerate(coeffs) if not c.is_zero()])
-        order = sorted(range(nvars), key=lambda i: -len(linear[i]))
+        for i in range(self.nvars):
+            col = []
+            for j, v in enumerate(basis):
+                c = v[i]
+                if not isinstance(c, CycloNum):
+                    c = field.from_rational(c)
+                elif c.field.N != N:
+                    raise FieldMismatch("basis entry from a different field")
+                if not c.is_zero():
+                    col.append((j, c))
+            linear.append(col)
+        if not self.terms:
+            return HomogPoly.zero(field, m, d)
+        order = sorted(range(self.nvars), key=lambda i: -len(linear[i]))
+
+        den_f = math.lcm(*(_denominator(c) for c in self.terms.values()))
+        den_a = math.lcm(1, *(_denominator(c) for col in linear for _, c in col))
+        coeffs = [_scaled_ints(c, den_f) for c in self.terms.values()]
+        cols = [[_scaled_ints(c, den_a) for _, c in col] for col in linear]
+        norm_l = max([1] + [sum(n for _, n in col) for col in cols])
+        primes = list(factorize(N))
+        bound = sum(n for _, n in coeffs) * norm_l ** max(d, 1)  # d = 0 packs L_i' too
+        # the rationality test multiplies by prod_q (x^(N/q) - 1): room for 2^len(primes) more
+        bits = (bound.bit_length() + len(primes) + 8) // 8 * 8  # |coefficient| < 2^(bits-1)
+        width = N * bits  # one period of x^N = 1
+
+        def value(v):  # a tag pair stays, an integer vector is packed
+            return v if type(v) is tuple else _pack(v, bits)
+
+        half = 1 << (bits - 1)
+        top, flip = (N // 2, True) if N % 2 == 0 else (N, False)  # tag exponent folding
+        cofactor = None  # prod_q (x^(N/q) - 1) mod x^N - 1, packed
+
+        def times_cofactor(p):
+            for q in primes:
+                p = (p << (N // q * bits)) - p
+            return _fold(p, width)
+
+        def rational(p):
+            """The integer p(zeta_N) when it is rational, else None."""
+            nonlocal cofactor
+            if cofactor is None:
+                cofactor = times_cofactor(1)
+            h = times_cofactor(_fold(p, width))
+            r = h & (half * 2 - 1)  # the constant coefficient, balanced
+            if r >= half:
+                r -= half * 2
+            if len(primes) % 2:  # the cofactor's constant coefficient is (-1)^len(primes)
+                r = -r
+            return r if h == r * cofactor else None
+
+        def mul(c, l):
+            if type(c) is tuple:
+                a, k = c
+                if not a:
+                    return _ZERO_TAG
+                if type(l) is tuple:
+                    b, e = l
+                    e += k
+                    if e >= top:
+                        e -= top
+                        if flip:
+                            return (-a * b, e)
+                    return (a * b, e)
+                return (a * l) << (k * bits)
+            if type(l) is tuple:
+                return (c * l[0]) << (l[1] * bits)
+            return c * l
+
+        def add_tag(p, t):  # a packed value plus a tag
+            b, e = t
+            if not b:
+                return p
+            if not e:
+                return p + b
+            r = rational(p)
+            if r is None:
+                return p + (b << (e * bits))
+            return r + (b << (e * bits)) if r else t
+
+        def add(x, y):
+            if type(x) is tuple:
+                if type(y) is tuple:
+                    a, k = x
+                    b, e = y
+                    if k == e:
+                        s = a + b
+                        return (s, k) if s else _ZERO_TAG
+                    if not a:
+                        return y
+                    if not b:
+                        return x
+                    return (a << (k * bits)) + (b << (e * bits))
+                return add_tag(y, x)
+            if type(y) is tuple:
+                return add_tag(x, y)
+            return x + y
+
+        # a monomial in the Y_j is the int sum_j e_j (d+1)^j
+        steps = [[((d + 1) ** j, value(l[0])) for (j, _), l in zip(linear[i], cols[i])]
+                 for i in range(self.nvars)]
+        tagged = [any(type(l) is tuple and l[1] for _, l in col) for col in steps]
 
         def horner(terms, depth):
-            if depth == nvars:  # the exponents agree everywhere: a single term
-                return {(0,) * m: terms[0][1]}
+            if depth == len(order):  # the exponents agree everywhere: a single term
+                return {0: terms[0][1]}
             i = order[depth]
             groups: dict[int, list] = {}
             for term in terms:
                 groups.setdefault(term[0][i], []).append(term)
-            acc: dict[Exponents, CycloNum] = {}
+            col, test = steps[i], tagged[i]
+            acc: dict[int, object] = {}
             for k in range(max(groups), -1, -1):
-                prod: dict[Exponents, CycloNum] = {}
-                for mono, c in acc.items():
-                    for j, l in linear[i]:
-                        key = mono[:j] + (mono[j] + 1,) + mono[j + 1:]
-                        p = c * l
-                        prod[key] = prod[key] + p if key in prod else p
+                prod: dict[int, object] = {}
+                for key, c in acc.items():
+                    if test and type(c) is int:  # a rational c times a tag z^e is a tag
+                        r = rational(c)
+                        if r is not None:
+                            c = (r, 0) if r else _ZERO_TAG
+                    for step, l in col:
+                        p = mul(c, l)
+                        to = key + step
+                        prod[to] = add(prod[to], p) if to in prod else p
                 acc = prod
                 if k in groups:
-                    for mono, c in horner(groups[k], depth + 1).items():
-                        acc[mono] = acc[mono] + c if mono in acc else c
+                    for key, c in horner(groups[k], depth + 1).items():
+                        acc[key] = add(acc[key], c) if key in acc else c
             return acc
 
-        terms = horner(list(self.terms.items()), 0) if self.terms else {}
-        return HomogPoly(self.field, m, self.degree,
-                         {mono: c for mono, c in terms.items() if not c.is_zero()})
+        den = den_f * den_a ** d
+        out: dict[Exponents, CycloNum] = {}
+        start = [(mono, value(v)) for mono, (v, _) in zip(self.terms, coeffs)]
+        for key, c in horner(start, 0).items():
+            if type(c) is tuple:
+                if not c[0]:
+                    continue
+                c = CycloNum(field, tag=(Fraction(c[0], den), c[1]))
+            else:
+                c = _dense(field, field._reduce(_unpack(_fold(c, width), bits)), den)
+                if c.is_zero():
+                    continue
+            mono = []
+            for _ in range(m):
+                key, e = divmod(key, d + 1)
+                mono.append(e)
+            out[tuple(mono)] = c
+        return HomogPoly(field, m, d, out)
 
     def divide_by_linear(self, L: "HomogPoly"):
         """Quotient f / L for a linear form L when the division is exact, else None."""
@@ -299,6 +446,64 @@ class HomogPoly:
             return self
         return HomogPoly(target, self.nvars, self.degree,
                          {m: embed_lift(c, target) for m, c in self.terms.items()})
+
+
+# ---------------------------------------------------------------------------
+# integer forms for the substitution kernel (HomogPoly.restrict)
+
+_ZERO_TAG = (0, 0)
+
+
+def _denominator(c: CycloNum) -> int:
+    t = c.tag
+    return t[0].denominator if t is not None else c._parts()[1]
+
+
+def _scaled_ints(c: CycloNum, den: int):
+    """(den * c as integers, its l1 norm): a tag as the pair (a, k), a dense
+    value as its power basis vector; den must be a multiple of c's denominator."""
+    t = c.tag
+    if t is not None:
+        a = t[0].numerator * (den // t[0].denominator)
+        return (a, t[1]), abs(a)
+    num, cden = c._parts()
+    vec = [x * (den // cden) for x in num]
+    return vec, sum(map(abs, vec))
+
+
+def _offset(n: int, bits: int) -> int:
+    """sum_{i<n} 2^(bits-1) 2^(bits i), which makes n balanced digits non-negative."""
+    return int.from_bytes((bytes(bits // 8 - 1) + b"\x80") * n, "little")
+
+
+def _pack(coeffs, bits: int) -> int:
+    """sum_i coeffs[i] 2^(bits i), for |coeffs[i]| < 2^(bits-1) and 8 | bits."""
+    width, half = bits // 8, 1 << (bits - 1)
+    data = b"".join((c + half).to_bytes(width, "little") for c in coeffs)
+    return int.from_bytes(data, "little") - _offset(len(coeffs), bits)
+
+
+def _fold(p: int, width: int) -> int:
+    """The sum of the balanced base-2^width digits of p.  For p = f(2^bits)
+    and width = N bits this is (f mod x^N - 1)(2^bits), whose l1 norm is at
+    most that of f."""
+    total, mask, half = 0, (1 << width) - 1, 1 << (width - 1)
+    while p.bit_length() >= width:
+        low = p & mask
+        if low >= half:
+            low -= mask + 1
+        total += low
+        p = (p - low) >> width
+    return total + p
+
+
+def _unpack(p: int, bits: int) -> list[int]:
+    """The balanced base-2^bits digits of p, lowest first: the inverse of _pack."""
+    width, half = bits // 8, 1 << (bits - 1)
+    n = p.bit_length() // bits + 1
+    data = (p + _offset(n, bits)).to_bytes(n * width, "little")
+    return [int.from_bytes(data[i:i + width], "little") - half
+            for i in range(0, n * width, width)]
 
 
 def distinct_root_count(b: HomogPoly) -> int:

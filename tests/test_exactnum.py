@@ -1,4 +1,5 @@
 import functools
+import json
 import math
 import random
 from fractions import Fraction
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from galois_scope.corpus import corpus_paths
 from galois_scope.errors import ConductorMismatch, FieldMismatch
 from galois_scope.exactnum import (
     cyclo_field,
@@ -25,6 +27,22 @@ def test_cyclotomic_polynomials_known():
     assert cyclo_field(6).phi == (1, -1, 1)
     assert cyclo_field(5).phi == (1, 1, 1, 1, 1)
     assert cyclo_field(12).phi == (1, 0, -1, 0, 1)
+
+
+CORPUS_CONDUCTORS = sorted({json.loads(p.read_text())["field"] for p in corpus_paths()
+                            if p.name != "normal-form-family.json"})
+
+
+@pytest.mark.parametrize("N", CORPUS_CONDUCTORS)
+def test_phi_divides_x_to_the_n_minus_one(N):
+    """Phi_N divides x^N - 1 exactly, for every conductor of the bundled corpus."""
+    assert poly_divmod([-1] + [0] * (N - 1) + [1], cyclo_field(N).phi)[1] == []
+
+
+def test_cyclotomic_polynomials_match_sympy():
+    """The construction against sympy, at conductors where sympy is quick."""
+    for N in [*range(1, 41), 105, 495]:
+        assert list(cyclo_field(N).phi) == ref_phi(N), N
 
 
 def test_field_degree_is_totient():

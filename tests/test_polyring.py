@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from galois_scope import polyring
+from galois_scope.corpus import corpus_paths, load_instance, normal_form_instance
 from galois_scope.errors import DegreeMismatch
-from galois_scope.exactnum import cyclo_field
+from galois_scope.exactnum import CycloNum, cyclo_field, root_of_unity
 from galois_scope.polyring import HomogPoly, binary_form_roots, distinct_root_count
 
 Q = cyclo_field(1)
@@ -258,6 +260,186 @@ def test_substitution_matches_evaluation_and_sympy(data):
         if all(c.rational() is not None for c in inputs):
             assert sympy.expand(sympy_poly(g)[0] - substituted_by_sympy(f, vectors)) == 0
 
+
+# ---------------------------------------------------------------------------
+# the integer kernel against the CycloNum Horner recursion
+
+def horner_restrict(f, basis):
+    """f(sum_j Y_j basis[j]) by Horner's scheme in CycloNum arithmetic: the
+    recursion HomogPoly.restrict runs over ints, step for step, so the two
+    agree in value, in representation and in the order of the terms."""
+    m, nvars = len(basis), f.nvars
+    linear = []
+    for i in range(nvars):
+        coeffs = [v[i] if isinstance(v[i], CycloNum) else f.field.from_rational(v[i])
+                  for v in basis]
+        linear.append([(j, c) for j, c in enumerate(coeffs) if not c.is_zero()])
+    order = sorted(range(nvars), key=lambda i: -len(linear[i]))
+
+    def horner(terms, depth):
+        if depth == nvars:
+            return {(0,) * m: terms[0][1]}
+        i = order[depth]
+        groups = {}
+        for term in terms:
+            groups.setdefault(term[0][i], []).append(term)
+        acc = {}
+        for k in range(max(groups), -1, -1):
+            prod = {}
+            for mono, c in acc.items():
+                for j, l in linear[i]:
+                    key = mono[:j] + (mono[j] + 1,) + mono[j + 1:]
+                    p = c * l
+                    prod[key] = prod[key] + p if key in prod else p
+            acc = prod
+            if k in groups:
+                for mono, c in horner(groups[k], depth + 1).items():
+                    acc[mono] = acc[mono] + c if mono in acc else c
+        return acc
+
+    terms = horner(list(f.terms.items()), 0) if f.terms else {}
+    return HomogPoly(f.field, m, f.degree, {mono: c for mono, c in terms.items() if c})
+
+
+def assert_same_representation(g, h):
+    """Equal forms whose coefficients are the same tags, or the same dense
+    vectors, in the same order: what a report renders from them."""
+    assert (g.field.N, g.nvars, g.degree) == (h.field.N, h.nvars, h.degree)
+    assert list(g.terms) == list(h.terms)
+    for mono, c in h.terms.items():
+        assert (g.terms[mono].tag, g.terms[mono]._parts()) == (c.tag, c._parts()), mono
+
+
+def test_restrict_keeps_tag_of_rational_packed_value_cubic():
+    """Packed values that are rational in Q(zeta_3), built from dense
+    monomial entries, meet tags in a product and in a sum; Horner keeps
+    the tag 10*z^2 at y0*y1*y2^2."""
+    K = cyclo_field(3)
+    z = K.zeta()
+    f = poly(K, 3, {(1, 1, 2): -z, (2, 2, 0): -1})
+    basis = [(z**2, 1, 0), (K.element([0, -2]), -(z**2), K.element([-2, -2])), (1, 1, -2)]
+    g = f.restrict(basis)
+    assert g.terms[(1, 1, 2)].tag == (10, 2)
+    assert_same_representation(g, horner_restrict(f, basis))
+
+
+def test_restrict_keeps_tag_of_rational_packed_value_quartic():
+    """A packed value that is rational in Q(i) plus a tag is that tag's sum, as in Horner."""
+    K = cyclo_field(4)
+    z = K.zeta()
+    f = poly(K, 3, {(2, 0, 0): z, (1, 0, 1): -1, (0, 1, 1): 1})
+    basis = [(K.element([-1, 1]), z, 0), (0, z, K.element([-1, 1])), (K.element([0, 1]), z, -1)]
+    g = f.restrict(basis)
+    assert g.terms[(0, 0, 2)].tag == (-1, 1)
+    assert_same_representation(g, horner_restrict(f, basis))
+
+
+def test_restrict_constant_form_with_large_entries():
+    """At degree 0 no entry is multiplied, but every entry is packed: the
+    packing width must hold entries larger than the coefficients of f."""
+    K = cyclo_field(5)
+    f = poly(K, 2, {(0, 0): 1})
+    basis = [(K.element([0, 1000, -999]), Fraction(7, 3)), (K.zeta(2) * 500, 0)]
+    g = f.restrict(basis)
+    assert g == poly(K, 2, {(0, 0): 1})
+    assert_same_representation(g, horner_restrict(f, basis))
+
+
+def test_restrict_rational_tag_sum_at_conductor_6405():
+    """In Q(zeta_6405), z3 + z3^2 is packed as a sum of tags with different
+    exponents and is -1; times the tag z105 it is the tag -z105, as in
+    Horner.  The rationality test folds by four primes here (6405 = 3*5*7*61)."""
+    K = cyclo_field(6405)
+    z105, z3 = root_of_unity(K, 105, 1), root_of_unity(K, 3, 1)
+    f = poly(K, 4, {(1, 1, 0, 0): 1, (1, 0, 1, 0): 1, (1, 0, 0, 1): 1, (0, 0, 0, 2): 1})
+    for basis in ([(z105, z3, z3**2, 0)], [(z105, z3, z3**2, 1), (1, 0, 0, z105)]):
+        assert_same_representation(f.restrict(basis), horner_restrict(f, basis))
+    assert f.restrict([(z105, z3, z3**2, 0)]).terms[(2,)].tag == (-1, 61)
+
+
+def test_transform_matches_horner_on_detect_forms():
+    """The 24 normal forms of the detect benchmark and their generators."""
+    sizes = []
+    for n in (1, 2, 3):
+        for d in (4, 5, 6, 7):
+            for kind in ("inner", "outer"):
+                rng = random.Random(f"detect-424242:{n}:{d}:{kind}")
+                X, B, _, _ = normal_form_instance(rng, n, d, kind)
+                columns = [[row[j] for row in B.rows] for j in range(B.size)]
+                assert_same_representation(X.F.transform(B), horner_restrict(X.F, columns))
+                sizes.append(len(X.F.terms))
+    assert len(sizes) == 24 and max(sizes) == 330
+
+
+def test_tagged_substitution_never_packs(monkeypatch):
+    """The corpus's monomial automorphisms stay on tag pairs: no packing,
+    no rationality test (it folds first), no unpacking, even at conductor 6405."""
+    def refuse(*args):
+        raise AssertionError("a tagged substitution packed a value")
+
+    for name in ("_pack", "_fold", "_unpack"):
+        monkeypatch.setattr(polyring, name, refuse)
+    for path in corpus_paths():
+        if path.name == "normal-form-family.json":
+            continue
+        inst = load_instance(path)
+        F = inst.surface.F
+        for A in inst.automorphisms.values():
+            if all(sum(1 for c in row if c) == 1 for row in A.rows):
+                columns = [[row[j] for row in A.rows] for j in range(A.size)]
+                assert_same_representation(F.transform(A), horner_restrict(F, columns))
+
+
+ORACLE_CONDUCTORS = [1, 3, 4, 6, 7, 12, 495]
+TINY = st.builds(Fraction, st.sampled_from([-2, -1, 1, 1, 2]), st.sampled_from([1, 1, 2, 3]))
+
+
+@st.composite
+def kernel_entries(draw, field, exponents, zero):
+    """A rational, a tag c*z^k, a dense vector, a dense vector whose value
+    is a monomial c*z^k, or (when zero is set) zero.  Coefficients are tiny
+    and the exponents k few, so that products turn rational and sums cancel."""
+    kinds = ["rational", "tag", "tag", "monomial", "monomial", "dense"] + ["zero"] * zero
+    kind = draw(st.sampled_from(kinds))
+    if kind == "zero":
+        return draw(st.sampled_from([0, field.zero]))
+    c = draw(TINY)
+    if kind == "rational":
+        return draw(st.sampled_from([c, field.from_rational(c)]))
+    k = draw(st.sampled_from(exponents))
+    if kind == "tag":
+        return field.from_rational(c) * field.zeta(k)
+    if kind == "monomial":
+        return field.element([c * x for x in field.zeta(k).coeffs])
+    support = draw(st.lists(st.integers(0, field.degree - 1), min_size=1, max_size=3))
+    vec = [Fraction(0)] * field.degree
+    for i in support:
+        vec[i] += draw(TINY)
+    return field.element(vec)
+
+
+@given(st.data())
+def test_restrict_matches_horner_oracle(data):
+    """restrict against the CycloNum Horner recursion: for every coefficient
+    the same tag and the same numerators and denominator.  Exponents come
+    from one small cyclic subgroup per example, so that chains of products
+    come back to rational values."""
+    field = cyclo_field(data.draw(st.sampled_from(ORACLE_CONDUCTORS), label="N"))
+    N = field.N
+    order = data.draw(st.sampled_from([g for g in range(2, 13) if N % g == 0] or [1]))
+    exponents = range(0, N, N // order)
+    nvars = data.draw(st.integers(1, 3), label="nvars")
+    d = data.draw(st.integers(1, 4), label="d")
+    monos = st.lists(st.integers(0, nvars - 1), min_size=d, max_size=d).map(
+        lambda vs: tuple(vs.count(i) for i in range(nvars)))
+    terms = data.draw(st.dictionaries(monos, kernel_entries(field, exponents, False),
+                                      min_size=1, max_size=4), label="f")
+    f = HomogPoly.from_terms(field, nvars, terms, degree=d)
+    m = data.draw(st.integers(1, 3), label="m")
+    vec = st.lists(kernel_entries(field, exponents, True), min_size=nvars, max_size=nvars)
+    basis = data.draw(st.lists(vec, min_size=m, max_size=m), label="basis")
+    for vectors in [basis] + [[v] for v in basis] * (m > 1):  # f(v) Y^d: nothing to mask it
+        assert_same_representation(f.restrict(vectors), horner_restrict(f, vectors))
 
 def test_distinct_root_count_examples():
     import sympy
