@@ -10,11 +10,15 @@ on demand.
 Values that are known to be a rational multiple of a single root of unity
 carry a monomial tag c*z^k instead; arithmetic between tagged values stays in
 exponent space, which keeps products and powers of roots of unity cheap even
-when phi(N) is large.  The tag is canonical (for even N the exponent is
-folded into [0, N/2) with the sign absorbed into c), and every rational value
-is tagged (c, 0), so a dense value is never rational.  Both forms are
-canonical: tagged values compare by tag, and any two values by their
-numerators and denominator.
+when phi(N) is large.  The tag is canonical: c is an `int` when it is
+integral, else a reduced `Fraction` (denominator above 1), never a float, and
+for even N the exponent is folded into [0, N/2) with the sign absorbed into c.
+`_canon_tag` is the one place that makes this form, so products and sums of
+integral tags are plain int arithmetic; `int` and `Fraction` compare and hash
+alike, and their readers use only `.numerator`, `.denominator`, comparisons
+and `abs`.  Every rational value is tagged (c, 0), so a dense value is never
+rational.  Both forms are canonical: tagged values compare by tag, and any
+two values by their numerators and denominator.
 """
 from __future__ import annotations
 
@@ -27,7 +31,7 @@ from .errors import ConductorMismatch, FieldMismatch
 
 Rat = Fraction
 
-_ZERO = Fraction(0)
+_ZERO_TAG = (0, 0)
 _ONE = Fraction(1)
 
 
@@ -172,7 +176,10 @@ class CycloField:
     # -- element constructors ------------------------------------------------
 
     def from_rational(self, r) -> "CycloNum":
-        return CycloNum(self, tag=_canon_tag(self.N, Fraction(r), 0))
+        """r as an element of this field; r must be an int (not a bool) or a Fraction."""
+        if type(r) is not int and not isinstance(r, Fraction):
+            raise TypeError(f"a rational must be an int or a Fraction, not {type(r).__name__}")
+        return CycloNum(self, tag=_canon_tag(self.N, r, 0))
 
     @property
     def zero(self) -> "CycloNum":
@@ -184,7 +191,7 @@ class CycloField:
 
     def zeta(self, k: int = 1) -> "CycloNum":
         """zeta_N^k as an element of this field."""
-        return CycloNum(self, tag=_canon_tag(self.N, _ONE, k))
+        return CycloNum(self, tag=_canon_tag(self.N, 1, k))
 
     def element(self, coeffs) -> "CycloNum":
         """The element sum_i coeffs[i] * z^i; any length, reduced mod Phi_N."""
@@ -246,9 +253,16 @@ def common_field(*conductors: int) -> CycloField:
 # ---------------------------------------------------------------------------
 # elements
 
-def _canon_tag(N: int, c: Fraction, k: int) -> tuple[Fraction, int]:
-    if c == 0:
-        return (_ZERO, 0)
+def _canon_tag(N: int, c, k: int, den: int = 1) -> tuple:
+    """The canonical tag of (c/den)*z^k, c an int or a Fraction and den a
+    nonzero int: the coefficient an int when it is integral, else a reduced
+    Fraction, and k in [0, N), or [0, N/2) for even N."""
+    if not c:
+        return _ZERO_TAG
+    if den != 1:
+        c = Fraction(c, den)
+    if type(c) is not int and c.denominator == 1:
+        c = c.numerator
     k %= N
     if N % 2 == 0 and k >= N // 2:
         return (-c, k - N // 2)
@@ -268,7 +282,7 @@ def _dense(field: CycloField, num: list[int], den: int) -> "CycloNum":
         num = [x // g for x in num]
         den //= g
     if not any(num[1:]):
-        return CycloNum(field, tag=_canon_tag(field.N, Fraction(num[0], den), 0))
+        return CycloNum(field, tag=_canon_tag(field.N, num[0], 0, den))
     return CycloNum(field, num=tuple(num), den=den)
 
 
@@ -316,7 +330,8 @@ class CycloNum:
         return not self.is_zero()
 
     def rational(self):
-        """The value as a Fraction if it is rational, else None."""
+        """The value if it is rational, else None: an int when it is
+        integral, else a Fraction with denominator above 1."""
         t = self._tag
         return t[0] if t is not None and t[1] == 0 else None
 
@@ -337,7 +352,7 @@ class CycloNum:
                 raise FieldMismatch(
                     f"conductor {other.field.N} vs {self.field.N}; use embed_lift explicitly")
             return other
-        if isinstance(other, (int, Fraction)):
+        if type(other) is int or isinstance(other, Fraction):
             return self.field.from_rational(other)
         return NotImplemented
 
@@ -393,7 +408,7 @@ class CycloNum:
 
     __rmul__ = __mul__
 
-    def _scaled(self, c: Fraction) -> "CycloNum":
+    def _scaled(self, c) -> "CycloNum":
         """c * self for a dense self and a rational c."""
         if c == 0:
             return self.field.zero
@@ -405,7 +420,7 @@ class CycloNum:
             raise ZeroDivisionError("inverse of zero")
         if self._tag is not None:
             c, k = self._tag
-            return CycloNum(self.field, tag=_canon_tag(self.field.N, 1 / c, -k))
+            return CycloNum(self.field, tag=_canon_tag(self.field.N, _ONE / c, -k))
         num, den = _modular_inverse(self._num, self.field)
         return _dense(self.field, [self._den * x for x in num], den)
 
@@ -429,7 +444,7 @@ class CycloNum:
             if e < 0:
                 if c == 0:
                     raise ZeroDivisionError("inverse of zero")
-                return CycloNum(self.field, tag=_canon_tag(self.field.N, (1 / c) ** (-e), k * e))
+                return CycloNum(self.field, tag=_canon_tag(self.field.N, (_ONE / c) ** -e, k * e))
             return CycloNum(self.field, tag=_canon_tag(self.field.N, c ** e, k * e))
         if e < 0:
             return self.inverse() ** (-e)
@@ -445,7 +460,7 @@ class CycloNum:
     # -- comparison ----------------------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is int or isinstance(other, Fraction):
             other = self.field.from_rational(other)
         if not isinstance(other, CycloNum):
             return NotImplemented

@@ -197,11 +197,11 @@ def parse_polynomial(text: str, nvars: int, field: CycloField,
 # ---------------------------------------------------------------------------
 # canonical rendering (round-trips through the parser)
 
-def render_fraction(q: Fraction) -> str:
+def render_fraction(q: int | Fraction) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
-def _scalar_parts(x: CycloNum) -> list[tuple[Fraction, int]]:
+def _scalar_parts(x: CycloNum) -> list[tuple[int | Fraction, int]]:
     """(rational, zeta exponent) pairs whose sum is x, exponents ascending."""
     tag = x.tag
     if tag is not None:
@@ -210,7 +210,7 @@ def _scalar_parts(x: CycloNum) -> list[tuple[Fraction, int]]:
     return [(c, k) for k, c in enumerate(x.coeffs) if c != 0]
 
 
-def _render_part(c: Fraction, k: int, N: int, lead: bool, mono: str = "") -> str:
+def _render_part(c: int | Fraction, k: int, N: int, lead: bool, mono: str = "") -> str:
     """One signed term c*z(N)^k*mono of a rendered sum; a unit c is left out
     unless it is the whole term."""
     sign = "-" if c < 0 else ("" if lead else "+")

@@ -13,8 +13,10 @@ from fractions import Fraction
 
 from .errors import DegreeMismatch, FieldMismatch
 from .exactnum import (
+    _ZERO_TAG,
     CycloField,
     CycloNum,
+    _canon_tag,
     _dense,
     _root_in_field,
     embed_lift,
@@ -388,7 +390,7 @@ class HomogPoly:
             if type(c) is tuple:
                 if not c[0]:
                     continue
-                c = CycloNum(field, tag=(Fraction(c[0], den), c[1]))
+                c = CycloNum(field, tag=_canon_tag(N, c[0], c[1], den))
             else:
                 c = _dense(field, field._reduce(_unpack(_fold(c, width), bits)), den)
                 if c.is_zero():
@@ -427,15 +429,18 @@ class HomogPoly:
         pt = [p if isinstance(p, CycloNum) else self.field.from_rational(p) for p in point]
         if all(p.is_zero() for p in pt):
             raise ValueError("evaluation at the zero vector is not projective")
+        zeros = [i for i, p in enumerate(pt) if p.is_zero()]
+        powers: dict[tuple[int, int], CycloNum] = {}  # p_i ** e, made once per (i, e)
         total = self.field.zero
         for mono, c in self.terms.items():
+            if any(mono[i] for i in zeros):
+                continue
             v = c
-            for p, e in zip(pt, mono):
+            for i, e in enumerate(mono):
                 if e:
-                    if p.is_zero():
-                        v = self.field.zero
-                        break
-                    v = v * p ** e
+                    if (i, e) not in powers:
+                        powers[i, e] = pt[i] ** e
+                    v = v * powers[i, e]
             if not v.is_zero():
                 total = total + v
         return total
@@ -450,8 +455,6 @@ class HomogPoly:
 
 # ---------------------------------------------------------------------------
 # integer forms for the substitution kernel (HomogPoly.restrict)
-
-_ZERO_TAG = (0, 0)
 
 
 def _denominator(c: CycloNum) -> int:

@@ -272,6 +272,7 @@ FAULT_FILES = {
     "null.json": [[1, None, 0]],
     "number.json": 5,  # candidates not in a list
     "list.json": [1, 0, 0],  # an instance that is not an object
+    "float.json": [[0.1, 1, 0]],  # a JSON float coordinate
 }
 INPUT_FAULTS = [
     *(([cmd, *POLY, "--aut", "g"], {}) for cmd in
@@ -282,7 +283,7 @@ INPUT_FAULTS = [
     (["corpus-run", "{dir}"], {"groups": {"G": ["g1", "nope"]}}),
     (["check-smooth", "{dir}/inst.json"], {"polynomial": None}),
     *((["galois-at-point", "{data}/ex1-fermat.json", "--coords", c], {})
-      for c in ("1,0", "0,0,0", "1,0,0,0")),
+      for c in ("1,0", "0,0,0", "1,0,0,0", "0.1,1,0")),
     (["count-points", "{data}/ex1-fermat.json", "--candidates", "{dir}/short.json"], {}),
     (["galois-at-point", "{dir}/inst.json", "--point", "p"], {"points": {"p": [1, 0]}}),
     (["count-points", "{dir}/inst.json"], {"points": {"p": [0, 0, 0]}}),
@@ -292,11 +293,16 @@ INPUT_FAULTS = [
     (["verify-aut", "{dir}/inst.json", "--aut", "g1"], {"field": 0}),
     (["check-smooth", "--poly", "x0^4 + z(0)*x1^4 + x2^4"], {}),
     *((["count-points", "{data}/ex1-fermat.json", "--candidates", f"{{dir}}/{f}"], {})
-      for f in ("null.json", "number.json")),
+      for f in ("null.json", "number.json", "float.json")),
     (["verify-aut", "{dir}/inst.json", "--aut", "null"],
      {"automorphisms": {"null": [[1, None, 0], [0, 1, 0], [0, 0, 1]]}}),
     (["galois-at-point", "{dir}/inst.json", "--point", "nested"],
      {"points": {"nested": [[1], 0, 0]}}),
+    # a JSON float never enters exact arithmetic, integral or not
+    (["galois-at-point", "{dir}/inst.json", "--point", "float"],
+     {"points": {"float": [0.1, 1, 0]}}),
+    *((["verify-aut", "{dir}/inst.json", "--aut", "float"],
+       {"automorphisms": {"float": [[x, 0, 0], [0, x, 0], [0, 0, x]]}}) for x in (0.1, 4.0)),
     (["order", "{dir}/inst.json", "--aut", "ragged"],
      {"automorphisms": {"ragged": [[1, 0, 0], [0, 1], [0, 0, 1]]}}),
     (["order", "{dir}/inst.json", "--aut", "tall"],

@@ -19,6 +19,7 @@ from galois_scope.exactnum import (
     root_of_unity,
     totient,
 )
+from galois_scope.polyring import HomogPoly
 
 
 def test_cyclotomic_polynomials_known():
@@ -343,3 +344,119 @@ def test_dense_inverse_matches_fraction_reference(x):
     assert ref_mul(x.coeffs, inv.coeffs, N) == one
     assert_canonical(inv, inv.coeffs)
     assert_canonical(x / x, one)
+
+
+# ---------------------------------------------------------------------------
+# the tag coefficient: an int when integral, else a reduced Fraction
+
+TAG_CONDUCTORS = [1, 3, 4, 7, 8, 12]
+TAG_RATS = st.one_of(st.integers(-6, 6), st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4)))
+
+
+def assert_tag_form(x, ref):
+    """x has the value of the Fraction vector ref, and a tag coefficient that
+    is an int, or a Fraction with denominator above 1: never a float, never
+    a Fraction with denominator 1.  A rational value is tagged."""
+    assert x.coeffs == tuple(ref)
+    t = x.tag
+    if t is not None:
+        c = t[0]
+        assert type(c) is int or (type(c) is Fraction and c.denominator > 1), repr(c)
+        r = x.rational()
+        assert r is None or type(r) is type(c)
+    else:
+        assert x.rational() is None and any(ref[1:])
+
+
+def ref_pow(a, e, N):
+    out = (Fraction(1),) + (Fraction(0),) * (len(a) - 1)
+    for _ in range(e):
+        out = ref_mul(out, a, N)
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(TAG_CONDUCTORS).flatmap(
+    lambda N: st.tuples(field_elements(N), field_elements(N), TAG_RATS.filter(bool), st.integers(1, 4))))
+@example((cyclo_field(3).from_rational(2), cyclo_field(3).from_rational(3), 2, 3))
+@example((cyclo_field(8).from_rational(-2), cyclo_field(8).from_rational(Fraction(1, 2)), -1, 2))
+def test_tag_coefficient_is_int_or_proper_fraction(args):
+    """After every operation the tag coefficient has the canonical form and
+    the value equals the Fraction reference: sums, products, division by an
+    int and by a tag, inverse, negative powers, embed_lift, the demotion of
+    rational dense values and the parse_scalar round trip."""
+    from galois_scope.parsing import parse_scalar, render_scalar
+
+    x, y, r, e = args
+    F = x.field
+    N = F.N
+    a, b = x.coeffs, y.coeffs
+    rv = (Fraction(r),) + (Fraction(0),) * (F.degree - 1)
+    assert_tag_form(x, a)
+    assert_tag_form(y, b)
+    assert_tag_form(x + y, [u + v for u, v in zip(a, b)])
+    assert_tag_form(x - y, [u - v for u, v in zip(a, b)])
+    assert_tag_form((x + y) - y, a)  # a rational x comes back through _dense
+    assert_tag_form(x * y, ref_mul(a, b, N))
+    assert_tag_form(x * r, ref_mul(a, rv, N))
+    assert_tag_form(x / r, [u / r for u in a])
+    assert_tag_form(x ** e, ref_pow(a, e, N))
+    for u, ref in ((x, a), (y, b)):
+        if u:
+            inv = u.inverse()
+            assert ref_mul(ref, inv.coeffs, N) == (Fraction(1),) + (Fraction(0),) * (F.degree - 1)
+            assert_tag_form(inv, inv.coeffs)
+            assert_tag_form(1 / u, inv.coeffs)
+            assert_tag_form(r / u, ref_mul(rv, inv.coeffs, N))
+            assert_tag_form(u ** -e, ref_pow(inv.coeffs, e, N))
+    if y:
+        assert_tag_form(x / y, ref_mul(a, y.inverse().coeffs, N))
+    for target in (M for M in (*TAG_CONDUCTORS, 24) if M != N and M % N == 0):
+        assert_tag_form(embed_lift(x, cyclo_field(target)), ref_embed(a, N, target))
+    back = parse_scalar(render_scalar(x), F)
+    assert back == x and (x.rational() is None or back.tag == x.tag)
+    assert_tag_form(back, a)
+    # restrict: f(v) Y^2 for one vector v, and a general two-vector restriction
+    f = HomogPoly.from_terms(F, 2, {(2, 0): x, (1, 1): y, (0, 2): r}, degree=2)
+    g = f.restrict([(y, r)])
+    value = [u + v + w for u, v, w in zip(ref_mul(a, ref_mul(b, b, N), N),
+                                         ref_mul(b, ref_mul(b, rv, N), N),
+                                         ref_mul(rv, ref_mul(rv, rv, N), N))]
+    assert_tag_form(g.coefficient((2,)), value)
+    for c in f.restrict([(x, r), (1, y)]).terms.values():
+        assert_tag_form(c, c.coeffs)
+
+
+@pytest.mark.parametrize("N", TAG_CONDUCTORS)
+def test_integral_tags_are_ints(N):
+    """1 / c and c ** -e for an int c stay exact; integral results are ints."""
+    F = cyclo_field(N)
+    for c in (1, -1, 2, -3, 6):
+        x = F.from_rational(c)
+        assert type(x.tag[0]) is int and x.rational() == c
+        for inv in (x.inverse(), 1 / x, x ** -1, F.one / c):
+            assert inv.tag == (Fraction(1, c), 0)
+            assert type(inv.tag[0]) is (int if abs(c) == 1 else Fraction)
+        cube = x ** -3
+        assert cube.rational() == Fraction(1, c ** 3)
+        assert type((cube * c ** 3).tag[0]) is int and cube * c ** 3 == 1
+    half = F.from_rational(Fraction(1, 2))
+    assert type((half * 2).tag[0]) is int and type((half + half).tag[0]) is int
+    assert type(F.from_rational(Fraction(4, 2)).tag[0]) is int
+    assert type(F.element([Fraction(6, 3)] + [0] * (F.degree - 1)).tag[0]) is int
+    assert type(F.zero.tag[0]) is int and type(F.zeta().tag[0]) is int
+
+
+def test_from_rational_takes_only_int_and_fraction():
+    """A float, a string or a bool never enters exact arithmetic."""
+    from galois_scope.projlin import vector
+
+    F3 = cyclo_field(3)
+    for bad in (0.1, 4.0, "2", True, None, 1j):
+        with pytest.raises(TypeError):
+            F3.from_rational(bad)
+    with pytest.raises(TypeError):
+        vector(F3, [0.1, 1, "2"])
+    with pytest.raises(TypeError):
+        F3.one * 0.5
+    assert F3.from_rational(Fraction(3, 6)).tag == (Fraction(1, 2), 0)

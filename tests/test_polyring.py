@@ -506,3 +506,63 @@ def test_eval_at_examples():
     assert quartic_surface.eval_at((1, 0, 0, 0)).is_zero()
     with pytest.raises(ValueError):
         f.eval_at((0, 0, 0))
+
+
+# ---------------------------------------------------------------------------
+# eval_at against the per-term power loop
+
+def eval_at_per_term(f, point):
+    """f at a point with one p_i ** e per term and variable: eval_at before it
+    made each power once, kept as the oracle for value and representation."""
+    pt = [p if isinstance(p, CycloNum) else f.field.from_rational(p) for p in point]
+    total = f.field.zero
+    for mono, c in f.terms.items():
+        v = c
+        for p, e in zip(pt, mono):
+            if e:
+                if p.is_zero():
+                    v = f.field.zero
+                    break
+                v = v * p ** e
+        if not v.is_zero():
+            total = total + v
+    return total
+
+
+def assert_same_scalar(x, y):
+    assert (x.tag, x._parts()) == (y.tag, y._parts())
+    assert x.tag is None or type(x.tag[0]) is type(y.tag[0])
+
+
+@given(st.data())
+def test_eval_at_matches_per_term_oracle(data):
+    """Tagged, dense and zero coordinates, coefficients with denominators."""
+    field = cyclo_field(data.draw(st.sampled_from(ORACLE_CONDUCTORS), label="N"))
+    N = field.N
+    order = data.draw(st.sampled_from([g for g in range(2, 13) if N % g == 0] or [1]))
+    exponents = range(0, N, N // order)
+    nvars = data.draw(st.integers(1, 4), label="nvars")
+    d = data.draw(st.integers(0, 5), label="d")
+    monos = st.lists(st.integers(0, nvars - 1), min_size=d, max_size=d).map(
+        lambda vs: tuple(vs.count(i) for i in range(nvars)))
+    terms = data.draw(st.dictionaries(monos, kernel_entries(field, exponents, False),
+                                      max_size=6), label="f")
+    f = HomogPoly.from_terms(field, nvars, terms, degree=d)
+    point = data.draw(st.lists(kernel_entries(field, exponents, True),
+                               min_size=nvars, max_size=nvars), label="point")
+    if all(not p for p in point):
+        return
+    assert_same_scalar(f.eval_at(point), eval_at_per_term(f, point))
+
+
+def test_eval_at_matches_per_term_oracle_on_detect_forms():
+    """The 24 normal forms of the detect benchmark, and their first polars,
+    at the centres of their Galois points."""
+    for n in (1, 2, 3):
+        for d in (4, 5, 6, 7):
+            for kind in ("inner", "outer"):
+                rng = random.Random(f"detect-424242:{n}:{d}:{kind}")
+                X, _, p, _ = normal_form_instance(rng, n, d, kind)
+                for g in (X.F, X.F.polar(p)):
+                    assert_same_scalar(g.eval_at(p), eval_at_per_term(g, p))
+                assert X.F.eval_at(p).is_zero() == (kind == "inner")
