@@ -34,7 +34,8 @@ class SingularPoint(GaloisScopeError):
 
 
 class BoundViolation(GaloisScopeError):
-    """A certified count exceeded a theorem-level bound; indicates an internal bug."""
+    """A certified count exceeded a theorem-level bound, or a computation
+    outgrew an internal representation limit; indicates an internal fault."""
 
 
 class ConsistencyError(GaloisScopeError):

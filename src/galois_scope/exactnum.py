@@ -177,9 +177,7 @@ class CycloField:
 
     def from_rational(self, r) -> "CycloNum":
         """r as an element of this field; r must be an int (not a bool) or a Fraction."""
-        if type(r) is not int and not isinstance(r, Fraction):
-            raise TypeError(f"a rational must be an int or a Fraction, not {type(r).__name__}")
-        return CycloNum(self, tag=_canon_tag(self.N, r, 0))
+        return CycloNum(self, tag=_canon_tag(self.N, _rational(r), 0))
 
     @property
     def zero(self) -> "CycloNum":
@@ -194,8 +192,9 @@ class CycloField:
         return CycloNum(self, tag=_canon_tag(self.N, 1, k))
 
     def element(self, coeffs) -> "CycloNum":
-        """The element sum_i coeffs[i] * z^i; any length, reduced mod Phi_N."""
-        vec = [Fraction(c) for c in coeffs]
+        """The element sum_i coeffs[i] * z^i; any length, reduced mod Phi_N.
+        Each coefficient must be an int (not a bool) or a Fraction."""
+        vec = [Fraction(_rational(c)) for c in coeffs]
         den = math.lcm(*(c.denominator for c in vec))
         return _dense(self, self._reduce([c.numerator * (den // c.denominator) for c in vec]), den)
 
@@ -252,6 +251,13 @@ def common_field(*conductors: int) -> CycloField:
 
 # ---------------------------------------------------------------------------
 # elements
+
+def _rational(r):
+    """r itself when it is an int (not a bool) or a Fraction; else TypeError."""
+    if type(r) is not int and not isinstance(r, Fraction):
+        raise TypeError(f"a rational must be an int or a Fraction, not {type(r).__name__}")
+    return r
+
 
 def _canon_tag(N: int, c, k: int, den: int = 1) -> tuple:
     """The canonical tag of (c/den)*z^k, c an int or a Fraction and den a

@@ -7,6 +7,16 @@ lcm degree (normal selection), and the update of Gebauer and Moeller ("On an
 installation of Buchberger's algorithm", J. Symb. Comp. 6, 1988) applies
 Buchberger's coprime and chain criteria as each element enters the basis.
 
+Inside the kernel a monomial is one int, a packed exponent vector: the
+exponent of variable i sits in bits [WIDTH*i, WIDTH*(i+1)), and the top bit
+of each field is a guard bit that stays clear.  With G the mask of guard
+bits a product is a + b, and a divides b when (b + G - a) & G == G: each
+field of b + G - a keeps its guard bit exactly when its exponent in a is at
+most the one in b.  The last variable sits in the highest field, so within
+one degree the grevlex-larger monomial is the smaller int.  Monomials are
+packed on entry to `groebner_basis` and `modular_leading_monomials` and
+unpacked on exit.
+
 One loop serves two coefficient domains, told apart by the characteristic p
 that every basis element carries: p = 0 for exact field elements
 (`groebner_basis`), a prime p for ints in [0, p) (`modular_leading_monomials`,
@@ -19,13 +29,16 @@ import heapq
 import itertools
 import time
 from functools import lru_cache
-from operator import add, le, sub
 
+from .errors import BoundViolation
 from .exactnum import factorize
 from .polyring import HomogPoly, grevlex_key
 
 # the modular pass works mod the least prime p = 1 (mod N) in this open range
 PRIME_RANGE = (2**29, 2**30)
+
+# bits per exponent field of a packed monomial, its guard bit included
+WIDTH = 16
 
 
 class Deadline:
@@ -38,53 +51,78 @@ class Deadline:
         return self.limit is not None and time.monotonic() > self.limit
 
 
+class Packing:
+    """Monomials in nvars variables packed into ints of nvars WIDTH-bit fields.
+
+    Every exponent stays below limit = 2^(WIDTH-1), so no guard bit is ever
+    set: a generator of larger degree is refused on entry and an S-pair of
+    larger lcm degree when it is formed (`check_degree`).  Every monomial a
+    reduction meets has the degree of its pair, and no exponent exceeds it.
+    """
+
+    def __init__(self, nvars: int):
+        self.nvars = nvars
+        self.limit = 1 << (WIDTH - 1)
+        self.mask = (1 << WIDTH) - 1
+        self.ones = sum(1 << (WIDTH * i) for i in range(nvars))
+        self.guard = self.ones << (WIDTH - 1)
+        self.top = WIDTH * (nvars - 1)
+
+    def pack(self, mono) -> int:
+        return sum(e << (WIDTH * i) for i, e in enumerate(mono))
+
+    def unpack(self, m: int) -> tuple:
+        return tuple((m >> (WIDTH * i)) & self.mask for i in range(self.nvars))
+
+    def degree(self, m: int) -> int:
+        """The sum of the exponents; exact below 2^WIDTH."""
+        return (m * self.ones >> self.top) & self.mask
+
+    def lcm(self, a: int, b: int) -> int:
+        # each field of sel is all ones where the exponent in a is at least the one in b
+        sel = (((a + self.guard - b) & self.guard) >> (WIDTH - 1)) * self.mask
+        return (a & sel) | (b & ~sel)
+
+    def check_degree(self, degree: int) -> None:
+        if degree >= self.limit:
+            raise BoundViolation(f"internal: monomial degree {degree} overflows the "
+                                 f"{WIDTH}-bit exponent fields of the Groebner kernel")
+
+
 class Monic:
-    """A polynomial {exponents: coefficient} scaled so that the coefficient of
-    its leading monomial lm is 1, over the field of characteristic p: exact
-    field elements for p = 0, ints in [0, p) for a prime p."""
+    """A polynomial {packed exponents: coefficient} scaled so that the
+    coefficient of its leading monomial lm is 1, over the field of
+    characteristic p: exact field elements for p = 0, ints in [0, p) for a
+    prime p.  tail holds the other terms as (monomial, coefficient) pairs."""
 
-    __slots__ = ("lm", "terms", "p")
+    __slots__ = ("lm", "tail", "p")
 
-    def __init__(self, lm, terms: dict, p: int = 0):
+    def __init__(self, lm: int, terms: dict, p: int = 0):
         self.lm = lm
         self.p = p
         if p:
             inv = pow(terms[lm], -1, p)
-            self.terms = {m: c * inv % p for m, c in terms.items()}
+            self.tail = [(m, c * inv % p) for m, c in terms.items() if m != lm]
         else:
             inv = terms[lm].inverse()
-            self.terms = {m: c * inv for m, c in terms.items()}
+            self.tail = [(m, c * inv) for m, c in terms.items() if m != lm]
 
 
-def _divides(m1, m2) -> bool:
-    return all(map(le, m1, m2))
-
-
-def _mono_lcm(m1, m2):
-    return tuple(map(max, m1, m2))
-
-
-def _coprime(m1, m2) -> bool:
-    return not any(a and b for a, b in zip(m1, m2))
-
-
-def _add_multiple(work: dict, c, shift, g: Monic, heap=None) -> None:
+def _add_multiple(work: dict, c, shift: int, g: Monic, heap=None) -> None:
     """work += c * x^shift * (g - its leading term), in place, mod g.p if it is a prime.
 
-    A monomial that enters work goes on the heap (if one is given) keyed on
-    its reversed exponents, even when it was there before and cancelled.
+    A monomial that enters work goes on the heap (if one is given), even when
+    it was there before and cancelled.
     """
     p = g.p
-    for gm, gc in g.terms.items():
-        if gm == g.lm:
-            continue
-        mono = tuple(map(add, shift, gm))
+    for gm, gc in g.tail:
+        mono = shift + gm
         d = c * gc
         v = work.get(mono)
         if v is None:
             work[mono] = d % p if p else d
             if heap is not None:
-                heapq.heappush(heap, mono[::-1])
+                heapq.heappush(heap, mono)
         else:
             v += d
             if p:
@@ -95,72 +133,81 @@ def _add_multiple(work: dict, c, shift, g: Monic, heap=None) -> None:
                 del work[mono]
 
 
-def normal_form(work: dict, basis: list[Monic], deadline: Deadline | None = None):
-    """Remainder of the homogeneous {exponents: coefficient} work under
-    division by the basis, in descending grevlex order; None on deadline expiry.
+def normal_form(work: dict, basis: list, guard: int, deadline: Deadline | None = None):
+    """Remainder of the homogeneous {packed exponents: coefficient} work under
+    division by the basis, (lm, Monic) pairs, in descending grevlex order;
+    None on deadline expiry.  guard is the guard mask of the packing.
 
-    work is consumed.  Among monomials of one degree the grevlex largest has
-    the least reversed exponent tuple, so a min-heap of those tuples yields
-    the leading terms in turn.  Entries whose term has cancelled are skipped.
+    work is consumed.  Among monomials of one degree the grevlex largest is
+    the least int, so a min-heap of the monomials yields the leading terms in
+    turn.  Entries whose term has cancelled are skipped.
     """
-    heap = [m[::-1] for m in work]
+    heap = list(work)
     heapq.heapify(heap)
     rem: dict = {}
     while heap:
         if deadline is not None and deadline.expired():
             return None
-        m = heapq.heappop(heap)[::-1]
+        m = heapq.heappop(heap)
         c = work.pop(m, None)
         if c is None:
             continue
-        for g in basis:
-            if _divides(g.lm, m):
-                _add_multiple(work, -c, tuple(map(sub, m, g.lm)), g, heap)
+        t = m + guard
+        for lm, g in basis:
+            if (t - lm) & guard == guard:
+                _add_multiple(work, -c, m - lm, g, heap)
                 break
         else:
             rem[m] = c
     return rem
 
 
-def s_polynomial(f: Monic, g: Monic) -> dict:
+def s_polynomial(f: Monic, g: Monic, packing: Packing) -> dict:
     """x^(L - lm f) f - x^(L - lm g) g with L = lcm(lm f, lm g); the leading terms cancel."""
-    lcm = _mono_lcm(f.lm, g.lm)
-    shift = tuple(map(sub, lcm, f.lm))
-    out = {tuple(map(add, shift, m)): c for m, c in f.terms.items() if m != f.lm}
-    _add_multiple(out, -g.terms[g.lm], tuple(map(sub, lcm, g.lm)), g)
+    lcm = packing.lcm(f.lm, g.lm)
+    shift = lcm - f.lm
+    out = {shift + m: c for m, c in f.tail}
+    _add_multiple(out, -1, lcm - g.lm, g)
     return out
 
 
-def _update(active: list[Monic], pairs: list, h: Monic, order) -> list[Monic]:
+def _update(active: list[Monic], pairs: list, h: Monic, order, packing: Packing) -> list[Monic]:
     """Gebauer-Moeller update as h enters the basis; returns the new active set.
 
     pairs is a heap of (lcm degree, insertion order, f, g, lcm), filtered in
     place.  A new pair (h, g) with lm h, lm g not coprime is dropped when the
     lcm of a later new pair, or of one already kept, divides its lcm (chain
-    criterion); coprime pairs take part in that test and are dropped after it
-    (coprime criterion).  An old pair (f, g) is dropped when lm h divides its
-    lcm and lcm(lm f, lm h), lcm(lm g, lm h) both differ from it.  An active
-    element whose leading monomial lm h divides leaves the active set.
+    criterion); coprime pairs, whose lcm is the product, take part in that
+    test and are dropped after it (coprime criterion).  An old pair (f, g) is
+    dropped when lm h divides its lcm and lcm(lm f, lm h), lcm(lm g, lm h)
+    both differ from it.  An active element whose leading monomial lm h
+    divides leaves the active set.  A kept pair whose lcm degree overflows
+    the packing raises BoundViolation.
     """
-    t = h.lm
-    new = [(g, _mono_lcm(t, g.lm)) for g in active]
+    t, G, lcm_of = h.lm, packing.guard, packing.lcm
+    new = [(g, lcm_of(t, g.lm)) for g in active]
     kept = []
     for k, (g, lcm) in enumerate(new):
-        if (_coprime(t, g.lm)
-                or not any(_divides(other, lcm) for _, other in new[k + 1:])
-                and not any(_divides(other, lcm) for _, other in kept)):
+        u = lcm + G  # (u - a) & G == G: a divides lcm
+        if (lcm == t + g.lm
+                or not any((u - other) & G == G for _, other in new[k + 1:])
+                and not any((u - other) & G == G for _, other in kept)):
             kept.append((g, lcm))
     pairs[:] = [p for p in pairs
-                if not (_divides(t, p[4])
-                        and _mono_lcm(p[2].lm, t) != p[4]
-                        and _mono_lcm(p[3].lm, t) != p[4])]
-    pairs.extend((sum(lcm), next(order), h, g, lcm)
-                 for g, lcm in kept if not _coprime(t, g.lm))
+                if not ((p[4] + G - t) & G == G
+                        and lcm_of(p[2].lm, t) != p[4]
+                        and lcm_of(p[3].lm, t) != p[4])]
+    for g, lcm in kept:
+        if lcm != t + g.lm:
+            degree = packing.degree(lcm)
+            packing.check_degree(degree)
+            pairs.append((degree, next(order), h, g, lcm))
     heapq.heapify(pairs)
-    return [g for g in active if not _divides(t, g.lm)] + [h]
+    return [g for g in active if (g.lm + G - t) & G != G] + [h]
 
 
-def _buchberger(gens: list[Monic], p: int, deadline: Deadline | None) -> list[Monic] | None:
+def _buchberger(gens: list[Monic], p: int, packing: Packing,
+                deadline: Deadline | None) -> list[Monic] | None:
     """A minimal Groebner basis of the ideal of gens, whose coefficients have
     characteristic p, sorted by leading monomial; None if the deadline expires.
 
@@ -172,20 +219,23 @@ def _buchberger(gens: list[Monic], p: int, deadline: Deadline | None) -> list[Mo
     pairs: list = []
     order = itertools.count()
     for g in gens:
-        active = _update(active, pairs, g, order)
+        active = _update(active, pairs, g, order, packing)
+    reducers = [(g.lm, g) for g in active]
     while pairs:
         if deadline is not None and deadline.expired():
             return None
         _, _, f, g, _ = heapq.heappop(pairs)
-        rem = normal_form(s_polynomial(f, g), active, deadline)
+        rem = normal_form(s_polynomial(f, g, packing), reducers, packing.guard, deadline)
         if rem is None:
             return None
         if rem:  # the first remainder term is the leading one
-            active = _update(active, pairs, Monic(next(iter(rem)), rem, p), order)
+            active = _update(active, pairs, Monic(next(iter(rem)), rem, p), order, packing)
+            reducers = [(g.lm, g) for g in active]
+    G = packing.guard
     minimal = [g for k, g in enumerate(active)
-               if not any(_divides(o.lm, g.lm) and (o.lm != g.lm or j < k)
+               if not any((g.lm + G - o.lm) & G == G and (o.lm != g.lm or j < k)
                           for j, o in enumerate(active) if j != k)]
-    minimal.sort(key=lambda g: grevlex_key(g.lm))
+    minimal.sort(key=lambda g: grevlex_key(packing.unpack(g.lm)))
     return minimal
 
 
@@ -196,10 +246,19 @@ def groebner_basis(gens: list[HomogPoly], deadline: Deadline | None = None):
     if not gens:
         return []
     field, nvars = gens[0].field, gens[0].nvars
-    basis = _buchberger([Monic(g.leading_monomial(), g.terms) for g in gens], 0, deadline)
+    packing = Packing(nvars)
+    monics = []
+    for g in gens:
+        packing.check_degree(g.degree)
+        terms = {packing.pack(m): c for m, c in g.terms.items()}
+        monics.append(Monic(min(terms), terms))
+    basis = _buchberger(monics, 0, packing, deadline)
     if basis is None:
         return None
-    return [HomogPoly(field, nvars, sum(g.lm), g.terms) for g in basis]
+    unpack = packing.unpack
+    return [HomogPoly(field, nvars, packing.degree(g.lm),
+                      {unpack(g.lm): field.one, **{unpack(m): c for m, c in g.tail}})
+            for g in basis]
 
 
 @lru_cache(maxsize=None)
@@ -252,19 +311,21 @@ def modular_leading_monomials(gens: list[HomogPoly], deadline: Deadline | None =
     if prime is None:
         return []
     p, w = prime
+    packing = Packing(gens[0].nvars)
     images = []
     for g in gens:
+        packing.check_degree(g.degree)
         terms = {}
         for m, c in g.terms.items():
             r = _residue(c, p, w)
             if r is None:
                 return []
             if r:
-                terms[m] = r
+                terms[packing.pack(m)] = r
         if terms:
-            images.append(Monic(max(terms, key=grevlex_key), terms, p))
-    basis = _buchberger(images, p, deadline)
-    return None if basis is None else [g.lm for g in basis]
+            images.append(Monic(min(terms), terms, p))
+    basis = _buchberger(images, p, packing, deadline)
+    return None if basis is None else [packing.unpack(g.lm) for g in basis]
 
 
 def leading_pure_powers(leads: list, nvars: int) -> list[bool]:

@@ -460,3 +460,14 @@ def test_from_rational_takes_only_int_and_fraction():
     with pytest.raises(TypeError):
         F3.one * 0.5
     assert F3.from_rational(Fraction(3, 6)).tag == (Fraction(1, 2), 0)
+
+
+def test_element_takes_only_int_and_fraction():
+    """element applies from_rational's rule to every coefficient."""
+    F3 = cyclo_field(3)
+    for bad in (0.1, 4.0, "2", True, None, 1j):
+        with pytest.raises(TypeError):
+            F3.element([bad, 2])
+        with pytest.raises(TypeError):
+            F3.element([1, bad])
+    assert F3.element([Fraction(1, 2), 2]) == F3.from_rational(Fraction(1, 2)) + 2 * F3.zeta()

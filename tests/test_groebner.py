@@ -9,24 +9,36 @@ Two checks, on random forms and on fixed cases:
 
 The modular pass (the same kernel mod p) may only certify smoothness where
 the exact pass does, and on the corpus, AC5 and benchmark forms it agrees.
+The packed-int monomial primitives are checked against their tuple
+definitions, and an exponent field too narrow for the work is refused.
 """
+import json
 import random
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from galois_scope.corpus import corpus_paths, load_instance, normal_form_instance
+from galois_scope import groebner
+from galois_scope.cli import main
+from galois_scope.corpus import (
+    bundled_corpus_dir,
+    corpus_paths,
+    load_instance,
+    normal_form_instance,
+)
+from galois_scope.errors import BoundViolation
 from galois_scope.exactnum import cyclo_field
 from galois_scope.groebner import (
     PRIME_RANGE,
+    Packing,
     groebner_basis,
     leading_pure_powers,
     modular_leading_monomials,
     modular_prime,
 )
 from galois_scope.parsing import MAX_CONDUCTOR
-from galois_scope.polyring import HomogPoly
+from galois_scope.polyring import HomogPoly, grevlex_key
 
 Q = cyclo_field(1)
 
@@ -237,3 +249,75 @@ def test_modular_prime_choice(N):
     assert not any(sympy.isprime(q) for q in range(p - N, low, -N)), "not the least"
     assert pow(w, N, p) == 1
     assert all(pow(w, N // q, p) != 1 for q in sympy.primefactors(N))
+
+
+EXPONENT = st.one_of(st.integers(0, 3), st.integers(0, 2**15 - 1))
+
+
+@st.composite
+def exponent_pairs(draw):
+    """Two exponent vectors in 1-6 variables, every exponent below 2^15."""
+    nvars = draw(st.integers(1, 6), label="nvars")
+    vectors = st.lists(EXPONENT, min_size=nvars, max_size=nvars).map(tuple)
+    return draw(vectors, label="a"), draw(vectors, label="b")
+
+
+@settings(max_examples=300)
+@given(exponent_pairs())
+def test_packing_primitives_match_tuples(pair):
+    a, b = pair
+    P = Packing(len(a))
+    pa, pb = P.pack(a), P.pack(b)
+    assert P.unpack(pa) == a and pa & P.guard == 0
+    assert P.unpack(pa + pb) == tuple(x + y for x, y in zip(a, b))
+    G = P.guard  # the kernel's inline divisibility test
+    assert ((pb + G - pa) & G == G) == all(x <= y for x, y in zip(a, b))
+    lcm = P.lcm(pa, pb)
+    assert P.unpack(lcm) == tuple(map(max, a, b))
+    assert (lcm == pa + pb) == (not any(x and y for x, y in zip(a, b)))
+    for m, v in ((pa, a), (lcm, P.unpack(lcm))):
+        if sum(v) < 2**16:  # the kernel keeps every degree below 2^15
+            assert P.degree(m) == sum(v)
+
+
+@st.composite
+def same_degree_pairs(draw):
+    """Two exponent vectors in 1-6 variables of one degree below 2^15."""
+    nvars = draw(st.integers(1, 6), label="nvars")
+    degree = draw(st.one_of(st.integers(0, 6), st.integers(0, 2**15 - 1)), label="degree")
+
+    def composition():
+        cuts = sorted(draw(st.lists(st.integers(0, degree), min_size=nvars - 1,
+                                    max_size=nvars - 1)))
+        return tuple(hi - lo for lo, hi in zip([0] + cuts, cuts + [degree]))
+
+    return composition(), composition()
+
+
+@settings(max_examples=300)
+@given(same_degree_pairs())
+def test_packed_order_reverses_grevlex_within_a_degree(pair):
+    a, b = pair
+    P = Packing(len(a))
+    pa, pb = P.pack(a), P.pack(b)
+    assert P.degree(pa) == P.degree(pb) == sum(a)
+    assert (pa < pb) == (grevlex_key(a) > grevlex_key(b))
+    assert (pa == pb) == (a == b)
+
+
+def test_narrow_exponent_fields_are_refused(monkeypatch, capsys):
+    # with 4-bit fields exponents and degrees must stay below 8: exa1 (a
+    # sextic) has quintic partials, and one of their S-pairs has lcm degree
+    # 8; exa2's partials have degree 29 and are refused on entry
+    monkeypatch.setattr(groebner, "WIDTH", 4)
+    for name in ("exa1.json", "exa2.json"):
+        gens = jacobian(load_instance(bundled_corpus_dir() / name).surface.F)
+        for kernel in (modular_leading_monomials, groebner_basis):
+            with pytest.raises(BoundViolation, match="4-bit exponent fields"):
+                kernel(gens)
+    # the Fermat quartic's work stays inside the narrow fields
+    assert modular_smooth(KNOWN_CASES["fermat-quartic"])
+    code = main(["check-smooth", str(bundled_corpus_dir() / "exa1.json")])
+    out, err = capsys.readouterr()
+    assert code == 4 and out == ""
+    assert "4-bit exponent fields" in json.loads(err)["error"]
