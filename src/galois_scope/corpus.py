@@ -90,6 +90,9 @@ def load_instance(source) -> Instance:
         if not isinstance(raw.get(key, {}), dict):
             raise GaloisScopeError(f"instance key {key!r} must be a JSON object")
     _check_groups_and_expect(raw.get("groups", {}), raw.get("expect", {}))
+    notes = raw.get("notes", [])
+    _need(isinstance(notes, list) and all(isinstance(s, str) for s in notes),
+          "notes must be a list of strings")
     field = parse_field(raw["field"])
     n, d = parse_count(raw["n"], "n"), parse_count(raw["d"], "degree")
     auts = {name: parse_matrix(rows, field, n + 2)
@@ -111,43 +114,44 @@ def load_instance(source) -> Instance:
     )
 
 
+def _need(ok, what: str, kind: str = "instance") -> None:
+    if not ok:
+        raise GaloisScopeError(f"{kind} value {what}")
+
+
 def _check_groups_and_expect(groups: dict, expect: dict) -> None:
     """Reject nested values of the wrong shape before any section is built."""
-    def need(ok, what):
-        if not ok:
-            raise GaloisScopeError(f"instance value {what}")
-
     for name, members in groups.items():
-        need(isinstance(members, list) and all(isinstance(m, str) for m in members),
-             f"groups.{name} must be a list of automorphism names")
+        _need(isinstance(members, list) and all(isinstance(m, str) for m in members),
+              f"groups.{name} must be a list of automorphism names")
     for key in ("automorphisms", "points", "counts", "rh", "abelian_check"):
-        need(isinstance(expect.get(key, {}), dict), f"expect.{key} must be a JSON object")
+        _need(isinstance(expect.get(key, {}), dict), f"expect.{key} must be a JSON object")
     for key in ("rh", "abelian_check"):
         if key in expect:
             group = expect[key].get("group")
-            need(isinstance(group, str) and group in groups,
-                 f"expect.{key}.group {group!r} is not one of the instance's groups")
-            need(key == "rh" or "verdict" in expect[key], f"expect.{key} needs a verdict")
+            _need(isinstance(group, str) and group in groups,
+                  f"expect.{key}.group {group!r} is not one of the instance's groups")
+            _need(key == "rh" or "verdict" in expect[key], f"expect.{key} needs a verdict")
     deadline = expect.get("smooth_deadline", DEFAULT_SMOOTH_DEADLINE)
-    need(type(deadline) in (int, float) and deadline > 0,
-         "expect.smooth_deadline must be a positive number")
+    _need(type(deadline) in (int, float) and deadline > 0,
+          "expect.smooth_deadline must be a positive number")
     for name, want in expect.get("automorphisms", {}).items():
         label = f"expect.automorphisms.{name}"
-        need(isinstance(want, dict), f"{label} must be a JSON object")
-        need(isinstance(want.get("fixed_locus", {}), dict), f"{label}.fixed_locus must be an object")
-        need(isinstance(want.get("certificate", {}), (dict, type(None))),
-             f"{label}.certificate must be an object or null")
+        _need(isinstance(want, dict), f"{label} must be a JSON object")
+        _need(isinstance(want.get("fixed_locus", {}), dict), f"{label}.fixed_locus must be an object")
+        _need(isinstance(want.get("certificate", {}), (dict, type(None))),
+              f"{label}.certificate must be an object or null")
         powers = want.get("detect_powers_none", [])
-        need(isinstance(powers, list) and all(type(j) is int for j in powers),
-             f"{label}.detect_powers_none must be a list of integers")
-        need(isinstance(want.get("rows_include", []), list), f"{label}.rows_include must be a list")
+        _need(isinstance(powers, list) and all(type(j) is int for j in powers),
+              f"{label}.detect_powers_none must be a list of integers")
+        _need(isinstance(want.get("rows_include", []), list), f"{label}.rows_include must be a list")
         if "criterion" in want:
             crit = want["criterion"]
-            need(isinstance(crit, dict) and crit.get("name") in ("curve", "codim", "power")
-                 and "verdict" in crit, f"{label}.criterion needs a verdict and a name: "
-                 "curve, codim or power")
-            need(crit["name"] != "power" or (type(crit.get("k")) is int and crit["k"] >= 2),
-                 f"{label}.criterion power needs an integer k >= 2")
+            _need(isinstance(crit, dict) and crit.get("name") in ("curve", "codim", "power")
+                  and "verdict" in crit, f"{label}.criterion needs a verdict and a name: "
+                  "curve, codim or power")
+            _need(crit["name"] != "power" or (type(crit.get("k")) is int and crit["k"] >= 2),
+                  f"{label}.criterion power needs an integer k >= 2")
 
 
 def parse_surface(text, n: int, field, degree: int | None = None) -> Hypersurface:
@@ -517,12 +521,18 @@ def run_family(seed: int, count: int, dims, degrees) -> dict:
 
 
 def run_generator(raw: dict, seed: int | None = None) -> dict:
-    result = run_family(
-        seed if seed is not None else raw.get("seed", 20240601),
-        raw.get("count", 12),
-        raw.get("dims", [1, 2, 3]),
-        raw.get("degrees", [4, 5, 6, 7]),
-    )
+    seed = raw.get("seed", 20240601) if seed is None else seed
+    _need(type(seed) is int, "seed must be an integer", "generator")
+    _need("name" in raw, "name is missing", "generator")
+    count = parse_count(raw.get("count", 12), "count")
+    dims, degrees = raw.get("dims", [1, 2, 3]), raw.get("degrees", [4, 5, 6, 7])
+    for key, values, what, most in (("dims", dims, "n", MAX_N),
+                                    ("degrees", degrees, "degree", MAX_DEGREE)):
+        _need(isinstance(values, list) and values, f"{key} must be a nonempty list", "generator")
+        for v in values:
+            parse_count(v, what, most)
+    _need(min(degrees) >= 4, "degrees must be at least 4, the least a detector takes", "generator")
+    result = run_family(seed, count, dims, degrees)
     return {
         "schema": SCHEMA,
         "kind": "report",
@@ -568,6 +578,7 @@ def run_corpus(directory=None, jobs: int = 1, smooth_deadline=None, seed=None) -
     """One report per file, in file-name order; a file that cannot be loaded
     or reported on gives an error entry instead (see _run_file), at any jobs."""
     paths = corpus_paths(directory)
+    jobs = min(jobs, len(paths))  # the pool starts every worker at the first submit
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 

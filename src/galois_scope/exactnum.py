@@ -7,18 +7,21 @@ integer coefficients, so a product is one integer convolution, a reduction
 with no division and one gcd pass.  `coeffs` gives the Fraction coordinates
 on demand.
 
-Values that are known to be a rational multiple of a single root of unity
-carry a monomial tag c*z^k instead; arithmetic between tagged values stays in
-exponent space, which keeps products and powers of roots of unity cheap even
-when phi(N) is large.  The tag is canonical: c is an `int` when it is
-integral, else a reduced `Fraction` (denominator above 1), never a float, and
-for even N the exponent is folded into [0, N/2) with the sign absorbed into c.
-`_canon_tag` is the one place that makes this form, so products and sums of
-integral tags are plain int arithmetic; `int` and `Fraction` compare and hash
-alike, and their readers use only `.numerator`, `.denominator`, comparisons
-and `abs`.  Every rational value is tagged (c, 0), so a dense value is never
-rational.  Both forms are canonical: tagged values compare by tag, and any
-two values by their numerators and denominator.
+Every value that is a rational multiple of a single root of unity carries a
+monomial tag c*z^k, and a value stored only as numerators is never such a
+multiple (in particular never rational).  So the form is a function of the
+value: tagged values compare by tag, dense values by their numerators and
+denominator, and a tagged value never equals a dense one.  Arithmetic between
+tagged values stays in exponent space, which keeps products and powers of
+roots of unity cheap even when phi(N) is large.  The tag is canonical: c is
+an `int` when it is integral, else a reduced `Fraction` (denominator above
+1), never a float, and for even N the exponent is folded into [0, N/2) with
+the sign absorbed into c.  `_canon_tag` is the one place that makes this
+form, so products and sums of integral tags are plain int arithmetic; `int`
+and `Fraction` compare and hash alike, and their readers use only
+`.numerator`, `.denominator`, comparisons and `abs`.  `_dense` normalises
+computed numerators and demotes every c*z^k among them to its tag, keeping
+the numerators (see `CycloField._monomial`).
 """
 from __future__ import annotations
 
@@ -26,6 +29,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import zip_longest
+from operator import sub
 
 from .errors import ConductorMismatch, FieldMismatch
 
@@ -152,7 +156,7 @@ def _cyclotomic(N: int) -> tuple[int, ...]:
 class CycloField:
     """The cyclotomic field Q(zeta_N); construct via cyclo_field(N)."""
 
-    __slots__ = ("N", "degree", "phi", "_xphi", "_zeta")
+    __slots__ = ("N", "degree", "phi", "_xphi", "_zeta", "_shifts", "_cofactor")
 
     def __init__(self, N: int):
         if N < 1:
@@ -163,6 +167,18 @@ class CycloField:
         # x^degree reduced mod Phi_N, as an integer vector
         self._xphi = tuple(-c for c in self.phi[:-1])
         self._zeta: list[tuple[int, ...]] = [(1,) + (0,) * (self.degree - 1)]
+        # the shifts N/q, q over the primes dividing N, and the terms (e, +-1)
+        # of prod_q (x^(N/q) - 1) mod x^N - 1; None when every canonical tag
+        # exponent is below phi(N), so that c*z^k is the vector with one entry
+        self._shifts = self._cofactor = None
+        if self.degree < (N // 2 if N % 2 == 0 else N):
+            self._shifts = [N // q for q in factorize(N)]
+            # the 2^r exponents, sums of sets of shifts, differ mod N: modulo
+            # the power of q dividing N, N/q is nonzero and every other shift 0
+            terms = [(0, 1)]
+            for s in self._shifts:
+                terms = [((e + s) % N, t) for e, t in terms] + [(e, -t) for e, t in terms]
+            self._cofactor = terms
 
     def __repr__(self):
         return f"Q(z({self.N}))"
@@ -216,6 +232,33 @@ class CycloField:
                         new[j] += top * c
             zs.append(tuple(new))
         return zs[k]
+
+    def _monomial(self, num) -> tuple[int, int] | None:
+        """(c, k) with num = c*z^k for a power basis integer vector num, or None.
+
+        A vector with one nonzero entry is c*z^k with k < phi(N).  For the
+        others, x^N - 1 is the product of the Phi_M, M | N, and C = prod_q
+        (x^(N/q) - 1) is divisible by every one of them except Phi_N, which
+        is prime to it.  So num = c x^k mod Phi_N exactly when num C = c x^k C
+        mod x^N - 1: num C must be a rotation of c C.
+        """
+        if len(num) - num.count(0) <= 1:
+            k = next((i for i, x in enumerate(num) if x), 0)
+            return num[k], k
+        if self._shifts is None:
+            return None
+        N, cof = self.N, self._cofactor
+        h = list(num) + [0] * (N - len(num))  # num C mod x^N - 1, one factor at a time
+        for s in self._shifts:
+            h = list(map(sub, h[-s:] + h[:-s], h))
+        if N - h.count(0) != len(cof):
+            return None
+        j = next(i for i, a in enumerate(h) if a)
+        for e, s in cof:  # h[j] = c * s for the term x^(j-k) = x^e of C
+            c, k = h[j] * s, j - e
+            if all(h[(k + f) % N] == c * t for f, t in cof):
+                return c, k % N
+        return None
 
     def _reduce(self, coeffs: list[int]) -> list[int]:
         """Reduce an arbitrary-length integer coefficient list mod Phi_N."""
@@ -275,11 +318,14 @@ def _canon_tag(N: int, c, k: int, den: int = 1) -> tuple:
     return (c, k)
 
 
-def _dense(field: CycloField, num: list[int], den: int) -> "CycloNum":
+def _dense(field: CycloField, num: list[int], den: int, known_dense: bool = False) -> "CycloNum":
     """The element with power basis coordinates num/den (len(num) = phi(N), den != 0).
 
-    Divides out the gcd and makes den positive; a rational value gets the
-    tag (c, 0), so no dense value is rational.
+    Divides out the gcd and makes den positive; a value c*z^k gets its tag
+    and keeps the numerators, so no dense value is a multiple of a root of
+    unity.  known_dense skips that test for a value that cannot be c*z^k:
+    the product of a dense value with a tag, its inverse, or its image
+    under embed_lift.
     """
     g = math.gcd(den, *num)
     if den < 0:
@@ -287,9 +333,13 @@ def _dense(field: CycloField, num: list[int], den: int) -> "CycloNum":
     if g != 1:
         num = [x // g for x in num]
         den //= g
-    if not any(num[1:]):
-        return CycloNum(field, tag=_canon_tag(field.N, num[0], 0, den))
-    return CycloNum(field, num=tuple(num), den=den)
+    num = tuple(num)
+    if known_dense:
+        return CycloNum(field, num=num, den=den)
+    mono = (num[0], 0) if not any(num[1:]) else field._monomial(num)  # rationals first
+    if mono is None:
+        return CycloNum(field, num=num, den=den)
+    return CycloNum(field, tag=_canon_tag(field.N, *mono, den), num=num, den=den)
 
 
 class CycloNum:
@@ -298,7 +348,7 @@ class CycloNum:
     __slots__ = ("field", "_tag", "_num", "_den")
 
     def __init__(self, field: CycloField, tag=None, num=None, den=1):
-        # internal: tagged values fill num/den on first use, see _parts
+        # internal: a tag may come without num/den, see _parts
         self.field = field
         self._tag = tag
         self._num = num
@@ -410,7 +460,8 @@ class CycloNum:
         if b is not None and b[1] == 0:
             return self._scaled(b[0])
         (x, dx), (y, dy) = self._parts(), other._parts()
-        return _dense(self.field, self.field._reduce(poly_mul(x, y)), dx * dy)
+        return _dense(self.field, self.field._reduce(poly_mul(x, y)), dx * dy,
+                      known_dense=a is not None or b is not None)
 
     __rmul__ = __mul__
 
@@ -419,7 +470,7 @@ class CycloNum:
         if c == 0:
             return self.field.zero
         p, q = c.numerator, c.denominator
-        return _dense(self.field, [p * x for x in self._num], q * self._den)
+        return _dense(self.field, [p * x for x in self._num], q * self._den, known_dense=True)
 
     def inverse(self) -> "CycloNum":
         if self.is_zero():
@@ -428,7 +479,7 @@ class CycloNum:
             c, k = self._tag
             return CycloNum(self.field, tag=_canon_tag(self.field.N, _ONE / c, -k))
         num, den = _modular_inverse(self._num, self.field)
-        return _dense(self.field, [self._den * x for x in num], den)
+        return _dense(self.field, [self._den * x for x in num], den, known_dense=True)
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -473,12 +524,13 @@ class CycloNum:
         if other.field.N != self.field.N:
             raise FieldMismatch("cannot compare elements of different fields")
         a, b = self._tag, other._tag
-        if a is not None and b is not None:
+        if a is not None or b is not None:
             return a == b
-        return self._parts() == other._parts()
+        return self._num == other._num and self._den == other._den
 
     def __hash__(self):
-        return hash((self.field.N, *self._parts()))
+        t = self._tag
+        return hash((self.field.N, t) if t is not None else (self.field.N, self._num, self._den))
 
 
 def _modular_inverse(num: tuple[int, ...], field: CycloField) -> tuple[list[int], int]:
@@ -545,7 +597,7 @@ def embed_lift(x: CycloNum, target: CycloField) -> CycloNum:
             for j, rj in enumerate(row):
                 if rj:
                     acc[j] += c * rj
-    return _dense(target, acc, x._den)
+    return _dense(target, acc, x._den, known_dense=True)
 
 
 def _root_in_field(field: CycloField, m: int, j: int) -> CycloNum:
@@ -566,8 +618,8 @@ def _root_in_field(field: CycloField, m: int, j: int) -> CycloNum:
 def recognize_root_of_unity(x: CycloNum):
     """Return (m, j) with x = zeta_m^j, m minimal and gcd(j, m) = 1, or None.
 
-    Roots of unity in Q(zeta_N) have order dividing lcm(2, N), which bounds
-    the search for untagged values; tagged values are read off directly.
+    Every root of unity is tagged, so it is read off its tag; a dense value
+    is none.
     """
     N = x.field.N
     if x._tag is not None:
@@ -583,17 +635,4 @@ def recognize_root_of_unity(x: CycloNum):
             m0, j0 = N // g, k // g
             m = 2 * m0
             return (m, (m0 + 2 * j0) % m)
-        return None
-    # x is dense, hence not rational
-    L = math.lcm(2, N)
-    one = x.field.one
-    if x ** L != one:
-        return None
-    m = L
-    for p in factorize(L):
-        while m % p == 0 and x ** (m // p) == one:
-            m //= p
-    for j in range(1, m):
-        if math.gcd(j, m) == 1 and x == _root_in_field(x.field, m, j):
-            return (m, j)
     return None

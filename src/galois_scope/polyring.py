@@ -20,7 +20,6 @@ from .exactnum import (
     _dense,
     _root_in_field,
     embed_lift,
-    factorize,
     poly_gcd,
     poly_trim,
     recognize_root_of_unity,
@@ -226,31 +225,21 @@ class HomogPoly:
 
         The recursion runs over Python ints.  f and the basis are scaled to
         integers, f' = D_f f and L_i' = D_A L_i, and every coefficient of the
-        result is divided by D_f D_A^d once, at the end.  A value is held in
-        the representation a CycloNum would give it at that step: a tag
-        c z^k as the pair (D c, k), D the scale of its level, and any other
-        value as one int p(2^B) (Kronecker substitution), p an unreduced
-        polynomial in Z[x] with x standing for zeta_N.  Every such p is a sum
-        of products of coefficients of f' and of the L_i', so its l1 norm,
-        and with it every coefficient, is below ||f'||_1 (max_i ||L_i'||_1)^d
+        result is divided by D_f D_A^d once, at the end.  A value built from
+        tags by products and same-exponent sums is the pair (D c, k), D the
+        scale of its level, standing for the tag c z^k; any other value is
+        one int p(2^B) (Kronecker substitution), p an unreduced polynomial
+        in Z[x] with x standing for zeta_N.  Every such p is a sum of
+        products of coefficients of f' and of the L_i', so its l1 norm, and
+        with it every coefficient, is below ||f'||_1 (max_i ||L_i'||_1)^d
         < 2^(B-1), and one int product or sum is the product or sum of the
-        polynomials.  Tags enter a packed value as x^k; a sum of two tags
-        with different exponents is packed term by term.
-
-        A CycloNum keeps a value tagged when it is rational, so a packed
-        value may stand for a rational tag.  That changes the outcome of two
-        steps only, a product with a non-rational tag and a sum with one,
-        and only there the value is tested, exactly and in time linear in
-        its size.  x^N - 1 is Phi_N times the lcm of the x^(N/q) - 1, q over
-        the primes dividing N, so p = r mod Phi_N exactly when x^N - 1
-        divides (p - r) prod_q (x^(N/q) - 1).  The product is a few shifts
-        and subtractions, and reducing it mod x^N - 1 folds the packed int
-        in blocks of N B bits; the prod_q has 2^len(primes) coefficients
-        +-1, its constant one (-1)^len(primes), which gives r, and B leaves
-        room for them.  Outputs are folded the same way before unpacking.
-        So the result equals the CycloNum Horner recursion's coefficient for
+        polynomials.  Tags enter a packed value as x^k.  Outputs are folded
+        mod x^N - 1, unpacked and reduced mod Phi_N, and `_dense` gives each
+        the canonical form of its value, a tag when it is c z^k.  So the
+        result equals the CycloNum Horner recursion's coefficient for
         coefficient, in value and in representation.  A substitution whose
-        inputs and sums stay tagged never packs, tests or unpacks a value.
+        inputs and sums stay tag pairs (a monomial matrix) never packs or
+        unpacks a value.
         """
         field, N, m, d = self.field, self.field.N, len(basis), self.degree
         linear = []
@@ -274,36 +263,14 @@ class HomogPoly:
         coeffs = [_scaled_ints(c, den_f) for c in self.terms.values()]
         cols = [[_scaled_ints(c, den_a) for _, c in col] for col in linear]
         norm_l = max([1] + [sum(n for _, n in col) for col in cols])
-        primes = list(factorize(N))
         bound = sum(n for _, n in coeffs) * norm_l ** max(d, 1)  # d = 0 packs L_i' too
-        # the rationality test multiplies by prod_q (x^(N/q) - 1): room for 2^len(primes) more
-        bits = (bound.bit_length() + len(primes) + 8) // 8 * 8  # |coefficient| < 2^(bits-1)
+        bits = (bound.bit_length() + 8) // 8 * 8  # |coefficient| < 2^(bits-1)
         width = N * bits  # one period of x^N = 1
 
         def value(v):  # a tag pair stays, an integer vector is packed
             return v if type(v) is tuple else _pack(v, bits)
 
-        half = 1 << (bits - 1)
         top, flip = (N // 2, True) if N % 2 == 0 else (N, False)  # tag exponent folding
-        cofactor = None  # prod_q (x^(N/q) - 1) mod x^N - 1, packed
-
-        def times_cofactor(p):
-            for q in primes:
-                p = (p << (N // q * bits)) - p
-            return _fold(p, width)
-
-        def rational(p):
-            """The integer p(zeta_N) when it is rational, else None."""
-            nonlocal cofactor
-            if cofactor is None:
-                cofactor = times_cofactor(1)
-            h = times_cofactor(_fold(p, width))
-            r = h & (half * 2 - 1)  # the constant coefficient, balanced
-            if r >= half:
-                r -= half * 2
-            if len(primes) % 2:  # the cofactor's constant coefficient is (-1)^len(primes)
-                r = -r
-            return r if h == r * cofactor else None
 
         def mul(c, l):
             if type(c) is tuple:
@@ -323,18 +290,7 @@ class HomogPoly:
                 return (c * l[0]) << (l[1] * bits)
             return c * l
 
-        def add_tag(p, t):  # a packed value plus a tag
-            b, e = t
-            if not b:
-                return p
-            if not e:
-                return p + b
-            r = rational(p)
-            if r is None:
-                return p + (b << (e * bits))
-            return r + (b << (e * bits)) if r else t
-
-        def add(x, y):
+        def add(x, y):  # a tag that meets another exponent enters as x^k
             if type(x) is tuple:
                 if type(y) is tuple:
                     a, k = x
@@ -346,16 +302,14 @@ class HomogPoly:
                         return y
                     if not b:
                         return x
-                    return (a << (k * bits)) + (b << (e * bits))
-                return add_tag(y, x)
+                x = x[0] << (x[1] * bits)
             if type(y) is tuple:
-                return add_tag(x, y)
+                y = y[0] << (y[1] * bits)
             return x + y
 
         # a monomial in the Y_j is the int sum_j e_j (d+1)^j
         steps = [[((d + 1) ** j, value(l[0])) for (j, _), l in zip(linear[i], cols[i])]
                  for i in range(self.nvars)]
-        tagged = [any(type(l) is tuple and l[1] for _, l in col) for col in steps]
 
         def horner(terms, depth):
             if depth == len(order):  # the exponents agree everywhere: a single term
@@ -364,15 +318,11 @@ class HomogPoly:
             groups: dict[int, list] = {}
             for term in terms:
                 groups.setdefault(term[0][i], []).append(term)
-            col, test = steps[i], tagged[i]
+            col = steps[i]
             acc: dict[int, object] = {}
             for k in range(max(groups), -1, -1):
                 prod: dict[int, object] = {}
                 for key, c in acc.items():
-                    if test and type(c) is int:  # a rational c times a tag z^e is a tag
-                        r = rational(c)
-                        if r is not None:
-                            c = (r, 0) if r else _ZERO_TAG
                     for step, l in col:
                         p = mul(c, l)
                         to = key + step

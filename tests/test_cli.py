@@ -152,6 +152,38 @@ def test_corpus_run_jobs_parallel(capsys, tmp_path):
     assert [m["name"] for m in doc["matrix"]] == ["exa1", "exa4"]
 
 
+def test_corpus_run_jobs_capped_by_file_count(capsys, monkeypatch, tmp_path):
+    """The pool starts every worker at its first submit, so --jobs asks for
+    at most one worker per file, and a single file runs without a pool."""
+    import concurrent.futures
+
+    workers = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    (tmp_path / "exa1.json").write_text((DATA / "exa1.json").read_text())
+    assert run_cli(capsys, "corpus-run", str(tmp_path), "--jobs", "100000")[0] == 0
+    assert workers == []
+    (tmp_path / "exa4.json").write_text((DATA / "exa4.json").read_text())
+    code, doc = run_cli(capsys, "corpus-run", str(tmp_path), "--jobs", "100000")
+    assert code == 0 and workers == [2]
+    assert [m["name"] for m in doc["matrix"]] == ["exa1", "exa4"]
+
+
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_corpus_run_isolates_bad_files(capsys, tmp_path, jobs):
     (tmp_path / "exa4.json").write_text((DATA / "exa4.json").read_text())
@@ -329,6 +361,11 @@ INPUT_FAULTS = [
         {"expect": {"automorphisms": {"h4": {"criterion": {"verdict": "holds"}}}}},
         {"expect": {"automorphisms": {"h4": {"criterion": {"name": "power", "verdict": "holds"}}}}},
     )),
+    # generator files and notes: every key is checked before anything runs
+    *((["corpus-run", "{dir}"], {"kind": "generator", **edit}) for edit in (
+        {"count": "3"}, {"dims": "ab"}, {"dims": [1.5]}, {"dims": [0]}, {"seed": [1]},
+        {"degrees": [1]}, {"name": None})),
+    (["corpus-run", "{dir}"], {"notes": 5}),
     *(([cmd, path, "--deadline", value], {})
       for cmd, path in (("check-smooth", "{data}/exa5.json"), ("corpus-run", "{data}"))
       for value in ("nan", "0", "-1")),

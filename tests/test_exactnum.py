@@ -165,18 +165,6 @@ def _reconstruct(F, m, j):
     return _root_in_field(F, m, j)
 
 
-def test_recognize_untagged_path():
-    F12 = cyclo_field(12)
-    z = F12.zeta(2)  # order 6
-    dense = F12.element(z.coeffs)
-    assert dense.tag is None
-    assert recognize_root_of_unity(dense) == (6, 1)
-    # minus one in an odd-conductor field
-    F9 = cyclo_field(9)
-    v = F9.element((-F9.one).coeffs)
-    assert recognize_root_of_unity(v) == (2, 1)
-
-
 def test_recognize_in_odd_conductor():
     # roots of order 2m exist in Q(zeta_m) for odd m
     F15 = cyclo_field(15)
@@ -344,6 +332,78 @@ def test_dense_inverse_matches_fraction_reference(x):
     assert ref_mul(x.coeffs, inv.coeffs, N) == one
     assert_canonical(inv, inv.coeffs)
     assert_canonical(x / x, one)
+
+
+# ---------------------------------------------------------------------------
+# one form per value: c*z^k is always tagged, a dense value never is
+
+MONOMIAL_CONDUCTORS = [3, 5, 6, 7, 9, 12, 15, 105]
+
+
+@functools.cache
+def ref_rows(N):
+    """The power basis coordinates of z^k for k in [0, N), by schoolbook reduction."""
+    return [ref_reduce([Fraction(0)] * k + [Fraction(1)], N) for k in range(N)]
+
+
+def ref_monomial(vec, N):
+    """Some (c, k) with vec = c * z^k, c nonzero, by trying every k; else None."""
+    for k, row in enumerate(ref_rows(N)):
+        j = next(i for i, r in enumerate(row) if r)
+        c = vec[j] / row[j]
+        if c and all(v == c * r for v, r in zip(vec, row)):
+            return c, k
+    return None
+
+
+@pytest.mark.parametrize("N", MONOMIAL_CONDUCTORS)
+def test_every_monomial_value_is_tagged(N):
+    """element() of the coordinates of c*z^k gives back its tag for every k
+    in [0, N), and keeps the numerators.  At 105, Phi_N has the coefficient
+    -2, so the rows of z^k for k >= phi(N) are not all made of 0 and +-1."""
+    F = cyclo_field(N)
+    for k in range(N):
+        for c in (1, -1, 3, Fraction(-2, 3)):
+            x = F.from_rational(c) * F.zeta(k)
+            y = F.element(x.coeffs)
+            assert y.tag == x.tag and y._num is not None and y.coeffs == x.coeffs
+            assert y == x and hash(y) == hash(x)
+    assert (N == 105) == any(abs(v) > 1 for row in ref_rows(N) for v in row)
+
+
+@st.composite
+def monomial_probes(draw):
+    """A conductor and a vector: a few entries in {+-1, 2, 1/2}, or
+    a row of z^k scaled and changed in at most one place, so that monomials
+    and vectors one entry away from one are both common."""
+    N = draw(st.sampled_from(MONOMIAL_CONDUCTORS))
+    m = totient(N)
+    if draw(st.booleans()):
+        vec = [Fraction(0)] * m
+        for i in draw(st.lists(st.integers(0, m - 1), min_size=2, max_size=m)):
+            vec[i] += draw(st.sampled_from([-1, 1, 2, Fraction(1, 2)]))
+    else:
+        vec = [Fraction(3, 2) * r for r in ref_rows(N)[draw(st.integers(0, N - 1))]]
+        vec[draw(st.integers(0, m - 1))] += draw(st.sampled_from([0, 1, -1]))
+    return N, vec
+
+
+@settings(max_examples=300, deadline=None)
+@given(monomial_probes())
+def test_dense_values_are_no_monomials(probe):
+    """element() tags a vector exactly when the brute-force search finds it
+    to be c*z^k, with that value; any other vector stays dense, and
+    recognize_root_of_unity finds no root of unity in it."""
+    N, vec = probe
+    F = cyclo_field(N)
+    x = F.element(vec)
+    assert x.coeffs == ref_reduce(vec, N)
+    ref = ref_monomial(vec, N)
+    if ref is None and any(vec):
+        assert x.tag is None and recognize_root_of_unity(x) is None
+    else:
+        c, k = ref or (0, 0)
+        assert x.tag is not None and x == F.from_rational(c) * F.zeta(k)
 
 
 # ---------------------------------------------------------------------------

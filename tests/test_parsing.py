@@ -86,6 +86,14 @@ def test_render_scalar_round_trip():
         assert parse_scalar(render_scalar(x), F12) == x
 
 
+def test_render_scalar_depends_on_the_value_only():
+    """z(7)^6 built as a tag and from its power basis coordinates, which
+    are all -1, renders the same; so does a rational value built densely."""
+    F7 = cyclo_field(7)
+    assert render_scalar(F7.element(F7.zeta(6).coeffs)) == render_scalar(F7.zeta(6)) == "z(7)^6"
+    assert render_scalar(F7.element([Fraction(-4, 6), 0, 0])) == "-2/3"
+
+
 def test_render_poly_round_trip():
     F5 = cyclo_field(5)
     corpus = [

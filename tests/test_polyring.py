@@ -348,7 +348,8 @@ def test_restrict_constant_form_with_large_entries():
 def test_restrict_rational_tag_sum_at_conductor_6405():
     """In Q(zeta_6405), z3 + z3^2 is packed as a sum of tags with different
     exponents and is -1; times the tag z105 it is the tag -z105, as in
-    Horner.  The rationality test folds by four primes here (6405 = 3*5*7*61)."""
+    Horner.  The packed output reduces mod Phi_6405 to a vector with one
+    entry, which _dense tags."""
     K = cyclo_field(6405)
     z105, z3 = root_of_unity(K, 105, 1), root_of_unity(K, 3, 1)
     f = poly(K, 4, {(1, 1, 0, 0): 1, (1, 0, 1, 0): 1, (1, 0, 0, 1): 1, (0, 0, 0, 2): 1})
@@ -373,7 +374,7 @@ def test_transform_matches_horner_on_detect_forms():
 
 def test_tagged_substitution_never_packs(monkeypatch):
     """The corpus's monomial automorphisms stay on tag pairs: no packing,
-    no rationality test (it folds first), no unpacking, even at conductor 6405."""
+    no folding, no unpacking, even at conductor 6405."""
     def refuse(*args):
         raise AssertionError("a tagged substitution packed a value")
 
