@@ -40,7 +40,7 @@ from .galois import (
     point_verdict,
 )
 from .hypersurface import verify_automorphism
-from .parsing import parse_field, parse_point
+from .parsing import parse_count, parse_field, parse_point
 from .planecurves import classify_cyclic, group_closure, require_plane_curve
 from .projlin import projective_order
 
@@ -232,6 +232,9 @@ def main(argv=None) -> int:
         deadline = getattr(args, "deadline", None)
         if deadline is not None and not deadline > 0:  # NaN too, as for expect.smooth_deadline
             raise GaloisScopeError(f"--deadline {deadline}: must be a positive number of seconds")
+        for flag in ("jobs", "bound"):
+            if hasattr(args, flag):
+                parse_count(getattr(args, flag), f"--{flag}")
         out = args.fn(args)
         body, code = out if isinstance(out, tuple) else (out, EXIT_OK)
         text = json.dumps({"schema": SCHEMA, "command": args.command, **body},

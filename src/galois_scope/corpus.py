@@ -371,14 +371,11 @@ def build_report(inst: Instance, smooth_deadline: float | None = None) -> dict:
             if "component_count" in want:
                 exp.check(f"{name}.fixed_locus.component_count",
                           want["component_count"], len(fl["components"]))
-        if "rows" in aut_expect and w is not None:
-            rows = [r.row for r in classify_cyclic(X, w)]
-            entry["classification_rows"] = rows
-            exp.check(f"{name}.rows", aut_expect["rows"], rows)
-        if "rows_include" in aut_expect and w is not None:
-            rows = [r.row for r in classify_cyclic(X, w)]
-            entry["classification_rows"] = rows
-            for r in aut_expect["rows_include"]:
+        if ("rows" in aut_expect or "rows_include" in aut_expect) and w is not None:
+            rows = entry["classification_rows"] = [r.row for r in classify_cyclic(X, w)]
+            if "rows" in aut_expect:
+                exp.check(f"{name}.rows", aut_expect["rows"], rows)
+            for r in aut_expect.get("rows_include", ()):
                 exp.check(f"{name}.rows includes {r}", True, r in rows)
         if "criterion" in aut_expect and w is not None:
             spec_c = aut_expect["criterion"]

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .errors import BoundViolation, ConsistencyError, GaloisScopeError, SingularPoint
 from .exactnum import CycloField, CycloNum, common_field
-from .hypersurface import AutWitness, Hypersurface, jacobian_generators, polar_forms
+from .hypersurface import AutWitness, Hypersurface, multiplicity_at_point, polar_forms
 from .polyring import HomogPoly
 from .projlin import ProjMatrix, Vector, eigen_structure, homology_form, vec_normalize
 from .projlin import vec_proj_eq, vector
@@ -67,22 +67,22 @@ def certificate_from_automorphism(X: Hypersurface, w: AutWitness) -> GaloisCerti
     """Certify a Galois point from a verified automorphism, or return None.
 
     On success the center of the detected homology is classified inner or
-    outer by its multiplicity on X, read from F and its gradient at the
-    center; a mismatch between the eigenvalue-ratio kind and the membership,
-    or an order different from d-1 / d, means the witness was not verified
-    against this hypersurface and is fatal.  The certificate lives in the
-    field of X and of the matrix.
+    outer by its multiplicity on X, read from the polar chain at the center
+    (`multiplicity_at_point`, as on the point side); a mismatch between the
+    eigenvalue-ratio kind and the membership, or an order different from
+    d-1 / d, means the witness was not verified against this hypersurface
+    and is fatal.  The certificate lives in the field of X and of the
+    matrix.
     """
     _require_detectable(X)
     h = homology_form(w.matrix, X.d, X.n)
     if h is None:
         return None
     p = h.center
-    # the multiplicity of X at p: 0 off X, 1 where the gradient is nonzero, else >= 2
-    mult = 0 if X.F.eval_at(p) else 1 if any(g.eval_at(p) for g in jacobian_generators(X)) else 2
+    mult = multiplicity_at_point(X, p)
     if mult != (1 if h.kind == "inner" else 0):
         raise ConsistencyError(f"detected {h.kind} shape but the center has multiplicity "
-                               f"{'>= 2' if mult == 2 else mult} on X")
+                               f"{mult} on X")
     expected_order = X.d - 1 if h.kind == "inner" else X.d
     if w.order != expected_order:
         raise ConsistencyError(
@@ -106,6 +106,12 @@ def galois_at_point(X: Hypersurface, point) -> PointVerdict | None:
     P_(d-2) ~ T*L (inner), and every P_j, j >= 1, is a multiple of L^(d-j),
     resp. T*L^(d-1-j).  j = 1 is sufficient (integrate along p); the lower j
     reject early.  L(p) != 0 follows: D_p^(d-2) P_1 is the nonzero P_(d-1).
+
+    Nothing is normalised: L is P_(d-1) itself (outer) or the quotient
+    P_(d-2) / P_(d-1) (inner), and the chain is tested one step at a time,
+    P_j ~ P_(j+1)*L, by cross-multiplication, so no coefficient is inverted
+    beyond the pivot of that one division.  `PointVerdict.change` does not
+    depend on the scale of L.
     """
     _require_detectable(X)
     d = X.d
@@ -114,28 +120,19 @@ def galois_at_point(X: Hypersurface, point) -> PointVerdict | None:
     mult = d + 1 - len(polars)  # the multiplicity of X at the point
     if mult >= 2:
         raise SingularPoint(f"point has multiplicity {mult}; it is neither smooth nor exterior")
-    T = _monic(polars[d - 1])  # ~ L (outer) or ~ the tangent form (inner)
     if mult == 0:
-        kind, L, model = "outer", T, T
+        kind, L = "outer", polars[d - 1]
     else:
-        L = polars[d - 2].divide_by_linear(T)
+        kind, L = "inner", polars[d - 2].divide_by_linear(polars[d - 1])
         if L is None:
             return None
-        kind, L = "inner", _monic(L)
-        model = T * L
-    # D_p^j F ~ L^(d-j), resp. T*L^(d-1-j), for j >= 1; from the bottom up, so
-    # that most rejections need only small powers of L
-    for P in reversed(polars[1:d - 1 - mult]):
-        model = model * L
-        m = next(iter(model.terms))
-        if P.terms.keys() != model.terms.keys() or P != model.scale(P.terms[m] / model.terms[m]):
+    # from the bottom up, so that most rejections need only low-degree products
+    for j in range(d - 2 - mult, 0, -1):
+        P, Q = polars[j], polars[j + 1] * L
+        m = next(iter(Q.terms))
+        if P.terms.keys() != Q.terms.keys() or P.scale(Q.terms[m]) != Q.scale(P.terms[m]):
             return None
     return PointVerdict(kind, p, L)
-
-
-def _monic(f: HomogPoly) -> HomogPoly:
-    """f scaled to a first coefficient of 1, so powers keep small coefficients."""
-    return f.scale(next(iter(f.terms.values())).inverse())
 
 
 def point_verdict(X: Hypersurface, point) -> str:
@@ -199,14 +196,14 @@ def count_certified_points(X: Hypersurface, candidates) -> CountReport:
     field = common_field(X.field.N, *(c.field.N for cand in candidates for c in cand
                                       if isinstance(c, CycloNum)))
     Xl = X.embed(field)
-    seen: list[Vector] = []
+    seen: set[Vector] = set()  # normalised in one field: projectively equal iff equal
     results = []
     inner = outer = 0
     for cand in candidates:
         p = vec_normalize(vector(field, cand))
-        if any(vec_proj_eq(p, q) for q in seen):
+        if p in seen:
             continue
-        seen.append(p)
+        seen.add(p)
         verdict = point_verdict(Xl, p)
         results.append((p, verdict))
         inner += verdict == "inner"

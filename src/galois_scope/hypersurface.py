@@ -132,13 +132,15 @@ def is_smooth(X: Hypersurface, deadline: float | None = None) -> SmoothnessResul
 
 
 def _singular_result(X: Hypersurface, covered) -> SmoothnessResult:
+    """A coordinate point e_i with no pure power of X_i among the leading
+    monomials is the witness when X has multiplicity >= 2 there (by Euler's
+    formula, when every partial vanishes at e_i)."""
     field = X.field
-    partials = jacobian_generators(X)
     for i, has_power in enumerate(covered):
         if has_power:
             continue
         point = tuple(field.one if j == i else field.zero for j in range(X.n + 2))
-        if all(p.is_zero() or p.eval_at(point).is_zero() for p in partials):
+        if multiplicity_at_point(X, point) >= 2:
             return SmoothnessResult(SINGULAR, witness=point)
     return SmoothnessResult(SINGULAR)
 

@@ -361,7 +361,7 @@ class HomogPoly:
             return HomogPoly.zero(self.field, self.nvars, self.degree - 1)
         pivot = L.leading_monomial()
         i = pivot.index(1)
-        c = L.terms[pivot]
+        inv = L.terms[pivot].inverse()
         rem = self
         qterms: dict[Exponents, CycloNum] = {}
         while not rem.is_zero():
@@ -369,7 +369,7 @@ class HomogPoly:
             if lm[i] == 0:
                 return None
             qm = lm[:i] + (lm[i] - 1,) + lm[i + 1:]
-            qc = rem.terms[lm] / c
+            qc = rem.terms[lm] * inv
             qterms[qm] = qc
             rem = rem - L * HomogPoly(self.field, self.nvars, self.degree - 1, {qm: qc})
         return HomogPoly(self.field, self.nvars, self.degree - 1, qterms)

@@ -144,6 +144,48 @@ def test_corpus_run_inapplicable_criterion_exit_one(capsys, tmp_path, criterion,
         f"h4.criterion.verdict: expected 'holds', got 'not applicable: {reason}'"]
 
 
+def fermat_report(expect, **edit):
+    """build_report on ex1-fermat with the given expect block and keys replaced."""
+    raw = json.loads((DATA / "ex1-fermat.json").read_text())
+    raw.update(edit, expect=expect)
+    return corpus.build_report(load_instance(raw))
+
+
+@pytest.mark.parametrize("include, failures", [
+    ([1], []),
+    ([1, 2], ["h4.rows includes 2: expected True, got False"]),
+])
+def test_build_report_rows_include(monkeypatch, include, failures):
+    calls = []
+    classify = corpus.classify_cyclic
+    monkeypatch.setattr(corpus, "classify_cyclic", lambda X, w: calls.append(w) or classify(X, w))
+    report = fermat_report({"automorphisms": {"h4": {"rows": [1], "rows_include": include}}})
+    assert report["expectations"] == {"checked": 1 + len(include), "failures": failures}
+    assert report["automorphisms"]["h4"]["classification_rows"] == [1]
+    assert len(calls) == 1  # one classification serves both expectations
+
+
+@pytest.mark.parametrize("witness, failures", [
+    (["0", "0", "1"], []),
+    (["1", "0", "0"], ["singular witness: expected ['1', '0', '0'], got ['0', '0', '1']"]),
+])
+def test_build_report_singular_witness(witness, failures):
+    report = fermat_report({"smooth": "certified_singular", "singular_witness": witness},
+                           polynomial="x0^4 + x1^4")
+    assert report["smoothness"] == {"status": "certified_singular", "witness": ["0", "0", "1"]}
+    assert report["expectations"] == {"checked": 2, "failures": failures}
+
+
+@pytest.mark.parametrize("name, failures", [
+    ("h4", []),
+    ("nope", ["automorphism nope: not defined in the instance"]),
+])
+def test_build_report_undefined_automorphism(name, failures):
+    report = fermat_report({"automorphisms": {name: {"verified": True}}})
+    assert report["expectations"]["failures"] == failures
+    assert "nope" not in report["automorphisms"]
+
+
 def test_corpus_run_jobs_parallel(capsys, tmp_path):
     for name in ("exa1.json", "exa4.json"):
         (tmp_path / name).write_text((DATA / name).read_text())
@@ -369,6 +411,9 @@ INPUT_FAULTS = [
     *(([cmd, path, "--deadline", value], {})
       for cmd, path in (("check-smooth", "{data}/exa5.json"), ("corpus-run", "{data}"))
       for value in ("nan", "0", "-1")),
+    *((["corpus-run", "{data}", "--jobs", value], {}) for value in ("0", "-3")),
+    *((["group-closure", "{data}/ex1-fermat.json", "--group", "g1", "--bound", value], {})
+      for value in ("0", "-5")),
     # counts are JSON integers, and the conductor, n and the degree have size limits
     *((["galois-at-point", "{dir}/inst.json", "--point", "e0"], edit) for edit in (
         {"field": 8.0}, {"field": 4.563187474302769e16}, {"field": 100_001}, {"d": "4"},

@@ -1,3 +1,4 @@
+import math
 import random
 from itertools import product
 
@@ -7,6 +8,7 @@ from galois_scope.exactnum import cyclo_field
 from galois_scope.fixlocus import (
     EMPTY,
     FINITE,
+    WHOLE,
     codim_criterion,
     curve_criterion,
     fixed_locus,
@@ -230,6 +232,23 @@ def test_codim_criterion_fails_on_quartic_surface():
     assert res.certificate is None
 
 
+def test_codim_criterion_with_a_fixed_line():
+    # x0^4 + x1^4 + x0 x2^3 + x1 x3^3 contains the line x0 = x1 = 0, which
+    # diag(1, 1, z, z) fixes pointwise; its 1-eigenline meets X in 4 points
+    F3 = cyclo_field(3)
+    X = Hypersurface(2, 4, poly(F3, 4, {
+        (4, 0, 0, 0): 1, (0, 4, 0, 0): 1, (1, 0, 3, 0): 1, (0, 1, 0, 3): 1}))
+    w = verify_automorphism(X, ProjMatrix.diagonal(F3, [1, 1, F3.zeta(), F3.zeta()]))
+    assert w is not None and w.order == 3
+    res = codim_criterion(X, w)
+    kinds = sorted((c.kind, c.dim, c.count) for c in res.report.components)
+    assert kinds == [(FINITE, 0, 4), (WHOLE, 1, None)]
+    assert res.report.cardinality() == math.inf
+    assert res.report.total_finite_count is None
+    assert res.holds is False and res.kind == "inner"
+    assert res.certificate is None  # two double eigenvalues: not a homology
+
+
 def test_codim_criterion_outer_threefold():
     F5 = cyclo_field(5)
     X = Hypersurface(3, 5, poly(F5, 5, {
@@ -252,6 +271,23 @@ def test_power_criterion_quintic():
     assert res.certificate is not None and res.certificate.kind == "inner"
     e0 = (res.certificate.field.one,) + (res.certificate.field.zero,) * 3
     assert vec_proj_eq(res.certificate.point, e0)
+
+
+def test_power_criterion_threefold():
+    # n = 3: a fixed surface section of dimension n - 2 = 1 forces an inner
+    # point of g^4 = diag(z^-4, 1, 1, 1, 1) at e0
+    F12 = cyclo_field(12)
+    X = Hypersurface(3, 4, poly(F12, 5, {
+        (3, 1, 0, 0, 0): 1, (0, 4, 0, 0, 0): 1, (0, 0, 4, 0, 0): 1,
+        (0, 0, 0, 4, 0): 1, (0, 0, 0, 0, 4): 1}))
+    w = verify_automorphism(X, ProjMatrix.diagonal(F12, [F12.zeta(-1), F12.zeta(3), 1, 1, 1]))
+    assert w is not None and w.order == 12
+    res = power_criterion(X, w, k=4)
+    assert res.report.max_component_dim == 1
+    assert res.holds is True and res.detail == "max component dimension 1"
+    cert = res.certificate
+    assert cert is not None and cert.kind == "inner" and cert.group_order == 3
+    assert vec_proj_eq(cert.point, (F12.one,) + (F12.zero,) * 4)
 
 
 def test_power_criterion_refuses_wrong_order():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from galois_scope import corpus, exactnum
 from galois_scope.corpus import random_unimodular
 from galois_scope.errors import SingularPoint
 from galois_scope.exactnum import cyclo_field
@@ -110,6 +111,28 @@ def test_galois_at_point_rejects_singular_point():
         galois_at_point(X, (1, 0, 0))
 
 
+@pytest.mark.parametrize("kind, most", [("outer", 0), ("inner", 1)])
+def test_galois_at_point_dense_inverse_count(monkeypatch, kind, most):
+    # nothing is normalised: no dense inverse at an outer point, and at an
+    # inner one only the pivot of P_(d-2) / P_(d-1), dense after a change
+    # with entries 2 + zeta
+    X, _, p, _ = corpus.normal_form_instance(random.Random(f"inv:{kind}"), 2, 5, kind)
+    field = X.field
+    a = 2 + field.zeta()
+    M = ProjMatrix(field, tuple(
+        tuple(a if {i, j} == {0, 1} else field.one if i == j else field.zero for j in range(4))
+        for i in range(4)))
+    Y = Hypersurface(2, 5, X.F.transform(M.inverse()))
+    q = M.apply(p)
+    calls = []
+    inverse = exactnum._modular_inverse
+    monkeypatch.setattr(exactnum, "_modular_inverse",
+                        lambda num, field: calls.append(num) or inverse(num, field))
+    pv = galois_at_point(Y, q)
+    assert pv is not None and pv.kind == kind
+    assert len(calls) <= most
+
+
 def test_belongs_to():
     F4 = cyclo_field(4)
     X = fermat_quartic(F4)
@@ -169,6 +192,14 @@ def test_count_certified_points_fermat():
     for p in coordinate_points(X):
         pv = galois_at_point(X, p)
         assert pv is not None and pv.kind == "outer"
+    # projectively equal candidates, scaled and in a larger field, count once,
+    # in the order of their first appearance
+    F8 = cyclo_field(8)
+    z = F8.zeta()
+    report = count_certified_points(X, [(0, 2, 0), (z, 0, 0), (0, 0, 1), (3, 0, 0), (0, z, 0)])
+    assert [p for p, _ in report.per_point] == [
+        (F8.zero, F8.one, F8.zero), (F8.one, F8.zero, F8.zero), (F8.zero, F8.zero, F8.one)]
+    assert report.outer == 3
 
 
 def test_count_zero_on_sextic():

@@ -1,6 +1,9 @@
 import random
 from fractions import Fraction
 
+from hypothesis import given
+from hypothesis import strategies as st
+
 from galois_scope import hypersurface
 from galois_scope.corpus import random_unimodular
 from galois_scope.exactnum import cyclo_field
@@ -10,6 +13,7 @@ from galois_scope.hypersurface import (
     SMOOTH,
     TIMEOUT,
     Hypersurface,
+    _singular_result,
     is_smooth,
     jacobian_generators,
     multiplicity_at_point,
@@ -233,6 +237,66 @@ def test_multiplicity_basis_independent():
     M2 = ProjMatrix.from_entries(Q, [[1, 0, 1], [1, 1, 0], [0, 1, 0]])
     assert M1.column(0) == M2.column(0) == tuple(Q.from_rational(x) for x in p)
     assert moved_multiplicity(Y, M1) == moved_multiplicity(Y, M2) == multiplicity_at_point(Y, p)
+
+
+def gradient_multiplicity(X, p):
+    """min(multiplicity, 2) read from F(p) and the gradient at p."""
+    if X.F.eval_at(p):
+        return 0
+    return 1 if any(g.eval_at(p) for g in jacobian_generators(X)) else 2
+
+
+def partials_witness(X, covered):
+    """The first uncovered coordinate point at which every partial vanishes."""
+    field = X.field
+    for i, has_power in enumerate(covered):
+        point = tuple(field.one if j == i else field.zero for j in range(X.n + 2))
+        if not has_power and all(g.eval_at(point).is_zero() for g in jacobian_generators(X)):
+            return point
+    return None
+
+
+@st.composite
+def forms_with_points(draw):
+    """A random form, often singular at a coordinate point e_s, perhaps
+    moved by a unimodular change C; points: the coordinate points, C.e_s and
+    two random points."""
+    field = cyclo_field(draw(st.sampled_from([1, 3, 4, 7])))
+    n = draw(st.integers(1, 2))
+    d = draw(st.integers(2, 5))
+    nv = n + 2
+    coeff = st.integers(-3, 3).filter(bool) | st.integers(0, field.N - 1).map(field.zeta)
+    s = draw(st.integers(0, nv - 1))
+    top = d - 2 if draw(st.booleans()) else d  # the largest power of X_s in F
+    terms = {tuple(d if j == (s + 1) % nv else 0 for j in range(nv)): draw(coeff)}
+    for _ in range(draw(st.integers(0, 5))):
+        mono = [0] * nv
+        for _ in range(d):
+            mono[draw(st.integers(0, nv - 1))] += 1
+        if mono[s] <= top:
+            terms[tuple(mono)] = draw(coeff)
+    F = HomogPoly.from_terms(field, nv, terms, degree=d)
+    C = ProjMatrix.identity(field, nv)
+    if draw(st.booleans()):
+        C = random_unimodular(random.Random(draw(st.integers(0, 2**16))), field, nv)
+        F = F.transform(C.inverse())
+    X = Hypersurface(n, d, F)
+    entry = st.integers(-2, 2) | st.integers(0, field.N - 1).map(field.zeta)
+    points = [tuple(field.one if j == i else field.zero for j in range(nv)) for i in range(nv)]
+    points.append(C.column(s))
+    points += [draw(st.lists(entry, min_size=nv, max_size=nv).filter(any)) for _ in range(2)]
+    covered = draw(st.lists(st.booleans(), min_size=nv, max_size=nv))
+    return X, points, covered
+
+
+@given(forms_with_points())
+def test_polar_multiplicity_matches_gradient_reading(case):
+    # the readings the polar chain replaced in certificate_from_automorphism
+    # and _singular_result, kept as oracles
+    X, points, covered = case
+    for p in points:
+        assert min(multiplicity_at_point(X, p), 2) == gradient_multiplicity(X, p)
+    assert _singular_result(X, covered).witness == partials_witness(X, covered)
 
 
 def test_witness_composition_two_generators():
