@@ -36,13 +36,10 @@ from .fixlocus import (
 )
 from .galois import (
     GaloisCertificate,
-    belongs_to,
     certificate_from_automorphism,
-    commute_check,
     count_certified_points,
     galois_at_point,
     galois_count_bounds,
-    transport_certificate,
 )
 from .hypersurface import AutWitness, Hypersurface, is_smooth, multiplicity_at_point, verify_automorphism
 from .parsing import parse_polynomial, parse_scalar, render_poly, render_scalar
@@ -71,11 +68,9 @@ __all__ = [
     "ProjMatrix",
     "Rat",
     "abelian_constraint_check",
-    "belongs_to",
     "certificate_from_automorphism",
     "classify_cyclic",
     "codim_criterion",
-    "commute_check",
     "coord_point_count",
     "count_certified_points",
     "curve_criterion",
@@ -100,6 +95,5 @@ __all__ = [
     "render_poly",
     "render_scalar",
     "root_of_unity",
-    "transport_certificate",
     "verify_automorphism",
 ]

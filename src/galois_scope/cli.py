@@ -39,7 +39,7 @@ from .galois import (
     eigen_candidate_points,
     point_verdict,
 )
-from .hypersurface import verify_automorphism
+from .hypersurface import DEFAULT_SMOOTH_DEADLINE, TIMEOUT, verify_automorphism
 from .parsing import parse_count, parse_field, parse_point
 from .planecurves import classify_cyclic, group_closure, require_plane_curve
 from .projlin import projective_order
@@ -73,7 +73,7 @@ def _witness(inst, X, name):
 def cmd_check_smooth(args):
     _, X = _load_surface(args)
     body = smoothness_section(X, args.deadline)
-    return body, EXIT_TIMEOUT if body["status"] == "timeout" else EXIT_OK
+    return body, EXIT_TIMEOUT if body["status"] == TIMEOUT else EXIT_OK
 
 
 def cmd_verify_aut(args):
@@ -185,7 +185,8 @@ GROUP_ARGS = [
 # name, function, help, arguments besides INSTANCE_ARGS (corpus-run takes none of those)
 COMMANDS = [
     ("check-smooth", cmd_check_smooth, "certify smoothness via the Jacobian criterion",
-     [("--deadline", {"type": float, "default": 60.0, "help": "time budget in seconds"})]),
+     [("--deadline", {"type": float, "default": DEFAULT_SMOOTH_DEADLINE,
+                   "help": "time budget in seconds"})]),
     ("verify-aut", cmd_verify_aut, "verify a named matrix as an automorphism", AUT_ARGS),
     ("order", cmd_order, "projective order of a named matrix", AUT_ARGS),
     ("fix-locus", cmd_fix_locus, "fixed locus of an automorphism on X", AUT_ARGS),

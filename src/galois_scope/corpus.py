@@ -31,7 +31,8 @@ from .galois import (
     galois_at_point,
     point_verdict,
 )
-from .hypersurface import Hypersurface, is_smooth, verify_automorphism
+from .hypersurface import DEFAULT_SMOOTH_DEADLINE, SMOOTH, TIMEOUT, Hypersurface, is_smooth
+from .hypersurface import verify_automorphism
 from .parsing import (
     parse_count,
     parse_field,
@@ -46,7 +47,6 @@ from .polyring import HomogPoly
 from .projlin import ProjMatrix, projective_order, vec_proj_eq
 
 SCHEMA = "galois-scope/1"
-DEFAULT_SMOOTH_DEADLINE = 60.0
 REQUIRED_KEYS = ("name", "n", "d", "field", "polynomial")
 # input limits, for memory: a monomial or a point has n + 2 entries, and the
 # point side keeps the d polars of F, whose coefficients grow like d!
@@ -319,7 +319,7 @@ def build_report(inst: Instance, smooth_deadline: float | None = None) -> dict:
         sm = report["smoothness"] = smoothness_section(X, deadline)
         if smooth_expect == "optional":
             exp.check("smoothness (optional: smooth or timeout)", True,
-                      sm["status"] in ("certified_smooth", "timeout"))
+                      sm["status"] in (SMOOTH, TIMEOUT))
         else:
             exp.check("smoothness", smooth_expect, sm["status"])
             if "singular_witness" in expect:

@@ -8,9 +8,9 @@ from dataclasses import dataclass
 from .errors import ConsistencyError, CriterionNotApplicable
 from .exactnum import CycloNum
 from .galois import GaloisCertificate, certificate_from_automorphism
-from .hypersurface import AutWitness, Hypersurface, is_smooth, verify_automorphism
+from .hypersurface import SMOOTH, AutWitness, Hypersurface, is_smooth, verify_automorphism
 from .polyring import HomogPoly, binary_form_roots, distinct_root_count
-from .projlin import ProjMatrix, Vector, eigen_structure, vec_normalize
+from .projlin import ProjMatrix, Vector, eigen_structure, homology_kind, vec_normalize
 
 EMPTY = "empty"
 FINITE = "finite_points"
@@ -99,6 +99,13 @@ class CriterionResult:
     detail: str = ""
 
 
+def _criterion_kind(X: Hypersurface, w: AutWitness) -> str:
+    kind = homology_kind(w.order, X.d)
+    if kind is None:
+        raise CriterionNotApplicable(f"order {w.order} is neither d-1 nor d")
+    return kind
+
+
 def curve_criterion(X: Hypersurface, w: AutWitness,
                     witness_matrix: ProjMatrix | None = None) -> CriterionResult:
     """Plane-curve criterion: ord d-1 with #Fix != 2, or ord d with Fix nonempty.
@@ -108,17 +115,9 @@ def curve_criterion(X: Hypersurface, w: AutWitness,
     """
     if X.n != 1:
         raise CriterionNotApplicable("curve criterion requires n = 1")
-    d = X.d
-    if w.order == d - 1:
-        kind = "inner"
-        report = fixed_locus(X, w, witness_matrix)
-        holds = report.cardinality() != 2
-    elif w.order == d:
-        kind = "outer"
-        report = fixed_locus(X, w, witness_matrix)
-        holds = report.cardinality() != 0
-    else:
-        raise CriterionNotApplicable(f"order {w.order} is neither d-1 nor d")
+    kind = _criterion_kind(X, w)
+    report = fixed_locus(X, w, witness_matrix)
+    holds = report.cardinality() != (2 if kind == "inner" else 0)
     cert = certificate_from_automorphism(X, w)
     if holds and (cert is None or cert.kind != kind):
         raise ConsistencyError("curve criterion holds but no certificate was produced")
@@ -139,13 +138,7 @@ def codim_criterion(X: Hypersurface, w: AutWitness,
     """
     if X.n < 2:
         raise CriterionNotApplicable("codimension criterion requires n >= 2")
-    d = X.d
-    if w.order == d:
-        kind = "outer"
-    elif w.order == d - 1:
-        kind = "inner"
-    else:
-        raise CriterionNotApplicable(f"order {w.order} is neither d-1 nor d")
+    kind = _criterion_kind(X, w)
     report = fixed_locus(X, w, witness_matrix)
     detail = ""
     if kind == "outer" or X.n >= 3:
@@ -155,9 +148,8 @@ def codim_criterion(X: Hypersurface, w: AutWitness,
         indeterminate = False
         for c in report.components:
             if c.kind == SECTION and c.dim == 1 and len(c.basis) == 3:
-                section = Hypersurface(1, d, c.restriction)
-                status = is_smooth(section).status
-                if status == "certified_smooth":
+                section = Hypersurface(1, X.d, c.restriction)
+                if is_smooth(section).status == SMOOTH:
                     holds = True
                     detail = "smooth plane section of positive genus"
                     break

@@ -14,12 +14,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BoundViolation, ConsistencyError, GaloisScopeError, SingularPoint
+from .errors import BoundViolation, ConsistencyError, CriterionNotApplicable, GaloisScopeError
+from .errors import SingularPoint
 from .exactnum import CycloField, CycloNum, common_field
-from .hypersurface import AutWitness, Hypersurface, multiplicity_at_point, polar_forms
+from .hypersurface import DEFAULT_SMOOTH_DEADLINE, SINGULAR, AutWitness, Hypersurface
+from .hypersurface import coordinate_points, is_smooth, multiplicity_at_point, polar_forms
 from .polyring import HomogPoly
-from .projlin import ProjMatrix, Vector, eigen_structure, homology_form, vec_normalize
-from .projlin import vec_proj_eq, vector
+from .projlin import ProjMatrix, Vector, eigen_structure, homology_form, homology_kind
+from .projlin import vec_normalize, vector
 
 
 @dataclass(frozen=True)
@@ -63,30 +65,38 @@ def _require_detectable(X: Hypersurface):
         raise GaloisScopeError("Galois-point detection requires degree >= 4")
 
 
+def _fault(X: Hypersurface, error: GaloisScopeError) -> GaloisScopeError:
+    """The error for a failed theorem-level check: the theorems assume a
+    smooth X, so on a certified singular X the input is outside them."""
+    if is_smooth(X, deadline=DEFAULT_SMOOTH_DEADLINE).status == SINGULAR:
+        return CriterionNotApplicable(f"X is singular, outside the smooth-case theorems: {error}")
+    return error
+
+
 def certificate_from_automorphism(X: Hypersurface, w: AutWitness) -> GaloisCertificate | None:
     """Certify a Galois point from a verified automorphism, or return None.
 
     On success the center of the detected homology is classified inner or
     outer by its multiplicity on X, read from the polar chain at the center
-    (`multiplicity_at_point`, as on the point side); a mismatch between the
-    eigenvalue-ratio kind and the membership, or an order different from
-    d-1 / d, means the witness was not verified against this hypersurface
-    and is fatal.  The certificate lives in the field of X and of the
-    matrix.
+    (`multiplicity_at_point`, as on the point side).  A projective order
+    that does not give the eigenvalue-ratio kind (`homology_kind`) means the
+    witness was not verified, and is fatal.  So is a mismatch between the
+    kind and the multiplicity of the center, on a smooth X; on a certified
+    singular X it is an input error, as the theorems assume smoothness.
+    The certificate lives in the field of X and of the matrix.
     """
     _require_detectable(X)
     h = homology_form(w.matrix, X.d, X.n)
     if h is None:
         return None
+    if homology_kind(w.order, X.d) != h.kind:
+        raise ConsistencyError(f"detected {h.kind} shape but the witness has projective "
+                               f"order {w.order}")
     p = h.center
     mult = multiplicity_at_point(X, p)
     if mult != (1 if h.kind == "inner" else 0):
-        raise ConsistencyError(f"detected {h.kind} shape but the center has multiplicity "
-                               f"{mult} on X")
-    expected_order = X.d - 1 if h.kind == "inner" else X.d
-    if w.order != expected_order:
-        raise ConsistencyError(
-            f"{h.kind} certificate requires projective order {expected_order}, got {w.order}")
+        raise _fault(X, ConsistencyError(f"detected {h.kind} shape but the center has "
+                                         f"multiplicity {mult} on X"))
     return GaloisCertificate(
         point=p,
         kind=h.kind,
@@ -145,28 +155,6 @@ def point_verdict(X: Hypersurface, point) -> str:
     return "none" if pv is None else pv.kind
 
 
-def belongs_to(X: Hypersurface, w: AutWitness, point) -> bool:
-    """True when w's certificate lands projectively on the given point."""
-    cert = certificate_from_automorphism(X, w)
-    if cert is None:
-        return False
-    return vec_proj_eq(cert.point, vector(X.field, point))
-
-
-def transport_certificate(cert: GaloisCertificate, h: AutWitness) -> GaloisCertificate:
-    """Push a certificate through another automorphism h of the same X."""
-    gen = h.matrix @ cert.generator @ h.matrix.inverse()
-    point = vec_normalize(h.matrix.apply(cert.point))
-    return GaloisCertificate(point, cert.kind, gen, cert.group_order, cert.ratio, cert.field)
-
-
-def commute_check(cert: GaloisCertificate, k: AutWitness) -> str:
-    """"commutes" / "fails" when k fixes the certified point, else "not-applicable"."""
-    if not vec_proj_eq(k.matrix.apply(cert.point), cert.point):
-        return "not-applicable"
-    return "commutes" if (k.matrix @ cert.generator).proj_eq(cert.generator @ k.matrix) else "fails"
-
-
 def galois_count_bounds(n: int, d: int) -> tuple[int, int]:
     """(max inner count, max outer count) permitted for a smooth X."""
     if n == 1:
@@ -189,7 +177,8 @@ def count_certified_points(X: Hypersurface, candidates) -> CountReport:
 
     Candidates are deduplicated projectively; points of multiplicity >= 2
     are recorded as "singular" and not counted.  Any count beyond the
-    theorem-level bound is an internal bug and raises.
+    theorem-level bound raises: an internal bug on a smooth X, an input
+    error on a certified singular one.
     """
     _require_detectable(X)
     candidates = list(candidates)
@@ -210,15 +199,9 @@ def count_certified_points(X: Hypersurface, candidates) -> CountReport:
         outer += verdict == "outer"
     inner_bound, outer_bound = galois_count_bounds(X.n, X.d)
     if inner > inner_bound or outer > outer_bound:
-        raise BoundViolation(
-            f"certified counts ({inner}, {outer}) exceed bounds ({inner_bound}, {outer_bound})")
+        raise _fault(X, BoundViolation(
+            f"certified counts ({inner}, {outer}) exceed bounds ({inner_bound}, {outer_bound})"))
     return CountReport(inner, outer, tuple(results), inner_bound, outer_bound)
-
-
-def coordinate_points(X: Hypersurface) -> list[Vector]:
-    field = X.field
-    size = X.n + 2
-    return [tuple(field.one if j == i else field.zero for j in range(size)) for i in range(size)]
 
 
 def eigen_candidate_points(X: Hypersurface, witnesses) -> list[Vector]:

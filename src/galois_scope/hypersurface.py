@@ -17,12 +17,13 @@ from .projlin import ProjMatrix, Vector, projective_order, vector
 SMOOTH = "certified_smooth"
 SINGULAR = "certified_singular"
 TIMEOUT = "timeout"
+DEFAULT_SMOOTH_DEADLINE = 60.0  # seconds
 
 
 class Hypersurface:
     """X subset P^(n+1) of degree d, cut out by a homogeneous F in n+2 variables."""
 
-    __slots__ = ("n", "d", "F", "_smooth")
+    __slots__ = ("n", "d", "F")
 
     def __init__(self, n: int, d: int, F: HomogPoly):
         if F.is_zero():
@@ -34,7 +35,6 @@ class Hypersurface:
         self.n = n
         self.d = d
         self.F = F
-        self._smooth = None
 
     @property
     def field(self):
@@ -48,10 +48,6 @@ class Hypersurface:
         if target.N == self.field.N:
             return self
         return Hypersurface(self.n, self.d, self.F.embed(target))
-
-    @property
-    def smooth_status(self) -> str:
-        return "unchecked" if self._smooth is None else self._smooth.status
 
 
 @dataclass(frozen=True)
@@ -111,8 +107,6 @@ def is_smooth(X: Hypersurface, deadline: float | None = None) -> SmoothnessResul
     decides `certified_singular` and its witness.  One deadline covers both
     passes.
     """
-    if X._smooth is not None:
-        return X._smooth
     clock = Deadline(deadline)
     gens = [g for g in jacobian_generators(X) if not g.is_zero()]
     nvars = X.n + 2
@@ -123,26 +117,24 @@ def is_smooth(X: Hypersurface, deadline: float | None = None) -> SmoothnessResul
     if leads is None:
         return SmoothnessResult(TIMEOUT)
     covered = leading_pure_powers(leads, nvars)
-    if all(covered):
-        result = SmoothnessResult(SMOOTH)
-    else:
-        result = _singular_result(X, covered)
-    X._smooth = result
-    return result
+    return SmoothnessResult(SMOOTH) if all(covered) else _singular_result(X, covered)
 
 
 def _singular_result(X: Hypersurface, covered) -> SmoothnessResult:
     """A coordinate point e_i with no pure power of X_i among the leading
     monomials is the witness when X has multiplicity >= 2 there (by Euler's
     formula, when every partial vanishes at e_i)."""
-    field = X.field
-    for i, has_power in enumerate(covered):
-        if has_power:
-            continue
-        point = tuple(field.one if j == i else field.zero for j in range(X.n + 2))
-        if multiplicity_at_point(X, point) >= 2:
+    for point, has_power in zip(coordinate_points(X), covered):
+        if not has_power and multiplicity_at_point(X, point) >= 2:
             return SmoothnessResult(SINGULAR, witness=point)
     return SmoothnessResult(SINGULAR)
+
+
+def coordinate_points(X: Hypersurface) -> list[Vector]:
+    """The coordinate points e_0, ..., e_(n+1) of the ambient space."""
+    field = X.field
+    size = X.n + 2
+    return [tuple(field.one if j == i else field.zero for j in range(size)) for i in range(size)]
 
 
 def polar_forms(X: Hypersurface, point) -> list[HomogPoly]:

@@ -12,7 +12,7 @@ from itertools import permutations
 from .errors import ClosureBound, ConsistencyError, CriterionNotApplicable, UnsupportedShape
 from .exactnum import recognize_root_of_unity
 from .fixlocus import fixed_locus
-from .hypersurface import AutWitness, Hypersurface, verify_automorphism
+from .hypersurface import AutWitness, Hypersurface, coordinate_points, verify_automorphism
 from .projlin import ProjMatrix, projective_order
 
 
@@ -62,13 +62,7 @@ def coord_point_count(X: Hypersurface, w: AutWitness) -> int:
     require_plane_curve(X, "n(g)")
     if not w.matrix.is_diagonal():
         raise UnsupportedShape("n(g) needs a diagonal representation; diagonalize first")
-    count = 0
-    field = X.field
-    for i in range(3):
-        p = tuple(field.one if j == i else field.zero for j in range(3))
-        if X.F.eval_at(p).is_zero():
-            count += 1
-    return count
+    return sum(X.F.eval_at(p).is_zero() for p in coordinate_points(X))
 
 
 def _dlog(x, ell: int) -> int:

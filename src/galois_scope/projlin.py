@@ -426,6 +426,12 @@ class Homology:
     ratio: CycloNum  # a/b
 
 
+def homology_kind(order: int, d: int) -> str | None:
+    """The Galois point a homology of this order certifies on a degree-d X:
+    "inner" for order d-1, "outer" for order d, None otherwise."""
+    return {d - 1: "inner", d: "outer"}.get(order)
+
+
 def homology_form(A: ProjMatrix, d: int, n: int) -> Homology | None:
     """Test conjugacy of A to diag(a, b*I_(n+1)) with a/b a primitive root.
 
@@ -463,7 +469,7 @@ def _pattern_homology(es: EigenStructure, d: int, n: int) -> Homology | None:
     a, b = single.value, rest.value
     ratio = a / b
     rec = recognize_root_of_unity(ratio)
-    kind = rec and {d - 1: "inner", d: "outer"}.get(rec[0])
+    kind = rec and homology_kind(rec[0], d)
     if kind is None:
         return None
     return Homology(kind, a, b, vec_normalize(single.basis[0]), ratio)
@@ -472,8 +478,8 @@ def _pattern_homology(es: EigenStructure, d: int, n: int) -> Homology | None:
 def _rank_trick_homology(A: ProjMatrix, d: int, n: int) -> Homology | None:
     field = A.field
     roots = math.lcm(2, field.N)  # the order of the roots of unity in K
-    candidates = [(kind, _root_in_field(field, m, j))
-                  for kind, m in (("inner", d - 1), ("outer", d)) if roots % m == 0
+    candidates = [(homology_kind(m, d), _root_in_field(field, m, j))
+                  for m in (d - 1, d) if roots % m == 0
                   for j in range(1, m) if math.gcd(j, m) == 1]
     if not candidates:
         return None

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from galois_scope import cli, corpus
+from galois_scope import cli, corpus, galois
 from galois_scope.cli import main
 from galois_scope.corpus import bundled_corpus_dir, load_instance, run_one
 from galois_scope.errors import BoundViolation, ConsistencyError
@@ -130,18 +130,22 @@ def test_corpus_run_failure_exit_one(capsys, tmp_path):
     assert any("order" in f for f in doc["matrix"][0]["failures"])
 
 
-@pytest.mark.parametrize("criterion, reason", [
-    ({"name": "power", "k": 2}, "order 4 is not k(d-1) = 6"),
-    ({"name": "codim"}, "codimension criterion requires n >= 2"),
-], ids=["power", "codim"])
-def test_corpus_run_inapplicable_criterion_exit_one(capsys, tmp_path, criterion, reason):
-    raw = json.loads((DATA / "ex1-fermat.json").read_text())
-    raw["expect"] = {"automorphisms": {"h4": {"criterion": {**criterion, "verdict": "holds"}}}}
+@pytest.mark.parametrize("instance, aut, criterion, reason", [
+    ("ex1-fermat", "h4", {"name": "power", "k": 2}, "order 4 is not k(d-1) = 6"),
+    ("ex1-fermat", "h4", {"name": "codim"}, "codimension criterion requires n >= 2"),
+    ("ex1-fermat", "g1", {"name": "curve"}, "order 2 is neither d-1 nor d"),
+    ("exa5", "g3", {"name": "codim"}, "order 2 is neither d-1 nor d"),
+    ("exa4", "g", {"name": "curve"}, "curve criterion requires n = 1"),
+], ids=["power", "codim", "curve-order", "codim-order", "curve-surface"])
+def test_corpus_run_inapplicable_criterion_exit_one(capsys, tmp_path, instance, aut,
+                                                    criterion, reason):
+    raw = json.loads((DATA / f"{instance}.json").read_text())
+    raw["expect"] = {"automorphisms": {aut: {"criterion": {**criterion, "verdict": "holds"}}}}
     (tmp_path / "inst.json").write_text(json.dumps(raw))
     code, doc = run_cli(capsys, "corpus-run", str(tmp_path))
     assert code == 1
     assert doc["matrix"][0]["failures"] == [
-        f"h4.criterion.verdict: expected 'holds', got 'not applicable: {reason}'"]
+        f"{aut}.criterion.verdict: expected 'holds', got 'not applicable: {reason}'"]
 
 
 def fermat_report(expect, **edit):
@@ -338,6 +342,15 @@ def test_internal_fault_exit_four(capsys, monkeypatch, error):
     assert "Traceback" not in err
 
 
+def test_forged_mismatch_on_smooth_x_exit_four(capsys, monkeypatch):
+    # a singular X at the same check exits 2 (INPUT_FAULTS); a smooth one stays a fault
+    monkeypatch.setattr(galois, "multiplicity_at_point", lambda X, p: 1)
+    code = main(["galois-detect", str(DATA / "ex1-fermat.json"), "--aut", "h4"])
+    out, err = capsys.readouterr()
+    assert code == 4 and out == ""
+    assert "detected outer shape but the center has multiplicity 1" in json.loads(err)["error"]
+
+
 # each argv ends in exit 2 with a JSON error; "{data}" is the bundled corpus,
 # "{dir}" holds inst.json, ex1-fermat.json with the given keys replaced
 # (None: removed), and the files of FAULT_FILES
@@ -347,7 +360,12 @@ FAULT_FILES = {
     "number.json": 5,  # candidates not in a list
     "list.json": [1, 0, 0],  # an instance that is not an object
     "float.json": [[0.1, 1, 0]],  # a JSON float coordinate
+    # six points off the cone x0^4 + x1^4 + x2^4 = 0 in P^3 that the point
+    # side takes as outer Galois points, over the smooth-case bound 4
+    "cone-points.json": [[1, 0, 0, t] for t in range(5)] + [[0, 1, 0, 0]],
 }
+CONE = {"field": 4, "polynomial": "x1^4 + x2^4",
+        "automorphisms": {"g": [["z(4)", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]}}
 INPUT_FAULTS = [
     *(([cmd, *POLY, "--aut", "g"], {}) for cmd in
       ("verify-aut", "order", "fix-locus", "galois-detect", "classify-cyclic")),
@@ -430,6 +448,14 @@ INPUT_FAULTS = [
     (["corpus-run", "{dir}"], {
         "automorphisms": {"s": [[0, 1, 0], [1, 0, 0], [0, 0, 1]], "t": [[1, 0, 0], [0, 0, 1], [0, 1, 0]]},
         "groups": {"S": ["s", "t"]}, "expect": {"abelian_check": {"group": "S", "verdict": "pass"}}}),
+    # a singular X, where the Galois-point theorems do not apply: a cone,
+    # a reducible quartic, and a cone surface with too many outer points
+    (["galois-detect", "{dir}/inst.json", "--aut", "g"], CONE),
+    (["corpus-run", "{dir}"], CONE),
+    (["galois-detect", "{dir}/inst.json", "--aut", "g"],
+     {"field": 3, "polynomial": "x0*x1^3 + x0*x2^3 + x0^4",
+      "automorphisms": {"g": [["z(3)", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]}}),
+    (["count-points", *POLY, "--nvars", "4", "--candidates", "{dir}/cone-points.json"], {}),
 ]
 
 

@@ -5,23 +5,25 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from galois_scope import corpus, exactnum
+from galois_scope import corpus, exactnum, galois
 from galois_scope.corpus import random_unimodular
-from galois_scope.errors import SingularPoint
+from galois_scope.errors import (
+    BoundViolation,
+    ConsistencyError,
+    CriterionNotApplicable,
+    SingularPoint,
+)
 from galois_scope.exactnum import cyclo_field
 from galois_scope.galois import (
-    belongs_to,
     certificate_from_automorphism,
-    commute_check,
     coordinate_points,
     count_certified_points,
     eigen_candidate_points,
     galois_at_point,
     galois_count_bounds,
     point_verdict,
-    transport_certificate,
 )
-from galois_scope.hypersurface import Hypersurface, verify_automorphism
+from galois_scope.hypersurface import AutWitness, Hypersurface, verify_automorphism
 from galois_scope.polyring import HomogPoly
 from galois_scope.projlin import ProjMatrix, vec_proj_eq, vector
 
@@ -133,53 +135,46 @@ def test_galois_at_point_dense_inverse_count(monkeypatch, kind, most):
     assert len(calls) <= most
 
 
-def test_belongs_to():
+def test_certificate_rejects_witness_of_wrong_order():
+    # a witness built by hand, not by verify_automorphism: its order 2 is
+    # neither d-1 nor d, so it cannot carry the outer homology it holds
     F4 = cyclo_field(4)
     X = fermat_quartic(F4)
     w = verify_automorphism(X, ProjMatrix.diagonal(F4, [F4.zeta(), 1, 1]))
-    assert belongs_to(X, w, (1, 0, 0))
-    assert not belongs_to(X, w, (0, 1, 0))
-    F5 = cyclo_field(5)
-    sextic = Hypersurface(1, 6, poly(F5, 3, {
-        (0, 0, 6): 1, (5, 0, 1): 1, (0, 5, 1): 1, (3, 3, 0): 1}))
-    ws = verify_automorphism(sextic, ProjMatrix.diagonal(F5, [F5.zeta(3), F5.zeta(2), 1]))
-    for p in coordinate_points(sextic):
-        assert not belongs_to(sextic, ws, p)
+    with pytest.raises(ConsistencyError, match="projective order 2"):
+        certificate_from_automorphism(X, AutWitness(w.matrix, w.scale, 2))
 
 
-def test_transport_certificate():
+def test_forged_mismatch_on_smooth_x_is_a_fault(monkeypatch):
+    # the theorem-level checks stay internal faults on a smooth X
     F4 = cyclo_field(4)
     X = fermat_quartic(F4)
     w = verify_automorphism(X, ProjMatrix.diagonal(F4, [F4.zeta(), 1, 1]))
-    cert = certificate_from_automorphism(X, w)
-    swap = verify_automorphism(X, ProjMatrix.from_entries(F4, [[0, 1, 0], [1, 0, 0], [0, 0, 1]]))
-    moved = transport_certificate(cert, swap)
-    assert moved.kind == "outer"
-    assert vec_proj_eq(moved.point, (moved.field.zero, moved.field.one, moved.field.zero))
-    # transported certificate is again valid: its generator certifies its point
-    wm = verify_automorphism(X, moved.generator)
-    cert2 = certificate_from_automorphism(X, wm)
-    assert cert2 is not None and vec_proj_eq(cert2.point, vector(cert2.field, moved.point))
-    # transporting by g itself fixes the certificate
-    self_moved = transport_certificate(cert, w)
-    assert vec_proj_eq(self_moved.point, vector(self_moved.field, cert.point))
-    # transport there and back is the identity on the point
-    swap_back = verify_automorphism(X, swap.matrix.inverse())
-    back = transport_certificate(moved, swap_back)
-    assert vec_proj_eq(back.point, vector(back.field, cert.point))
+    monkeypatch.setattr(galois, "multiplicity_at_point", lambda X, p: 1)
+    with pytest.raises(ConsistencyError, match="multiplicity 1"):
+        certificate_from_automorphism(X, w)
+    monkeypatch.setattr(galois, "galois_count_bounds", lambda n, d: (0, 0))
+    with pytest.raises(BoundViolation):
+        count_certified_points(X, coordinate_points(X))
 
 
-def test_commute_check():
-    F4 = cyclo_field(4)
-    X = fermat_quartic(F4)
-    w = verify_automorphism(X, ProjMatrix.diagonal(F4, [F4.zeta(), 1, 1]))
-    cert = certificate_from_automorphism(X, w)
-    k1 = verify_automorphism(X, ProjMatrix.diagonal(F4, [1, 1, -1]))
-    assert commute_check(cert, k1) == "commutes"
-    k2 = verify_automorphism(X, ProjMatrix.from_entries(F4, [[1, 0, 0], [0, 0, 1], [0, 1, 0]]))
-    assert commute_check(cert, k2) == "commutes"
-    k3 = verify_automorphism(X, ProjMatrix.from_entries(F4, [[0, 1, 0], [1, 0, 0], [0, 0, 1]]))
-    assert commute_check(cert, k3) == "not-applicable"
+def test_theorem_checks_on_singular_x_are_input_errors():
+    # the cone x1^4 + x2^4 has multiplicity 4 at the outer-shaped center e0,
+    # the reducible x0*(x1^3 + x2^3 + x0^3) is off e0 under an inner shape,
+    # and the cone surface over the Fermat quartic has 6 outer points
+    F4, F3 = cyclo_field(4), cyclo_field(3)
+    cone = Hypersurface(1, 4, poly(F4, 3, {(0, 4, 0): 1, (0, 0, 4): 1}))
+    w = verify_automorphism(cone, ProjMatrix.diagonal(F4, [F4.zeta(), 1, 1]))
+    with pytest.raises(CriterionNotApplicable, match="X is singular.*multiplicity 4"):
+        certificate_from_automorphism(cone, w)
+    reducible = Hypersurface(1, 4, poly(F3, 3, {(1, 3, 0): 1, (1, 0, 3): 1, (4, 0, 0): 1}))
+    w = verify_automorphism(reducible, ProjMatrix.diagonal(F3, [F3.zeta(), 1, 1]))
+    with pytest.raises(CriterionNotApplicable, match="X is singular.*multiplicity 0"):
+        certificate_from_automorphism(reducible, w)
+    surface = Hypersurface(2, 4, poly(Q, 4, {(4, 0, 0, 0): 1, (0, 4, 0, 0): 1, (0, 0, 4, 0): 1}))
+    points = [(1, 0, 0, t) for t in range(5)] + [(0, 1, 0, 0)]
+    with pytest.raises(CriterionNotApplicable, match=r"X is singular.*\(0, 6\)"):
+        count_certified_points(surface, points)
 
 
 def test_count_certified_points_fermat():

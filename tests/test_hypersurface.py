@@ -90,7 +90,6 @@ def test_smooth_fermat():
     X = fermat_quartic()
     res = is_smooth(X)
     assert res.status == SMOOTH
-    assert X.smooth_status == SMOOTH
 
 
 def test_singular_with_witness():
@@ -149,7 +148,6 @@ def test_smooth_timeout():
         (30, 0, 0): 1, (0, 30, 0): 1, (0, 0, 30): 1, (5, 6, 19): 1}))
     res = is_smooth(X, deadline=0.000001)
     assert res.status == TIMEOUT
-    assert X.smooth_status == "unchecked"  # a timeout is not cached
 
 
 def exact_pass_calls(monkeypatch) -> list:
