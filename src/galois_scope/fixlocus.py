@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 from .errors import ConsistencyError, CriterionNotApplicable
 from .exactnum import CycloNum
-from .galois import GaloisCertificate, certificate_from_automorphism
+from .galois import GaloisCertificate, _fault, certificate_from_automorphism
 from .hypersurface import SMOOTH, AutWitness, Hypersurface, is_smooth, verify_automorphism
 from .polyring import HomogPoly, binary_form_roots, distinct_root_count
 from .projlin import ProjMatrix, Vector, eigen_structure, homology_kind, vec_normalize
@@ -111,7 +111,8 @@ def curve_criterion(X: Hypersurface, w: AutWitness,
     """Plane-curve criterion: ord d-1 with #Fix != 2, or ord d with Fix nonempty.
 
     This is an equivalence on smooth curves, so when it holds the certificate
-    must exist and a missing one is a fatal inconsistency.
+    must exist and a missing one is a fatal inconsistency; on a certified
+    singular X, outside the theorem, it is an input error.
     """
     if X.n != 1:
         raise CriterionNotApplicable("curve criterion requires n = 1")
@@ -120,7 +121,7 @@ def curve_criterion(X: Hypersurface, w: AutWitness,
     holds = report.cardinality() != (2 if kind == "inner" else 0)
     cert = certificate_from_automorphism(X, w)
     if holds and (cert is None or cert.kind != kind):
-        raise ConsistencyError("curve criterion holds but no certificate was produced")
+        raise _fault(X, ConsistencyError("curve criterion holds but no certificate was produced"))
     return CriterionResult("curve_criterion", kind, holds, report, cert,
                            f"|Fix| = {report.cardinality()}")
 
@@ -134,7 +135,8 @@ def codim_criterion(X: Hypersurface, w: AutWitness,
     decisive component is a fixed curve that is not smooth rational: a smooth
     plane section of degree >= 4 qualifies, a line never does, and a singular
     section leaves the criterion indeterminate (its geometric genus is not
-    computed here).
+    computed here).  A missing certificate when the criterion holds is
+    fatal on a smooth X and an input error on a certified singular one.
     """
     if X.n < 2:
         raise CriterionNotApplicable("codimension criterion requires n >= 2")
@@ -159,14 +161,17 @@ def codim_criterion(X: Hypersurface, w: AutWitness,
             holds = None
     cert = certificate_from_automorphism(X, w)
     if holds is True and (cert is None or cert.kind != kind):
-        raise ConsistencyError("codimension criterion holds but no certificate was produced")
+        raise _fault(X, ConsistencyError(
+            "codimension criterion holds but no certificate was produced"))
     return CriterionResult("codim_criterion", kind, holds, report, cert, detail)
 
 
 def power_criterion(X: Hypersurface, w: AutWitness, k: int,
                     witness_matrix: ProjMatrix | None = None) -> CriterionResult:
     """Criterion for order k(d-1), k >= 2: many fixed points (n = 2) or a
-    fixed locus of dimension n-2 (n >= 3) force an inner point for g^k."""
+    fixed locus of dimension n-2 (n >= 3) force an inner point for g^k.
+    A missing inner certificate when it holds is fatal on a smooth X and an
+    input error on a certified singular one."""
     if k < 2:
         raise CriterionNotApplicable("power criterion requires k >= 2")
     if w.order != k * (X.d - 1):
@@ -188,5 +193,6 @@ def power_criterion(X: Hypersurface, w: AutWitness, k: int,
             raise ConsistencyError("power of a verified automorphism failed to verify")
         cert = certificate_from_automorphism(X, wk)
         if cert is None or cert.kind != "inner":
-            raise ConsistencyError("power criterion holds but no inner certificate exists")
+            raise _fault(X, ConsistencyError(
+                "power criterion holds but no inner certificate exists"))
     return CriterionResult("power_criterion", "inner", holds, report, cert, detail)

@@ -9,6 +9,10 @@ Two independent detectors are implemented and cross-validated elsewhere:
   p (D_p = sum_i p_i d/dX_i) and accepts exactly when D_pF is a constant
   times L^(d-1) (p off X) or T*L^(d-2) (p a smooth point of X, T the tangent
   form), with no change of coordinates.
+
+Both read the multiplicity of X at a point from the polar chain, which runs
+over Python ints (`polyring.PolarChain`); only the forms that give L become
+field elements.
 """
 from __future__ import annotations
 
@@ -18,7 +22,7 @@ from .errors import BoundViolation, ConsistencyError, CriterionNotApplicable, Ga
 from .errors import SingularPoint
 from .exactnum import CycloField, CycloNum, common_field
 from .hypersurface import DEFAULT_SMOOTH_DEADLINE, SINGULAR, AutWitness, Hypersurface
-from .hypersurface import coordinate_points, is_smooth, multiplicity_at_point, polar_forms
+from .hypersurface import coordinate_points, is_smooth, multiplicity_at_point, polar_chain
 from .polyring import HomogPoly
 from .projlin import ProjMatrix, Vector, eigen_structure, homology_form, homology_kind
 from .projlin import vec_normalize, vector
@@ -122,26 +126,26 @@ def galois_at_point(X: Hypersurface, point) -> PointVerdict | None:
     P_j ~ P_(j+1)*L, by cross-multiplication, so no coefficient is inverted
     beyond the pivot of that one division.  `PointVerdict.change` does not
     depend on the scale of L.
+
+    The chain and the tests run over Python ints (`polyring.PolarChain`);
+    only P_(d-1), and for an inner point P_(d-2), become field elements, to
+    give L.
     """
     _require_detectable(X)
     d = X.d
     p = vector(X.field, point)
-    polars = polar_forms(X, p)
-    mult = d + 1 - len(polars)  # the multiplicity of X at the point
+    chain = polar_chain(X, p)
+    mult = d + 1 - len(chain)  # the multiplicity of X at the point
     if mult >= 2:
         raise SingularPoint(f"point has multiplicity {mult}; it is neither smooth nor exterior")
     if mult == 0:
-        kind, L = "outer", polars[d - 1]
+        kind, L = "outer", chain.form(d - 1)
     else:
-        kind, L = "inner", polars[d - 2].divide_by_linear(polars[d - 1])
+        kind, L = "inner", chain.form(d - 2).divide_by_linear(chain.form(d - 1))
         if L is None:
             return None
-    # from the bottom up, so that most rejections need only low-degree products
-    for j in range(d - 2 - mult, 0, -1):
-        P, Q = polars[j], polars[j + 1] * L
-        m = next(iter(Q.terms))
-        if P.terms.keys() != Q.terms.keys() or P.scale(Q.terms[m]) != Q.scale(P.terms[m]):
-            return None
+    if not chain.proportional(L, d - 2 - mult):
+        return None
     return PointVerdict(kind, p, L)
 
 

@@ -11,7 +11,7 @@ from .groebner import (
     leading_pure_powers,
     modular_leading_monomials,
 )
-from .polyring import HomogPoly
+from .polyring import HomogPoly, PolarChain
 from .projlin import ProjMatrix, Vector, projective_order, vector
 
 SMOOTH = "certified_smooth"
@@ -137,23 +137,23 @@ def coordinate_points(X: Hypersurface) -> list[Vector]:
     return [tuple(field.one if j == i else field.zero for j in range(size)) for i in range(size)]
 
 
-def polar_forms(X: Hypersurface, point) -> list[HomogPoly]:
+def polar_chain(X: Hypersurface, point) -> PolarChain:
     """The polars F, D_pF, D_p^2 F, ... of F at p, up to the last nonzero one.
 
     Moving p to [1:0:...:0] makes D_p^j F / j! the coefficient of X0^j, so
-    the list holds d + 1 - m forms, m the multiplicity of X at p.
+    the chain holds d + 1 - m forms, m the multiplicity of X at p.  It runs
+    in the integer value form of `polyring.PolarChain`.
     """
     p = vector(X.field, point)
     if all(x.is_zero() for x in p):
         raise ValueError("the zero vector is not a point")
-    forms = [X.F]
-    while True:
-        polar = forms[-1].polar(p)
-        if polar.is_zero():
-            return forms
-        forms.append(polar)
+    return PolarChain(X.F, p)
 
 
 def multiplicity_at_point(X: Hypersurface, point) -> int:
-    """Multiplicity of X at a point: 0 off X, 1 at a smooth point of X."""
-    return X.d + 1 - len(polar_forms(X, point))
+    """Multiplicity of X at a point: 0 off X, 1 at a smooth point of X.
+
+    It is d + 1 minus the length of the polar chain, built over Python ints,
+    with no field element made or multiplied.
+    """
+    return X.d + 1 - len(polar_chain(X, point))

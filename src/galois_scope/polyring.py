@@ -9,6 +9,7 @@ lexicographic order.
 from __future__ import annotations
 
 import math
+import struct
 from fractions import Fraction
 
 from .errors import DegreeMismatch, FieldMismatch
@@ -191,7 +192,12 @@ class HomogPoly:
         return self.polar([int(j == i) for j in range(self.nvars)])
 
     def polar(self, point) -> "HomogPoly":
-        """D_p f = sum_i p_i df/dX_i, degree d - 1: the derivative of f along p."""
+        """D_p f = sum_i p_i df/dX_i, degree d - 1: the derivative of f along p.
+
+        One step over field elements.  `PolarChain` runs whole chains over
+        ints; for the single step of `partial` its conversions into and out
+        of ints would cost more than the step itself.
+        """
         pt = [p if isinstance(p, CycloNum) else self.field.from_rational(p) for p in point]
         support = [(i, p) for i, p in enumerate(pt) if not p.is_zero()]
         weights: dict[tuple[int, int], CycloNum] = {}  # e * p_i, made once per (i, e)
@@ -244,71 +250,23 @@ class HomogPoly:
         field, N, m, d = self.field, self.field.N, len(basis), self.degree
         linear = []
         for i in range(self.nvars):
-            col = []
-            for j, v in enumerate(basis):
-                c = v[i]
-                if not isinstance(c, CycloNum):
-                    c = field.from_rational(c)
-                elif c.field.N != N:
-                    raise FieldMismatch("basis entry from a different field")
-                if not c.is_zero():
-                    col.append((j, c))
-            linear.append(col)
+            col = [(j, _element(field, v[i])) for j, v in enumerate(basis)]
+            linear.append([(j, c) for j, c in col if not c.is_zero()])
         if not self.terms:
             return HomogPoly.zero(field, m, d)
         order = sorted(range(self.nvars), key=lambda i: -len(linear[i]))
 
-        den_f = math.lcm(*(_denominator(c) for c in self.terms.values()))
-        den_a = math.lcm(1, *(_denominator(c) for col in linear for _, c in col))
-        coeffs = [_scaled_ints(c, den_f) for c in self.terms.values()]
-        cols = [[_scaled_ints(c, den_a) for _, c in col] for col in linear]
+        den_f, coeffs = _integral(self.terms.values())
+        den_a, entries = _integral([c for col in linear for _, c in col])
+        entries = iter(entries)
+        cols = [[next(entries) for _ in col] for col in linear]
         norm_l = max([1] + [sum(n for _, n in col) for col in cols])
         bound = sum(n for _, n in coeffs) * norm_l ** max(d, 1)  # d = 0 packs L_i' too
-        bits = (bound.bit_length() + 8) // 8 * 8  # |coefficient| < 2^(bits-1)
-        width = N * bits  # one period of x^N = 1
+        bits = _bits(bound)
+        mul, add = _value_ops(N, bits)
 
-        def value(v):  # a tag pair stays, an integer vector is packed
-            return v if type(v) is tuple else _pack(v, bits)
-
-        top, flip = (N // 2, True) if N % 2 == 0 else (N, False)  # tag exponent folding
-
-        def mul(c, l):
-            if type(c) is tuple:
-                a, k = c
-                if not a:
-                    return _ZERO_TAG
-                if type(l) is tuple:
-                    b, e = l
-                    e += k
-                    if e >= top:
-                        e -= top
-                        if flip:
-                            return (-a * b, e)
-                    return (a * b, e)
-                return (a * l) << (k * bits)
-            if type(l) is tuple:
-                return (c * l[0]) << (l[1] * bits)
-            return c * l
-
-        def add(x, y):  # a tag that meets another exponent enters as x^k
-            if type(x) is tuple:
-                if type(y) is tuple:
-                    a, k = x
-                    b, e = y
-                    if k == e:
-                        s = a + b
-                        return (s, k) if s else _ZERO_TAG
-                    if not a:
-                        return y
-                    if not b:
-                        return x
-                x = x[0] << (x[1] * bits)
-            if type(y) is tuple:
-                y = y[0] << (y[1] * bits)
-            return x + y
-
-        # a monomial in the Y_j is the int sum_j e_j (d+1)^j
-        steps = [[((d + 1) ** j, value(l[0])) for (j, _), l in zip(linear[i], cols[i])]
+        width, _, exponents = _monomial_ints(m, d)
+        steps = [[(1 << width * j, _value(l[0], bits)) for (j, _), l in zip(linear[i], cols[i])]
                  for i in range(self.nvars)]
 
         def horner(terms, depth):
@@ -335,21 +293,11 @@ class HomogPoly:
 
         den = den_f * den_a ** d
         out: dict[Exponents, CycloNum] = {}
-        start = [(mono, value(v)) for mono, (v, _) in zip(self.terms, coeffs)]
+        start = [(mono, _value(v, bits)) for mono, (v, _) in zip(self.terms, coeffs)]
         for key, c in horner(start, 0).items():
-            if type(c) is tuple:
-                if not c[0]:
-                    continue
-                c = CycloNum(field, tag=_canon_tag(N, c[0], c[1], den))
-            else:
-                c = _dense(field, field._reduce(_unpack(_fold(c, width), bits)), den)
-                if c.is_zero():
-                    continue
-            mono = []
-            for _ in range(m):
-                key, e = divmod(key, d + 1)
-                mono.append(e)
-            out[tuple(mono)] = c
+            c = _cyclo(field, c, bits, den)
+            if not c.is_zero():
+                out[exponents(key)] = c
         return HomogPoly(field, m, d, out)
 
     def divide_by_linear(self, L: "HomogPoly"):
@@ -404,7 +352,132 @@ class HomogPoly:
 
 
 # ---------------------------------------------------------------------------
-# integer forms for the substitution kernel (HomogPoly.restrict)
+# the integer value form of the substitution kernel (HomogPoly.restrict) and
+# of the polar chain (PolarChain)
+
+
+class PolarChain:
+    """The polars P_j = D_p^j F of a form F at a vector p, D_p = sum_i p_i
+    d/dX_i, for j = 0, 1, ... up to the last nonzero one: at most d + 1
+    forms, since D_p lowers the degree.
+
+    The chain runs over Python ints in the value form of `restrict`.  F and
+    p are scaled to integers once, F' = D_F F and p' = D_p p, so that P_j' =
+    D_F D_p^j P_j; a monomial is an int (`_monomial_ints`), a tag c z^k is
+    the pair (a, k) and any other value one packed int.  P_(j+1)' takes the
+    contribution e_i p_i' c of every term c X^e of P_j', so the l1 norms of
+    its coefficients sum to at most (d - j) max_i ||p_i'||_1 times those of
+    P_j'.  `bound` = ||F'||_1 d! (max_i ||p_i'||_1)^d, each norm taken at
+    least 1, is above every such sum, and with it above every value of the
+    chain, partial sums included; B = `bits` has bound < 2^(B-1).  A value is kept when its canonical
+    value is nonzero: a tag by its coefficient, a packed value folded mod
+    x^N - 1, unpacked and reduced mod Phi_N.  So the chain has the length
+    that the field gives it, and `form(j)` converts P_j' to the exact P_j,
+    in its canonical representation and in the term order of the CycloNum
+    recursion (iterated `HomogPoly.polar`).
+    """
+
+    __slots__ = ("field", "nvars", "degree", "forms", "bits", "bound", "den_f", "den_p")
+
+    def __init__(self, F: HomogPoly, point):
+        field, N, d = F.field, F.field.N, F.degree
+        pt = [_element(field, c) for c in point]
+        self.field, self.nvars, self.degree = field, F.nvars, d
+        self.den_f, coeffs = _integral(F.terms.values())
+        self.den_p, entries = _integral(pt)
+        norm_p = max([1] + [n for _, n in entries])
+        # max(.., 1): the weights e p_i' are packed even for F = 0
+        self.bound = max(sum(n for _, n in coeffs), 1) * math.factorial(d) * norm_p ** d
+        self.bits = bits = _bits(self.bound)
+        mul, add = _value_ops(N, bits)
+        width, key_of, _ = _monomial_ints(F.nvars, d)
+        mask = (1 << width) - 1
+        # (shift and step of X_i, [None, 1 p_i', ..., d p_i']) for each p_i != 0
+        support = [(width * i, 1 << width * i,
+                    [None] + [mul(_value(v, bits), (e, 0)) for e in range(1, d + 1)])
+                   for i, (v, n) in enumerate(entries) if n]
+        form = {key_of(mono): _value(v, bits) for mono, (v, _) in zip(F.terms, coeffs)}
+        self.forms = [form]
+        while form:
+            out: dict[int, object] = {}
+            for key, c in form.items():
+                for shift, step, weights in support:
+                    e = key >> shift & mask
+                    if e:
+                        v = mul(c, weights[e])
+                        to = key - step
+                        out[to] = add(out[to], v) if to in out else v
+            form = {key: v for key, v in out.items() if _nonzero(field, v, bits)}
+            if form:
+                self.forms.append(form)
+
+    def __len__(self) -> int:
+        return len(self.forms)
+
+    def form(self, j: int) -> HomogPoly:
+        """P_j as a HomogPoly, for 0 <= j < len(self)."""
+        exponents = _monomial_ints(self.nvars, self.degree)[2]
+        den = self.den_f * self.den_p ** j
+        return HomogPoly(self.field, self.nvars, self.degree - j,
+                         {exponents(key): _cyclo(self.field, v, self.bits, den)
+                          for key, v in self.forms[j].items()})
+
+    def proportional(self, L: HomogPoly, top: int) -> bool:
+        """Whether P_j is a nonzero multiple of P_(j+1) L for every j from
+        top down to 1, for top + 1 < len(self) and L a linear form over the
+        same field.  The lowest degrees go first, so that most rejections
+        need only small products.
+
+        L is scaled to integers, L', and Q = P_(j+1)' L' is formed in the
+        value form.  P_j' and Q must have the same monomials, and P_j'[t]
+        Q[m] = Q[t] P_j'[m] must hold at every t for one fixed m; the scale
+        of either side does not matter.  Every coefficient of Q is below
+        bound ||L'||_1 in l1 norm, and each cross product, and the
+        difference of two, below 2 bound^2 ||L'||_1: that sets the bit bound
+        of this test, and a packed value of the chain is unpacked and packed
+        again at it.
+        """
+        field, key_of = self.field, _monomial_ints(self.nvars, self.degree)[1]
+        _, lin = _integral(L.terms.values())
+        bits = _bits(2 * self.bound ** 2 * sum(n for _, n in lin))
+        mul, add = _value_ops(field.N, bits)
+        lin = [(key_of(mono), _value(v, bits)) for mono, (v, _) in zip(L.terms, lin)]
+
+        def widen(v):
+            return v if type(v) is tuple else _pack(_unpack(v, self.bits), bits)
+
+        for j in range(top, 0, -1):
+            P = self.forms[j]
+            Q: dict[int, object] = {}
+            for key, c in self.forms[j + 1].items():
+                c = widen(c)
+                for step, l in lin:
+                    v = mul(c, l)
+                    to = key + step
+                    Q[to] = add(Q[to], v) if to in Q else v
+            Q = {key: v for key, v in Q.items() if _nonzero(field, v, bits)}
+            if Q.keys() != P.keys():
+                return False
+            m = next(iter(Q))
+            q_m, p_m = Q[m], widen(P[m])
+            for t, q in Q.items():
+                x, y = mul(widen(P[t]), q_m), mul(q, p_m)
+                if type(x) is tuple and type(y) is tuple:
+                    if x != y:  # canonical tags: equal values have equal pairs
+                        return False
+                elif _nonzero(field, _as_int(x, bits) - _as_int(y, bits), bits):
+                    return False
+        return True
+
+
+def _element(field: CycloField, c) -> CycloNum:
+    """c as an element of field: an int or Fraction is converted, a CycloNum
+    must already lie in field."""
+    if not isinstance(c, CycloNum):
+        return field.from_rational(c)
+    if c.field.N != field.N:
+        raise FieldMismatch("entry from a different field")
+    return c
 
 
 def _denominator(c: CycloNum) -> int:
@@ -422,6 +495,119 @@ def _scaled_ints(c: CycloNum, den: int):
     num, cden = c._parts()
     vec = [x * (den // cden) for x in num]
     return vec, sum(map(abs, vec))
+
+
+def _integral(values) -> tuple[int, list]:
+    """(D, [_scaled_ints(c, D) for c in values]), D the lcm of the
+    denominators of the values."""
+    tags = [c.tag for c in values]
+    if all(t is not None and type(t[0]) is int for t in tags):  # D = 1
+        return 1, [(t, abs(t[0])) for t in tags]
+    den = math.lcm(1, *(_denominator(c) for c in values))
+    return den, [_scaled_ints(c, den) for c in values]
+
+
+def _bits(bound: int) -> int:
+    """A multiple of 8 with bound < 2^(bits-1): the packing width for values
+    whose coefficients stay below bound in absolute value."""
+    return (bound.bit_length() + 8) // 8 * 8
+
+
+def _value(v, bits: int):
+    """A tag pair as it is; an integer vector packed at width bits."""
+    return v if type(v) is tuple else _pack(v, bits)
+
+
+def _as_int(v, bits: int) -> int:
+    """A value as one packed int: the tag a z^k as a x^k."""
+    return v[0] << (v[1] * bits) if type(v) is tuple else v
+
+
+def _value_ops(N: int, bits: int):
+    """(mul, add) on integer values over Q(zeta_N) at packing width bits.
+
+    A value is a tag pair (a, k), the tag a z^k with k folded as in a
+    canonical tag, or one packed int p(2^bits), p an unreduced polynomial in
+    Z[x].  Tags multiply and same-exponent tags add in exponent space; a tag
+    that meets another exponent enters a packed value as a x^k.  A packed
+    result is exact while its coefficients stay below 2^(bits-1).
+    """
+    top, flip = (N // 2, True) if N % 2 == 0 else (N, False)  # tag exponent folding
+
+    def mul(c, l):
+        if type(c) is tuple:
+            a, k = c
+            if not a:
+                return _ZERO_TAG
+            if type(l) is tuple:
+                b, e = l
+                e += k
+                if e >= top:
+                    e -= top
+                    if flip:
+                        return (-a * b, e)
+                return (a * b, e)
+            return (a * l) << (k * bits)
+        if type(l) is tuple:
+            return (c * l[0]) << (l[1] * bits)
+        return c * l
+
+    def add(x, y):
+        if type(x) is tuple:
+            if type(y) is tuple:
+                a, k = x
+                b, e = y
+                if k == e:
+                    s = a + b
+                    return (s, k) if s else _ZERO_TAG
+                if not a:
+                    return y
+                if not b:
+                    return x
+            x = x[0] << (x[1] * bits)
+        if type(y) is tuple:
+            y = y[0] << (y[1] * bits)
+        return x + y
+
+    return mul, add
+
+
+def _vector(field: CycloField, v: int, bits: int) -> list[int]:
+    """The power basis numerators of a packed value: folded mod x^N - 1,
+    unpacked and reduced mod Phi_N."""
+    return field._reduce(_unpack(_fold(v, field.N * bits), bits))
+
+
+def _nonzero(field: CycloField, v, bits: int) -> bool:
+    """Whether a value is nonzero in the field: a tag by its coefficient, a
+    packed value by its canonical numerators."""
+    return bool(v[0]) if type(v) is tuple else any(_vector(field, v, bits))
+
+
+def _cyclo(field: CycloField, v, bits: int, den: int) -> CycloNum:
+    """The element v / den in its canonical form."""
+    if type(v) is tuple:  # a tag pair is canonical already at den = 1
+        return CycloNum(field, tag=v if den == 1 else _canon_tag(field.N, v[0], v[1], den))
+    return _dense(field, _vector(field, v, bits), den)
+
+
+def _monomial_ints(nvars: int, degree: int):
+    """(width, key, exponents) for monomials of degree at most degree in
+    nvars variables as ints: X^e is sum_i e_i 2^(width i), width 8, 16, 32
+    or 64, the narrowest that holds degree.  So X_i is 1 << width i, a
+    product of monomials is the sum of their ints, and key and exponents
+    (its inverse) convert in C."""
+    width, code = next((w, c) for w, c in ((8, "B"), (16, "H"), (32, "I"), (64, "Q"))
+                       if degree >> w == 0)
+    layout = struct.Struct(f"<{nvars}{code}")  # little-endian, unsigned, standard sizes
+
+    def key(mono) -> int:
+        return int.from_bytes(layout.pack(*mono), "little")
+
+    def exponents(key: int) -> Exponents:
+        return layout.unpack(key.to_bytes(layout.size, "little"))
+
+    return width, key, exponents
 
 
 def _offset(n: int, bits: int) -> int:

@@ -130,16 +130,26 @@ def test_corpus_run_failure_exit_one(capsys, tmp_path):
     assert any("order" in f for f in doc["matrix"][0]["failures"])
 
 
-@pytest.mark.parametrize("instance, aut, criterion, reason", [
-    ("ex1-fermat", "h4", {"name": "power", "k": 2}, "order 4 is not k(d-1) = 6"),
-    ("ex1-fermat", "h4", {"name": "codim"}, "codimension criterion requires n >= 2"),
-    ("ex1-fermat", "g1", {"name": "curve"}, "order 2 is neither d-1 nor d"),
-    ("exa5", "g3", {"name": "codim"}, "order 2 is neither d-1 nor d"),
-    ("exa4", "g", {"name": "curve"}, "curve criterion requires n = 1"),
-], ids=["power", "codim", "curve-order", "codim-order", "curve-surface"])
-def test_corpus_run_inapplicable_criterion_exit_one(capsys, tmp_path, instance, aut,
+# the cone x1^4 + x2^4, singular at e0: g has three eigenvalues, so no
+# homology and no certificate, while e0 is fixed; a singular X is outside the
+# criterion, not an internal fault
+CONE = {"field": 4, "polynomial": "x1^4 + x2^4", "groups": {},
+        "automorphisms": {"g": [["z(4)", "0", "0"], ["0", "-1", "0"], ["0", "0", "1"]]}}
+
+
+@pytest.mark.parametrize("instance, edit, aut, criterion, reason", [
+    ("ex1-fermat", {}, "h4", {"name": "power", "k": 2}, "order 4 is not k(d-1) = 6"),
+    ("ex1-fermat", {}, "h4", {"name": "codim"}, "codimension criterion requires n >= 2"),
+    ("ex1-fermat", {}, "g1", {"name": "curve"}, "order 2 is neither d-1 nor d"),
+    ("exa5", {}, "g3", {"name": "codim"}, "order 2 is neither d-1 nor d"),
+    ("exa4", {}, "g", {"name": "curve"}, "curve criterion requires n = 1"),
+    ("ex1-fermat", CONE, "g", {"name": "curve"}, "X is singular, outside the smooth-case "
+     "theorems: curve criterion holds but no certificate was produced"),
+], ids=["power", "codim", "curve-order", "codim-order", "curve-surface", "singular-cone"])
+def test_corpus_run_inapplicable_criterion_exit_one(capsys, tmp_path, instance, edit, aut,
                                                     criterion, reason):
     raw = json.loads((DATA / f"{instance}.json").read_text())
+    raw.update(edit)
     raw["expect"] = {"automorphisms": {aut: {"criterion": {**criterion, "verdict": "holds"}}}}
     (tmp_path / "inst.json").write_text(json.dumps(raw))
     code, doc = run_cli(capsys, "corpus-run", str(tmp_path))

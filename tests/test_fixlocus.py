@@ -4,6 +4,7 @@ from itertools import product
 
 import pytest
 
+from galois_scope.errors import CriterionNotApplicable
 from galois_scope.exactnum import cyclo_field
 from galois_scope.fixlocus import (
     EMPTY,
@@ -311,3 +312,25 @@ def test_power_criterion_low_count_fails():
     res = power_criterion(X, w, k=2)
     assert res.holds is False
     assert res.report.cardinality() <= 4
+
+
+@pytest.mark.parametrize("name", ["codim", "power"])
+def test_criterion_without_certificate_on_singular_x_is_input_error(name):
+    # each X holds the fixed line {x1 = x2 = 0} and is singular along it, so
+    # the criterion holds while the matrix (codim) or its square (power) has
+    # three eigenvalues and no homology: outside the smooth-case theorems
+    if name == "codim":
+        F4 = cyclo_field(4)
+        X = Hypersurface(2, 4, poly(F4, 4, {
+            (4, 0, 0, 0): 1, (0, 0, 0, 4): 1, (0, 2, 0, 2): 1, (0, 0, 2, 2): 1}))
+        w = verify_automorphism(X, ProjMatrix.diagonal(F4, [F4.zeta(), 1, 1, -1]))
+        run, message = lambda: codim_criterion(X, w), "codimension criterion holds"
+    else:
+        F6 = cyclo_field(6)
+        X = Hypersurface(2, 4, poly(F6, 4, {
+            (1, 0, 3, 0): 1, (0, 0, 3, 1): 1, (0, 2, 2, 0): 1}))
+        w = verify_automorphism(X, ProjMatrix.diagonal(F6, [1, F6.zeta(), F6.zeta(2), 1]))
+        assert w.order == 6
+        run, message = lambda: power_criterion(X, w, k=2), "no inner certificate"
+    with pytest.raises(CriterionNotApplicable, match=f"X is singular.*{message}"):
+        run()

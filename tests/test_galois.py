@@ -23,7 +23,12 @@ from galois_scope.galois import (
     galois_count_bounds,
     point_verdict,
 )
-from galois_scope.hypersurface import AutWitness, Hypersurface, verify_automorphism
+from galois_scope.hypersurface import (
+    AutWitness,
+    Hypersurface,
+    multiplicity_at_point,
+    verify_automorphism,
+)
 from galois_scope.polyring import HomogPoly
 from galois_scope.projlin import ProjMatrix, vec_proj_eq, vector
 
@@ -113,18 +118,23 @@ def test_galois_at_point_rejects_singular_point():
         galois_at_point(X, (1, 0, 0))
 
 
+def dense_change(X):
+    """X moved by a change with entries 2 + zeta: coefficients turn dense."""
+    field, size = X.field, X.n + 2
+    a = 2 + field.zeta()
+    M = ProjMatrix(field, tuple(
+        tuple(a if {i, j} == {0, 1} else field.one if i == j else field.zero
+              for j in range(size)) for i in range(size)))
+    return Hypersurface(X.n, X.d, X.F.transform(M.inverse())), M
+
+
 @pytest.mark.parametrize("kind, most", [("outer", 0), ("inner", 1)])
 def test_galois_at_point_dense_inverse_count(monkeypatch, kind, most):
     # nothing is normalised: no dense inverse at an outer point, and at an
     # inner one only the pivot of P_(d-2) / P_(d-1), dense after a change
     # with entries 2 + zeta
     X, _, p, _ = corpus.normal_form_instance(random.Random(f"inv:{kind}"), 2, 5, kind)
-    field = X.field
-    a = 2 + field.zeta()
-    M = ProjMatrix(field, tuple(
-        tuple(a if {i, j} == {0, 1} else field.one if i == j else field.zero for j in range(4))
-        for i in range(4)))
-    Y = Hypersurface(2, 5, X.F.transform(M.inverse()))
+    Y, M = dense_change(X)
     q = M.apply(p)
     calls = []
     inverse = exactnum._modular_inverse
@@ -401,3 +411,138 @@ def test_point_side_matches_tschirnhaus_oracle(case):
             assert pv.change == change
             top = X.d if expected == "outer" else X.d - 1
             assert {mono[0] for mono in X.F.transform(pv.change).terms} <= {top, 0}
+
+
+# ---------------------------------------------------------------------------
+# the point side on the integer polar chain against the field-element reading
+
+def galois_at_point_oracle(X, point):
+    """(multiplicity, verdict) read over field elements: the polars by
+    iterated HomogPoly.polar, the steps P_j ~ P_(j+1) L by HomogPoly products.
+    The verdict is "singular", None, or (kind, L)."""
+    d, p = X.d, vector(X.field, point)
+    polars = [X.F]
+    while not (polar := polars[-1].polar(p)).is_zero():
+        polars.append(polar)
+    mult = d + 1 - len(polars)
+    if mult >= 2:
+        return mult, "singular"
+    if mult == 0:
+        kind, L = "outer", polars[d - 1]
+    else:
+        kind, L = "inner", polars[d - 2].divide_by_linear(polars[d - 1])
+        if L is None:
+            return mult, None
+    for j in range(d - 2 - mult, 0, -1):
+        P, Q = polars[j], polars[j + 1] * L
+        m = next(iter(Q.terms))
+        if P.terms.keys() != Q.terms.keys() or P.scale(Q.terms[m]) != Q.scale(P.terms[m]):
+            return mult, None
+    return mult, (kind, L)
+
+
+def assert_point_side_agrees(X, point) -> str:
+    """galois_at_point and multiplicity_at_point against the oracle: the same
+    multiplicity, SingularPoint, None or kind, and the same L, in value, in
+    tag or dense form and in term order.  Returns the verdict."""
+    mult, want = galois_at_point_oracle(X, point)
+    assert multiplicity_at_point(X, point) == mult
+    if want == "singular":
+        with pytest.raises(SingularPoint):
+            galois_at_point(X, point)
+        return want
+    pv = galois_at_point(X, point)
+    if want is None:
+        assert pv is None
+        return "none"
+    kind, L = want
+    assert pv.kind == kind and pv.point == vector(X.field, point)
+    assert list(pv.L.terms) == list(L.terms) and pv.L.degree == 1
+    for mono, c in L.terms.items():
+        got = pv.L.terms[mono]
+        assert (got.tag, got._parts()) == (c.tag, c._parts())
+        assert got.tag is None or type(got.tag[0]) is type(c.tag[0])
+    return kind
+
+
+def test_point_side_agrees_with_oracle_on_normal_forms():
+    """Normal forms, n 1-3 and d 4-7, also after a dense change: the Galois
+    point, the eigenvectors of the generator (the columns of the change),
+    the coordinate points and random small points (mostly rejected)."""
+    seen = set()
+    for n in (1, 2, 3):
+        for d in (4, 5, 6, 7):
+            for kind in ("inner", "outer"):
+                rng = random.Random(f"point-side:{n}:{d}:{kind}")
+                X, _, p, C = corpus.normal_form_instance(rng, n, d, kind)
+                assert assert_point_side_agrees(X, p) == kind
+                points = [C.column(j) for j in range(n + 2)] + coordinate_points(X) + [
+                    tuple(rng.randint(-2, 2) for _ in range(n + 2)) for _ in range(3)]
+                for q in points:
+                    if any(q):
+                        seen.add(assert_point_side_agrees(X, q))
+                if n + d <= 7:
+                    Y, M = dense_change(X)
+                    assert assert_point_side_agrees(Y, M.apply(p)) == kind
+                    seen.add(assert_point_side_agrees(Y, M.apply(points[-1])))
+    assert {"inner", "outer", "none"} <= seen
+
+
+def test_point_side_agrees_with_oracle_on_corpus():
+    """Every named point and every eigen candidate of the bundled instances,
+    in the field that count_certified_points would lift X to."""
+    for path in corpus.corpus_paths():
+        if path.name == "normal-form-family.json":
+            continue
+        inst = corpus.load_instance(path)
+        X = inst.surface
+        witnesses = [w for A in inst.automorphisms.values()
+                     if (w := verify_automorphism(X, A)) is not None]
+        cands = eigen_candidate_points(X, witnesses)
+        cands += [corpus.resolve_point(inst, X, name) for name in inst.expect.get("points", {})]
+        field = exactnum.common_field(X.field.N, *(c.field.N for q in cands for c in q))
+        Xl = X.embed(field)
+        for q in cands:
+            assert_point_side_agrees(Xl, vector(field, q))
+
+
+def test_point_side_agrees_with_oracle_at_singular_points():
+    """Forms of x0-degree at most d - 2 are singular at e0; moved by a random
+    unimodular change, at the image of e0, and at random points."""
+    rng = random.Random("point-side:singular")
+    for n, d in ((1, 4), (1, 5), (2, 4), (2, 5), (3, 4)):
+        field = cyclo_field(rng.choice([1, 3, 4]))
+        size = n + 2
+        terms = {}
+        for _ in range(6):
+            mono = [0] * size
+            for _ in range(d):
+                mono[rng.randrange(size)] += 1
+            if mono[0] <= d - 2:
+                terms[tuple(mono)] = rng.choice([-2, -1, 1, 2]) * field.zeta(rng.randrange(3))
+        terms[(d - 2, 2) + (0,) * n] = 1
+        X = Hypersurface(n, d, HomogPoly.from_terms(field, size, terms, degree=d))
+        M = random_unimodular(rng, field, size)
+        Y = Hypersurface(n, d, X.F.transform(M.inverse()))
+        e0 = coordinate_points(X)[0]
+        assert assert_point_side_agrees(X, e0) == "singular"
+        assert assert_point_side_agrees(Y, M.apply(e0)) == "singular"
+        for _ in range(3):
+            q = tuple(rng.randint(-2, 2) for _ in range(size))
+            if any(q):
+                assert_point_side_agrees(Y, q)
+
+
+def test_rational_point_side_makes_no_field_product(monkeypatch):
+    """On a rational outer draw, the multiplicity and the outer verdict run
+    on ints alone: no CycloNum product."""
+    X, _, p, _ = corpus.normal_form_instance(random.Random("no-products"), 2, 5, "outer")
+    assert all(c.rational() is not None for c in X.F.terms.values())
+    assert all(c.rational() is not None for c in p)
+    calls = []
+    mul = exactnum.CycloNum.__mul__
+    monkeypatch.setattr(exactnum.CycloNum, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
+    assert multiplicity_at_point(X, p) == 0
+    assert calls == []
+    assert galois_at_point(X, p).kind == "outer"
+    assert calls == []

@@ -1,5 +1,7 @@
+import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given
@@ -441,6 +443,174 @@ def test_restrict_matches_horner_oracle(data):
     basis = data.draw(st.lists(vec, min_size=m, max_size=m), label="basis")
     for vectors in [basis] + [[v] for v in basis] * (m > 1):  # f(v) Y^d: nothing to mask it
         assert_same_representation(f.restrict(vectors), horner_restrict(f, vectors))
+
+# ---------------------------------------------------------------------------
+# the integer polar chain against iterated HomogPoly.polar
+
+def polar_chain_oracle(f, point):
+    """f, D_pf, D_p^2 f, ... up to the last nonzero one, by HomogPoly.polar
+    over field elements: the loop PolarChain runs over ints, step for step."""
+    forms = [f]
+    while True:
+        polar = forms[-1].polar(point)
+        if polar.is_zero():
+            return forms
+        forms.append(polar)
+
+
+def proportional_oracle(P, R, L):
+    """P_j ~ P_(j+1) L by cross-multiplication over field elements."""
+    Q = R * L
+    m = next(iter(Q.terms))
+    return P.terms.keys() == Q.terms.keys() and P.scale(Q.terms[m]) == Q.scale(P.terms[m])
+
+
+def assert_same_chain(chain, forms):
+    assert len(chain) == len(forms)
+    for j, P in enumerate(forms):
+        g = chain.form(j)
+        assert_same_representation(g, P)
+        assert [type(c.tag[0]) for c in g.terms.values() if c.tag] == \
+            [type(c.tag[0]) for c in P.terms.values() if c.tag]
+
+
+def linear_form(field, coeffs):
+    return HomogPoly.from_terms(field, len(coeffs), {
+        tuple(int(i == j) for j in range(len(coeffs))): c for i, c in enumerate(coeffs)},
+        degree=1)
+
+
+@st.composite
+def forms_in(draw, field, nvars, d):
+    monos = st.lists(st.integers(0, nvars - 1), min_size=d, max_size=d).map(
+        lambda vs: tuple(vs.count(i) for i in range(nvars)))
+    terms = draw(st.dictionaries(monos, scalars(field), max_size=4))
+    return HomogPoly.from_terms(field, nvars, terms, degree=d)
+
+
+@given(st.data())
+def test_polar_chain_matches_polar_oracle(data):
+    """PolarChain against iterated HomogPoly.polar, in value, in tag or dense
+    form and in term order, at multiplicity m = 0 to 3.
+
+    F0 has multiplicity m at e0 (no term with x0-degree above d - m, and
+    X0^(d-m) X1^m present); F = F0(X0, X1 - v1 X0, ...) then has it at q =
+    lam (1, v1, ...), whose entries are rational with denominators, tagged,
+    dense or zero.  v1 is an irrational tag z^a, F0 holds c X1^d and
+    c' X0 X1^(d-1), c and c' rational, and its other terms have x1-degree
+    below d - 1.  So at X1^(d-1) in D_qF the contribution d c q1, of
+    exponent a, meets g q0, g = c' - d c v1 the coefficient of X0 X1^(d-1)
+    in F: a dense value or a tag of another exponent.  The packed path runs
+    in every example.
+    """
+    field = cyclo_field(data.draw(st.sampled_from([3, 4, 5, 6, 7, 8, 12]), label="N"))
+    N = field.N
+    order = data.draw(st.sampled_from([g for g in range(2, 13) if N % g == 0]))
+    exponents = range(0, N, N // order)
+    nvars = data.draw(st.integers(2, 4), label="nvars")
+    d = data.draw(st.integers(2, 5), label="d")
+    m = data.draw(st.integers(0, min(3, d - 1)), label="m")
+    monos = st.lists(st.integers(0, nvars - 1), min_size=d, max_size=d).map(
+        lambda vs: tuple(vs.count(i) for i in range(nvars))).filter(
+        lambda e: e[0] <= d - m and e[1] < d - 1)
+    terms = data.draw(st.dictionaries(monos, kernel_entries(field, exponents, False),
+                                      max_size=5), label="F0")
+    pad = (0,) * (nvars - 2)
+    for mono in ((0, d) + pad, (1, d - 1) + pad, (d - m, m) + pad):
+        terms[mono] = data.draw(TINY)
+    F0 = HomogPoly.from_terms(field, nvars, terms, degree=d)
+    irrational = [k for k in range(1, N) if field.zeta(k).rational() is None]
+    v = [0, field.zeta(data.draw(st.sampled_from(irrational), label="a"))] + data.draw(
+        st.lists(kernel_entries(field, exponents, True), min_size=nvars - 2,
+                 max_size=nvars - 2), label="v")
+    shear = [[field.one if j == i else field.zero for j in range(nvars)] for i in range(nvars)]
+    for i in range(1, nvars):
+        shear[i][0] = -field.from_rational(v[i]) if not isinstance(v[i], CycloNum) else -v[i]
+    F = F0.transform(shear)
+    lam = data.draw(TINY, label="lam")
+    q = [lam * (x if isinstance(x, CycloNum) else field.from_rational(x)) for x in [1] + v[1:]]
+
+    with mock.patch.object(polyring, "_vector", wraps=polyring._vector) as unpacked:
+        chain = polyring.PolarChain(F, q)
+    assert unpacked.call_count > 0
+    forms = polar_chain_oracle(F, q)
+    assert len(forms) == d + 1 - m
+    assert_same_chain(chain, forms)
+
+    # the step test, on a random linear form and on F = L^d + A(Y), Y_i =
+    # q0 X_i - qi X0, where every P_j, j >= 1, is a multiple of L^(d-j)
+    coeffs = data.draw(st.lists(kernel_entries(field, exponents, True), min_size=nvars,
+                                max_size=nvars), label="L")
+    if not any(coeffs):
+        coeffs[0] = 1
+    L = linear_form(field, coeffs)
+    for top in range(1, len(forms) - 1):
+        assert chain.proportional(L, top) == all(
+            proportional_oracle(forms[j], forms[j + 1], L) for j in range(top, 0, -1))
+    A = data.draw(forms_in(field, nvars - 1, d), label="A")
+    ys = [[-q[i + 1] if j == 0 else q[0] if j == i + 1 else 0 for i in range(nvars - 1)]
+          for j in range(nvars)]
+    Fo = L ** d + A.restrict(ys)
+    chain, forms = polyring.PolarChain(Fo, q), polar_chain_oracle(Fo, q)
+    assert_same_chain(chain, forms)
+    if L.eval_at(q):
+        assert len(forms) == d + 1
+        assert all(proportional_oracle(forms[j], forms[j + 1], L) for j in range(1, d - 1))
+        assert chain.proportional(L, d - 2)
+
+
+@pytest.mark.parametrize("d", [1, 2, 4])
+def test_polar_chain_drops_packed_zero_mod_phi(d):
+    """At p = (1, z, z^2) in Q(zeta_3), F = (X0 + X1 + X2) X0^(d-1) has D_pF
+    = (d-1)(X0 + X1 + X2) X0^(d-2): at X0^(d-1) the tags d, z and z^2 meet
+    in the packed d + x + x^2, which is d - 1 mod Phi_3, and at d = 1 the
+    packed 1 + x + x^2 is zero, so the chain ends at F."""
+    K = cyclo_field(3)
+    z = K.zeta()
+    F = poly(K, 3, {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1}) * \
+        poly(K, 3, {(d - 1, 0, 0): 1})
+    p = (K.one, z, z**2)
+    chain = polyring.PolarChain(F, p)
+    assert len(chain) == d
+    assert_same_chain(chain, polar_chain_oracle(F, p))
+    if d > 1:
+        assert type(chain.forms[1][d - 1]) is int  # the key of X0^(d-1)
+        assert chain.form(1).terms[(d - 1, 0, 0)].tag == (d - 1, 0)
+
+
+def test_polar_chain_at_the_bit_bound():
+    """F = c X0^d + z X0^(d-1) X1 at (1, 1, 0) in Q(zeta_5): P_d' = d!(c + z)
+    has l1 norm ||F'||_1 d!, the bound itself, which is chosen just below
+    2^(B-1) with B = 24; its coefficient d! c lies above 2^(B-2)."""
+    K = cyclo_field(5)
+    d = 5
+    fact = math.factorial(d)
+    c = (2**23 - 1) // fact - 1
+    F = poly(K, 3, {(d, 0, 0): c, (d - 1, 1, 0): K.zeta()})
+    p = (1, 1, 0)
+    chain = polyring.PolarChain(F, p)
+    assert chain.bound == (c + 1) * fact < 2**23 and chain.bits == 24
+    assert polyring._unpack(chain.forms[d][0], 24) == [fact * c, fact]
+    assert fact * c > 2**22
+    forms = polar_chain_oracle(F, p)
+    assert_same_chain(chain, forms)
+    assert forms[d].terms[(0, 0, 0)] == K.from_rational(fact * c) + K.zeta() * fact
+
+
+def test_monomial_ints_past_degree_255():
+    """At degree 257 a monomial int takes 16 bits per exponent: the chain
+    and restrict still match their oracles."""
+    K = cyclo_field(3)
+    z = K.zeta()
+    d = 257
+    F = poly(K, 2, {(d, 0): 1, (d - 1, 1): z, (0, d): 3})
+    assert polyring._monomial_ints(2, d)[0] == 16
+    chain = polyring.PolarChain(F, (1, z))
+    assert len(chain) == d + 1
+    assert_same_chain(chain, polar_chain_oracle(F, (1, z)))
+    basis = [(z, 0), (1, 2)]
+    assert_same_representation(F.restrict(basis), horner_restrict(F, basis))
+
 
 def test_distinct_root_count_examples():
     import sympy
