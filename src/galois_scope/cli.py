@@ -23,6 +23,7 @@ from .corpus import (
     fixed_locus_json,
     load_instance,
     parse_surface,
+    read_json,
     render_point,
     resolve_group,
     resolve_matrix,
@@ -135,7 +136,7 @@ def cmd_rh_genus(args):
 def cmd_count_points(args):
     inst, X = _load_surface(args)
     if args.candidates:
-        coords = json.loads(Path(args.candidates).read_text())
+        coords = read_json(args.candidates)
         if not isinstance(coords, list):
             raise ParseError("--candidates must hold a JSON list of points")
         cands = [parse_point(c, X.field, X.n + 2) for c in coords]
@@ -161,8 +162,10 @@ def _matrix_row(r: dict) -> dict:
 def cmd_corpus_run(args):
     results = run_corpus(args.directory, jobs=args.jobs,
                          smooth_deadline=args.deadline, seed=args.seed)
+    if not results:  # a missing directory or a file globs to no paths either
+        raise GaloisScopeError(f"{args.directory}: not a directory holding *.json files")
     reports = [r for r in results if r["kind"] == "report"]
-    if results and not reports:  # nothing ran: an input error, as for a single file
+    if not reports:  # nothing ran: an input error, as for a single file
         raise GaloisScopeError(f"{results[0]['name']}: {results[0]['error']}")
     matrix = [_matrix_row(r) for r in results]
     failed = any(m["failures"] for m in matrix)

@@ -34,6 +34,7 @@ from .galois import (
 from .hypersurface import DEFAULT_SMOOTH_DEADLINE, SMOOTH, TIMEOUT, Hypersurface, is_smooth
 from .hypersurface import verify_automorphism
 from .parsing import (
+    int_literal,
     parse_count,
     parse_field,
     parse_matrix,
@@ -68,6 +69,12 @@ class Instance:
     raw: dict
 
 
+def read_json(path):
+    """The JSON document in the file at path; an integer literal that cannot
+    be read is a ParseError (see `int_literal`)."""
+    return json.loads(Path(path).read_text(), parse_int=int_literal)
+
+
 def instance_hash(raw: dict) -> str:
     blob = json.dumps(raw, sort_keys=True, separators=(",", ":")).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
@@ -76,7 +83,7 @@ def instance_hash(raw: dict) -> str:
 def load_instance(source) -> Instance:
     """Load an instance from a path or an already-parsed document."""
     if isinstance(source, (str, Path)):
-        raw = json.loads(Path(source).read_text())
+        raw = read_json(source)
     else:
         raw = source
     if not isinstance(raw, dict):
@@ -180,7 +187,7 @@ def resolve_matrix(inst: Instance | None, name: str) -> ProjMatrix:
 def resolve_point(inst: Instance | None, X: Hypersurface, name: str) -> tuple:
     """A named point of the instance, or the coordinate point e<i>, i < n+2."""
     if name.startswith("e") and name[1:].isdigit():
-        i = int(name[1:])
+        i = int_literal(name[1:])
         if i >= X.n + 2:
             raise GaloisScopeError(f"point {name!r} needs an index below {X.n + 2}")
         return coordinate_points(X)[i]
@@ -554,7 +561,7 @@ def corpus_paths(directory=None) -> list[Path]:
 
 
 def run_one(path, smooth_deadline=None, seed=None) -> dict:
-    raw = json.loads(Path(path).read_text())
+    raw = read_json(path)
     if isinstance(raw, dict) and raw.get("kind") == "generator":
         return run_generator(raw, seed=seed)
     return build_report(load_instance(raw), smooth_deadline=smooth_deadline)

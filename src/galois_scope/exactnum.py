@@ -22,6 +22,13 @@ and `Fraction` compare and hash alike, and their readers use only
 `.numerator`, `.denominator`, comparisons and `abs`.  `_dense` normalises
 computed numerators and demotes every c*z^k among them to its tag, keeping
 the numerators (see `CycloField._monomial`).
+
+This module owns the element encoding: the tag, the dense numerators, the
+integer value form that `polyring`'s substitution kernel and polar chain
+compute in (Kronecker-packed ints and tag pairs, see the last section) and
+the image mod p of the modular Groebner pass (`_residue`).  No other module
+reads a `CycloNum`'s tag or numerators through its internals or builds one
+from them; the monomial layouts are `polyring`'s and `groebner`'s.
 """
 from __future__ import annotations
 
@@ -56,20 +63,6 @@ def factorize(n: int) -> dict[int, int]:
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out
-
-
-def totient(n: int) -> int:
-    t = 1
-    for p, e in factorize(n).items():
-        t *= (p - 1) * p ** (e - 1)
-    return t
-
-
-def divisors(n: int) -> list[int]:
-    ds = [1]
-    for p, e in factorize(n).items():
-        ds = [d * p ** k for d in ds for k in range(e + 1)]
-    return sorted(ds)
 
 
 # ---------------------------------------------------------------------------
@@ -300,6 +293,17 @@ def _rational(r):
     if type(r) is not int and not isinstance(r, Fraction):
         raise TypeError(f"a rational must be an int or a Fraction, not {type(r).__name__}")
     return r
+
+
+def in_field(field: CycloField, c) -> "CycloNum":
+    """c as an element of field: an int (not a bool) or a Fraction is
+    converted, a CycloNum must already lie in field (else FieldMismatch)."""
+    if not isinstance(c, CycloNum):
+        return field.from_rational(c)
+    if c.field.N != field.N:
+        raise FieldMismatch(
+            f"an element of Q(zeta_{c.field.N}) where Q(zeta_{field.N}) is expected")
+    return c
 
 
 def _canon_tag(N: int, c, k: int, den: int = 1) -> tuple:
@@ -636,3 +640,169 @@ def recognize_root_of_unity(x: CycloNum):
             m = 2 * m0
             return (m, (m0 + 2 * j0) % m)
     return None
+
+
+# ---------------------------------------------------------------------------
+# the integer value form, which `polyring.HomogPoly.restrict` (the substitution
+# kernel) and `polyring.PolarChain` run on, and the image mod p, which the
+# modular Groebner pass runs on.
+#
+# A value over Q(zeta_N) at a scale D is a tag pair (a, k), standing for the
+# tag (a/D) z^k with k folded as in a canonical tag, or one packed int
+# p(2^bits) (Kronecker substitution), p an unreduced polynomial in Z[x] with
+# x standing for zeta_N, standing for p(zeta_N)/D.  Callers keep the scale.
+
+
+def _scaled_ints(c: CycloNum, den: int):
+    """(den * c as integers, its l1 norm): a tag as the pair (a, k), a dense
+    value as its power basis vector; den must be a multiple of c's denominator."""
+    t = c._tag
+    if t is not None:
+        a = t[0].numerator * (den // t[0].denominator)
+        return (a, t[1]), abs(a)
+    num, cden = c._parts()
+    vec = [x * (den // cden) for x in num]
+    return vec, sum(map(abs, vec))
+
+
+def _integral(values) -> tuple[int, list]:
+    """(D, [_scaled_ints(c, D) for c in values]), D the lcm of the
+    denominators of the values."""
+    den = math.lcm(1, *(c._den if c._tag is None else c._tag[0].denominator for c in values))
+    return den, [_scaled_ints(c, den) for c in values]
+
+
+def _value_ops(N: int, bound: int):
+    """(bits, mul, add) for integer values over Q(zeta_N) whose coefficients
+    stay below bound in absolute value: bits, the packing width, is a
+    multiple of 8 with bound < 2^(bits-1).
+
+    Tags multiply and same-exponent tags add in exponent space; a tag that
+    meets another exponent enters a packed value as a x^k.  A packed result
+    is exact while its coefficients stay below 2^(bits-1).
+    """
+    bits = (bound.bit_length() + 8) // 8 * 8
+    top, flip = (N // 2, True) if N % 2 == 0 else (N, False)  # as in _canon_tag
+
+    def mul(c, l):
+        if type(c) is tuple:
+            a, k = c
+            if not a:
+                return _ZERO_TAG
+            if type(l) is tuple:
+                b, e = l
+                e += k
+                if e >= top:
+                    e -= top
+                    if flip:
+                        return (-a * b, e)
+                return (a * b, e)
+            return (a * l) << (k * bits)
+        if type(l) is tuple:
+            return (c * l[0]) << (l[1] * bits)
+        return c * l
+
+    def add(x, y):
+        if type(x) is tuple:
+            if type(y) is tuple:
+                a, k = x
+                b, e = y
+                if k == e:
+                    s = a + b
+                    return (s, k) if s else _ZERO_TAG
+                if not a:
+                    return y
+                if not b:
+                    return x
+            x = x[0] << (x[1] * bits)
+        if type(y) is tuple:
+            y = y[0] << (y[1] * bits)
+        return x + y
+
+    return bits, mul, add
+
+
+def _value(v, bits: int):
+    """A tag pair as it is; an integer vector packed at width bits."""
+    return v if type(v) is tuple else _pack(v, bits)
+
+
+def _repack(v, bits: int, wider: int):
+    """A value packed at width bits as a value packed at width wider."""
+    return v if type(v) is tuple else _pack(_unpack(v, bits), wider)
+
+
+def _as_int(v, bits: int) -> int:
+    """A value as one packed int: the tag a z^k as a x^k."""
+    return v[0] << (v[1] * bits) if type(v) is tuple else v
+
+
+def _vector(field: CycloField, v: int, bits: int) -> list[int]:
+    """The power basis numerators of a packed value: folded mod x^N - 1,
+    unpacked and reduced mod Phi_N."""
+    return field._reduce(_unpack(_fold(v, field.N * bits), bits))
+
+
+def _nonzero(field: CycloField, v, bits: int) -> bool:
+    """Whether a value is nonzero in the field: a tag by its coefficient, a
+    packed value by its canonical numerators."""
+    return bool(v[0]) if type(v) is tuple else any(_vector(field, v, bits))
+
+
+def _cyclo(field: CycloField, v, bits: int, den: int) -> CycloNum:
+    """The element v / den in its canonical form."""
+    if type(v) is tuple:  # a tag pair is canonical already at den = 1
+        return CycloNum(field, tag=v if den == 1 else _canon_tag(field.N, v[0], v[1], den))
+    return _dense(field, _vector(field, v, bits), den)
+
+
+def _offset(n: int, bits: int) -> int:
+    """sum_{i<n} 2^(bits-1) 2^(bits i), which makes n balanced digits non-negative."""
+    return int.from_bytes((bytes(bits // 8 - 1) + b"\x80") * n, "little")
+
+
+def _pack(coeffs, bits: int) -> int:
+    """sum_i coeffs[i] 2^(bits i), for |coeffs[i]| < 2^(bits-1) and 8 | bits."""
+    width, half = bits // 8, 1 << (bits - 1)
+    data = b"".join((c + half).to_bytes(width, "little") for c in coeffs)
+    return int.from_bytes(data, "little") - _offset(len(coeffs), bits)
+
+
+def _fold(p: int, width: int) -> int:
+    """The sum of the balanced base-2^width digits of p.  For p = f(2^bits)
+    and width = N bits this is (f mod x^N - 1)(2^bits), whose l1 norm is at
+    most that of f."""
+    total, mask, half = 0, (1 << width) - 1, 1 << (width - 1)
+    while p.bit_length() >= width:
+        low = p & mask
+        if low >= half:
+            low -= mask + 1
+        total += low
+        p = (p - low) >> width
+    return total + p
+
+
+def _unpack(p: int, bits: int) -> list[int]:
+    """The balanced base-2^bits digits of p, lowest first: the inverse of _pack."""
+    width, half = bits // 8, 1 << (bits - 1)
+    n = p.bit_length() // bits + 1
+    data = (p + _offset(n, bits)).to_bytes(n * width, "little")
+    return [int.from_bytes(data[i:i + width], "little") - half
+            for i in range(0, n * width, width)]
+
+
+def _residue(c: CycloNum, p: int, w: int) -> int | None:
+    """The image of c under zeta_N -> w mod p, w an N-th root of unity mod
+    p; None when p divides its denominator."""
+    tag = c._tag
+    if tag is not None:
+        q, k = tag
+        num, den = q.numerator * pow(w, k, p), q.denominator
+    else:
+        coords, den = c._parts()
+        num = 0
+        for x in reversed(coords):  # Horner in w
+            num = (num * w + x) % p
+    if den % p == 0:
+        return None
+    return num * pow(den, -1, p) % p

@@ -22,6 +22,11 @@ that every basis element carries: p = 0 for exact field elements
 (`groebner_basis`), a prime p for ints in [0, p) (`modular_leading_monomials`,
 the image of the ideal under a reduction Z[zeta_N] -> F_p).  A cooperative
 deadline is checked at every pair and at every reduction step.
+
+The packed monomial above is this module's own layout (`Packing`); the
+exponent tuples it converts from and to are `polyring`'s.  The coefficients
+are `exactnum`'s: exact `CycloNum`s, or their images mod p, which
+`exactnum._residue` computes from the element encoding.
 """
 from __future__ import annotations
 
@@ -31,7 +36,7 @@ import time
 from functools import lru_cache
 
 from .errors import BoundViolation
-from .exactnum import factorize
+from .exactnum import _residue, factorize
 from .polyring import HomogPoly, grevlex_key
 
 # the modular pass works mod the least prime p = 1 (mod N) in this open range
@@ -279,23 +284,6 @@ def modular_prime(N: int) -> tuple[int, int] | None:
                 if all(pow(w, N // q, p) != 1 for q in prime_factors):
                     return p, w
     return None
-
-
-def _residue(c, p: int, w: int) -> int | None:
-    """The image of a CycloNum under zeta_N -> w mod p; None when p divides
-    its denominator."""
-    tag = c.tag
-    if tag is not None:
-        q, k = tag
-        num, den = q.numerator * pow(w, k, p), q.denominator
-    else:
-        coords, den = c._parts()
-        num = 0
-        for x in reversed(coords):  # Horner in w
-            num = (num * w + x) % p
-    if den % p == 0:
-        return None
-    return num * pow(den, -1, p) % p
 
 
 def modular_leading_monomials(gens: list[HomogPoly], deadline: Deadline | None = None):

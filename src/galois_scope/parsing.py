@@ -14,6 +14,7 @@ Scalars (matrix entries, points) use the same grammar without variables.
 """
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
 from .errors import ConductorMismatch, ParseError
@@ -21,6 +22,18 @@ from .exactnum import CycloField, CycloNum, cyclo_field, root_of_unity
 from .polyring import HomogPoly
 
 MAX_CONDUCTOR = 100_000  # Phi_N and x^N - 1 are lists of about N integers
+
+
+def int_literal(digits: str, pos=None) -> int:
+    """The integer written as digits, as read from text or JSON: a literal
+    that int() refuses, past the interpreter's limit on the digits of an
+    int-string conversion or with a digit such as '²', is a ParseError."""
+    try:
+        return int(digits)
+    except ValueError:
+        n, limit = len(digits.lstrip("-")), sys.get_int_max_str_digits()
+        raise ParseError(f"an integer literal of {n} digits, above the limit of {limit}"
+                         if n > limit else f"{digits!r} is not a decimal integer", pos) from None
 
 
 class _Lexer:
@@ -45,14 +58,14 @@ class _Lexer:
                 j = i
                 while j < len(t) and t[j].isdigit():
                     j += 1
-                self.tokens.append(("nat", int(t[i:j]), i))
+                self.tokens.append(("nat", int_literal(t[i:j], i), i))
                 i = j
                 continue
             if c == "x" and i + 1 < len(t) and t[i + 1].isdigit():
                 j = i + 1
                 while j < len(t) and t[j].isdigit():
                     j += 1
-                self.tokens.append(("var", int(t[i + 1:j]), i))
+                self.tokens.append(("var", int_literal(t[i + 1:j], i + 1), i))
                 i = j
                 continue
             if c == "z":

@@ -5,6 +5,14 @@ with the common total degree stored separately so that the zero polynomial of
 a given degree is representable.  Monomials are plain tuples of non-negative
 integers; printing and leading-term selection use graded reverse
 lexicographic order.
+
+This module owns two monomial layouts: the exponent tuple of a `HomogPoly`,
+and the monomial int of `restrict` and `PolarChain` (`_monomial_ints`, one
+8- to 64-bit field per exponent).  It does not own the element encoding:
+coefficients are `exactnum.CycloNum`s, and the integer value form that
+`restrict` and `PolarChain` compute in (scaling to integers, Kronecker
+packing, tag pairs, conversion back to canonical elements) is `exactnum`'s,
+used through its helpers only.  `groebner` packs monomials its own way.
 """
 from __future__ import annotations
 
@@ -14,13 +22,18 @@ from fractions import Fraction
 
 from .errors import DegreeMismatch, FieldMismatch
 from .exactnum import (
-    _ZERO_TAG,
     CycloField,
     CycloNum,
-    _canon_tag,
-    _dense,
+    _as_int,
+    _cyclo,
+    _integral,
+    _nonzero,
+    _repack,
     _root_in_field,
+    _value,
+    _value_ops,
     embed_lift,
+    in_field,
     poly_gcd,
     poly_trim,
     recognize_root_of_unity,
@@ -53,10 +66,7 @@ class HomogPoly:
             mono = tuple(mono)
             if len(mono) != nvars or any(e < 0 for e in mono):
                 raise ValueError(f"bad exponent vector {mono} for {nvars} variables")
-            if isinstance(c, (int, Fraction)):
-                c = field.from_rational(c)
-            elif c.field.N != field.N:
-                raise FieldMismatch("coefficient from a different field")
+            c = in_field(field, c)
             if c.is_zero():
                 continue
             d = sum(mono)
@@ -170,8 +180,7 @@ class HomogPoly:
     __rmul__ = __mul__
 
     def scale(self, c) -> "HomogPoly":
-        if isinstance(c, (int, Fraction)):
-            c = self.field.from_rational(c)
+        c = in_field(self.field, c)
         if c.is_zero():
             return HomogPoly.zero(self.field, self.nvars, self.degree)
         return HomogPoly(self.field, self.nvars, self.degree,
@@ -198,7 +207,7 @@ class HomogPoly:
         ints; for the single step of `partial` its conversions into and out
         of ints would cost more than the step itself.
         """
-        pt = [p if isinstance(p, CycloNum) else self.field.from_rational(p) for p in point]
+        pt = [in_field(self.field, p) for p in point]
         support = [(i, p) for i, p in enumerate(pt) if not p.is_zero()]
         weights: dict[tuple[int, int], CycloNum] = {}  # e * p_i, made once per (i, e)
         terms: dict[Exponents, CycloNum] = {}
@@ -229,7 +238,8 @@ class HomogPoly:
         products are an accumulator times a linear form.  A level runs once
         per exponent prefix above it, so the longest L_i go first.
 
-        The recursion runs over Python ints.  f and the basis are scaled to
+        The recursion runs over Python ints, in the integer value form of
+        `exactnum` (`_integral`, `_value_ops`).  f and the basis are scaled to
         integers, f' = D_f f and L_i' = D_A L_i, and every coefficient of the
         result is divided by D_f D_A^d once, at the end.  A value built from
         tags by products and same-exponent sums is the pair (D c, k), D the
@@ -240,9 +250,9 @@ class HomogPoly:
         with it every coefficient, is below ||f'||_1 (max_i ||L_i'||_1)^d
         < 2^(B-1), and one int product or sum is the product or sum of the
         polynomials.  Tags enter a packed value as x^k.  Outputs are folded
-        mod x^N - 1, unpacked and reduced mod Phi_N, and `_dense` gives each
-        the canonical form of its value, a tag when it is c z^k.  So the
-        result equals the CycloNum Horner recursion's coefficient for
+        mod x^N - 1, unpacked and reduced mod Phi_N, and `exactnum._cyclo`
+        gives each the canonical form of its value, a tag when it is c z^k.
+        So the result equals the CycloNum Horner recursion's coefficient for
         coefficient, in value and in representation.  A substitution whose
         inputs and sums stay tag pairs (a monomial matrix) never packs or
         unpacks a value.
@@ -250,7 +260,7 @@ class HomogPoly:
         field, N, m, d = self.field, self.field.N, len(basis), self.degree
         linear = []
         for i in range(self.nvars):
-            col = [(j, _element(field, v[i])) for j, v in enumerate(basis)]
+            col = [(j, in_field(field, v[i])) for j, v in enumerate(basis)]
             linear.append([(j, c) for j, c in col if not c.is_zero()])
         if not self.terms:
             return HomogPoly.zero(field, m, d)
@@ -261,9 +271,8 @@ class HomogPoly:
         entries = iter(entries)
         cols = [[next(entries) for _ in col] for col in linear]
         norm_l = max([1] + [sum(n for _, n in col) for col in cols])
-        bound = sum(n for _, n in coeffs) * norm_l ** max(d, 1)  # d = 0 packs L_i' too
-        bits = _bits(bound)
-        mul, add = _value_ops(N, bits)
+        # d = 0 packs L_i' too
+        bits, mul, add = _value_ops(N, sum(n for _, n in coeffs) * norm_l ** max(d, 1))
 
         width, _, exponents = _monomial_ints(m, d)
         steps = [[(1 << width * j, _value(l[0], bits)) for (j, _), l in zip(linear[i], cols[i])]
@@ -291,14 +300,8 @@ class HomogPoly:
                         acc[key] = add(acc[key], c) if key in acc else c
             return acc
 
-        den = den_f * den_a ** d
-        out: dict[Exponents, CycloNum] = {}
         start = [(mono, _value(v, bits)) for mono, (v, _) in zip(self.terms, coeffs)]
-        for key, c in horner(start, 0).items():
-            c = _cyclo(field, c, bits, den)
-            if not c.is_zero():
-                out[exponents(key)] = c
-        return HomogPoly(field, m, d, out)
+        return _from_values(field, m, d, exponents, horner(start, 0), bits, den_f * den_a ** d)
 
     def divide_by_linear(self, L: "HomogPoly"):
         """Quotient f / L for a linear form L when the division is exact, else None."""
@@ -324,7 +327,7 @@ class HomogPoly:
 
     def eval_at(self, point) -> CycloNum:
         """Value at a coordinate vector; the vector must not be identically zero."""
-        pt = [p if isinstance(p, CycloNum) else self.field.from_rational(p) for p in point]
+        pt = [in_field(self.field, p) for p in point]
         if all(p.is_zero() for p in pt):
             raise ValueError("evaluation at the zero vector is not projective")
         zeros = [i for i, p in enumerate(pt) if p.is_zero()]
@@ -352,8 +355,8 @@ class HomogPoly:
 
 
 # ---------------------------------------------------------------------------
-# the integer value form of the substitution kernel (HomogPoly.restrict) and
-# of the polar chain (PolarChain)
+# the polar chain, in the integer value form of `exactnum`, and the monomial
+# ints that it and HomogPoly.restrict key their values by
 
 
 class PolarChain:
@@ -381,15 +384,15 @@ class PolarChain:
 
     def __init__(self, F: HomogPoly, point):
         field, N, d = F.field, F.field.N, F.degree
-        pt = [_element(field, c) for c in point]
+        pt = [in_field(field, c) for c in point]
         self.field, self.nvars, self.degree = field, F.nvars, d
         self.den_f, coeffs = _integral(F.terms.values())
         self.den_p, entries = _integral(pt)
         norm_p = max([1] + [n for _, n in entries])
         # max(.., 1): the weights e p_i' are packed even for F = 0
         self.bound = max(sum(n for _, n in coeffs), 1) * math.factorial(d) * norm_p ** d
-        self.bits = bits = _bits(self.bound)
-        mul, add = _value_ops(N, bits)
+        bits, mul, add = _value_ops(N, self.bound)
+        self.bits = bits
         width, key_of, _ = _monomial_ints(F.nvars, d)
         mask = (1 << width) - 1
         # (shift and step of X_i, [None, 1 p_i', ..., d p_i']) for each p_i != 0
@@ -416,11 +419,9 @@ class PolarChain:
 
     def form(self, j: int) -> HomogPoly:
         """P_j as a HomogPoly, for 0 <= j < len(self)."""
-        exponents = _monomial_ints(self.nvars, self.degree)[2]
-        den = self.den_f * self.den_p ** j
-        return HomogPoly(self.field, self.nvars, self.degree - j,
-                         {exponents(key): _cyclo(self.field, v, self.bits, den)
-                          for key, v in self.forms[j].items()})
+        return _from_values(self.field, self.nvars, self.degree - j,
+                            _monomial_ints(self.nvars, self.degree)[2], self.forms[j],
+                            self.bits, self.den_f * self.den_p ** j)
 
     def proportional(self, L: HomogPoly, top: int) -> bool:
         """Whether P_j is a nonzero multiple of P_(j+1) L for every j from
@@ -439,18 +440,13 @@ class PolarChain:
         """
         field, key_of = self.field, _monomial_ints(self.nvars, self.degree)[1]
         _, lin = _integral(L.terms.values())
-        bits = _bits(2 * self.bound ** 2 * sum(n for _, n in lin))
-        mul, add = _value_ops(field.N, bits)
+        bits, mul, add = _value_ops(field.N, 2 * self.bound ** 2 * sum(n for _, n in lin))
         lin = [(key_of(mono), _value(v, bits)) for mono, (v, _) in zip(L.terms, lin)]
-
-        def widen(v):
-            return v if type(v) is tuple else _pack(_unpack(v, self.bits), bits)
-
         for j in range(top, 0, -1):
             P = self.forms[j]
             Q: dict[int, object] = {}
             for key, c in self.forms[j + 1].items():
-                c = widen(c)
+                c = _repack(c, self.bits, bits)
                 for step, l in lin:
                     v = mul(c, l)
                     to = key + step
@@ -459,9 +455,9 @@ class PolarChain:
             if Q.keys() != P.keys():
                 return False
             m = next(iter(Q))
-            q_m, p_m = Q[m], widen(P[m])
+            q_m, p_m = Q[m], _repack(P[m], self.bits, bits)
             for t, q in Q.items():
-                x, y = mul(widen(P[t]), q_m), mul(q, p_m)
+                x, y = mul(_repack(P[t], self.bits, bits), q_m), mul(q, p_m)
                 if type(x) is tuple and type(y) is tuple:
                     if x != y:  # canonical tags: equal values have equal pairs
                         return False
@@ -470,125 +466,12 @@ class PolarChain:
         return True
 
 
-def _element(field: CycloField, c) -> CycloNum:
-    """c as an element of field: an int or Fraction is converted, a CycloNum
-    must already lie in field."""
-    if not isinstance(c, CycloNum):
-        return field.from_rational(c)
-    if c.field.N != field.N:
-        raise FieldMismatch("entry from a different field")
-    return c
-
-
-def _denominator(c: CycloNum) -> int:
-    t = c.tag
-    return t[0].denominator if t is not None else c._parts()[1]
-
-
-def _scaled_ints(c: CycloNum, den: int):
-    """(den * c as integers, its l1 norm): a tag as the pair (a, k), a dense
-    value as its power basis vector; den must be a multiple of c's denominator."""
-    t = c.tag
-    if t is not None:
-        a = t[0].numerator * (den // t[0].denominator)
-        return (a, t[1]), abs(a)
-    num, cden = c._parts()
-    vec = [x * (den // cden) for x in num]
-    return vec, sum(map(abs, vec))
-
-
-def _integral(values) -> tuple[int, list]:
-    """(D, [_scaled_ints(c, D) for c in values]), D the lcm of the
-    denominators of the values."""
-    tags = [c.tag for c in values]
-    if all(t is not None and type(t[0]) is int for t in tags):  # D = 1
-        return 1, [(t, abs(t[0])) for t in tags]
-    den = math.lcm(1, *(_denominator(c) for c in values))
-    return den, [_scaled_ints(c, den) for c in values]
-
-
-def _bits(bound: int) -> int:
-    """A multiple of 8 with bound < 2^(bits-1): the packing width for values
-    whose coefficients stay below bound in absolute value."""
-    return (bound.bit_length() + 8) // 8 * 8
-
-
-def _value(v, bits: int):
-    """A tag pair as it is; an integer vector packed at width bits."""
-    return v if type(v) is tuple else _pack(v, bits)
-
-
-def _as_int(v, bits: int) -> int:
-    """A value as one packed int: the tag a z^k as a x^k."""
-    return v[0] << (v[1] * bits) if type(v) is tuple else v
-
-
-def _value_ops(N: int, bits: int):
-    """(mul, add) on integer values over Q(zeta_N) at packing width bits.
-
-    A value is a tag pair (a, k), the tag a z^k with k folded as in a
-    canonical tag, or one packed int p(2^bits), p an unreduced polynomial in
-    Z[x].  Tags multiply and same-exponent tags add in exponent space; a tag
-    that meets another exponent enters a packed value as a x^k.  A packed
-    result is exact while its coefficients stay below 2^(bits-1).
-    """
-    top, flip = (N // 2, True) if N % 2 == 0 else (N, False)  # tag exponent folding
-
-    def mul(c, l):
-        if type(c) is tuple:
-            a, k = c
-            if not a:
-                return _ZERO_TAG
-            if type(l) is tuple:
-                b, e = l
-                e += k
-                if e >= top:
-                    e -= top
-                    if flip:
-                        return (-a * b, e)
-                return (a * b, e)
-            return (a * l) << (k * bits)
-        if type(l) is tuple:
-            return (c * l[0]) << (l[1] * bits)
-        return c * l
-
-    def add(x, y):
-        if type(x) is tuple:
-            if type(y) is tuple:
-                a, k = x
-                b, e = y
-                if k == e:
-                    s = a + b
-                    return (s, k) if s else _ZERO_TAG
-                if not a:
-                    return y
-                if not b:
-                    return x
-            x = x[0] << (x[1] * bits)
-        if type(y) is tuple:
-            y = y[0] << (y[1] * bits)
-        return x + y
-
-    return mul, add
-
-
-def _vector(field: CycloField, v: int, bits: int) -> list[int]:
-    """The power basis numerators of a packed value: folded mod x^N - 1,
-    unpacked and reduced mod Phi_N."""
-    return field._reduce(_unpack(_fold(v, field.N * bits), bits))
-
-
-def _nonzero(field: CycloField, v, bits: int) -> bool:
-    """Whether a value is nonzero in the field: a tag by its coefficient, a
-    packed value by its canonical numerators."""
-    return bool(v[0]) if type(v) is tuple else any(_vector(field, v, bits))
-
-
-def _cyclo(field: CycloField, v, bits: int, den: int) -> CycloNum:
-    """The element v / den in its canonical form."""
-    if type(v) is tuple:  # a tag pair is canonical already at den = 1
-        return CycloNum(field, tag=v if den == 1 else _canon_tag(field.N, v[0], v[1], den))
-    return _dense(field, _vector(field, v, bits), den)
+def _from_values(field: CycloField, nvars: int, degree: int, exponents, values: dict,
+                 bits: int, den: int) -> HomogPoly:
+    """The form of the given degree with coefficient v / den at exponents(key)
+    for each key: v of values in the integer value form, zeros dropped."""
+    return HomogPoly(field, nvars, degree, {exponents(key): c for key, v in values.items()
+                                            if not (c := _cyclo(field, v, bits, den)).is_zero()})
 
 
 def _monomial_ints(nvars: int, degree: int):
@@ -608,41 +491,6 @@ def _monomial_ints(nvars: int, degree: int):
         return layout.unpack(key.to_bytes(layout.size, "little"))
 
     return width, key, exponents
-
-
-def _offset(n: int, bits: int) -> int:
-    """sum_{i<n} 2^(bits-1) 2^(bits i), which makes n balanced digits non-negative."""
-    return int.from_bytes((bytes(bits // 8 - 1) + b"\x80") * n, "little")
-
-
-def _pack(coeffs, bits: int) -> int:
-    """sum_i coeffs[i] 2^(bits i), for |coeffs[i]| < 2^(bits-1) and 8 | bits."""
-    width, half = bits // 8, 1 << (bits - 1)
-    data = b"".join((c + half).to_bytes(width, "little") for c in coeffs)
-    return int.from_bytes(data, "little") - _offset(len(coeffs), bits)
-
-
-def _fold(p: int, width: int) -> int:
-    """The sum of the balanced base-2^width digits of p.  For p = f(2^bits)
-    and width = N bits this is (f mod x^N - 1)(2^bits), whose l1 norm is at
-    most that of f."""
-    total, mask, half = 0, (1 << width) - 1, 1 << (width - 1)
-    while p.bit_length() >= width:
-        low = p & mask
-        if low >= half:
-            low -= mask + 1
-        total += low
-        p = (p - low) >> width
-    return total + p
-
-
-def _unpack(p: int, bits: int) -> list[int]:
-    """The balanced base-2^bits digits of p, lowest first: the inverse of _pack."""
-    width, half = bits // 8, 1 << (bits - 1)
-    n = p.bit_length() // bits + 1
-    data = (p + _offset(n, bits)).to_bytes(n * width, "little")
-    return [int.from_bytes(data[i:i + width], "little") - half
-            for i in range(0, n * width, width)]
 
 
 def distinct_root_count(b: HomogPoly) -> int:

@@ -15,6 +15,14 @@ from galois_scope.errors import BoundViolation, ConsistencyError
 
 DATA = bundled_corpus_dir()
 POLY = ["--poly", "x0^4 + x1^4 + x2^4"]
+# an integer literal past the interpreter's limit on int-string conversion
+BIG = "1" * 5000
+
+
+def with_big_point(raw: dict) -> str:
+    """The JSON text of raw with a point whose first coordinate is BIG, a
+    JSON integer that json.dumps itself cannot write."""
+    return json.dumps({**raw, "points": {"big": ["BIG", 1, 0]}}).replace('"BIG"', BIG)
 
 
 def run_cli(capsys, *argv):
@@ -245,20 +253,39 @@ def test_corpus_run_isolates_bad_files(capsys, tmp_path, jobs):
     (tmp_path / "exa4.json").write_text((DATA / "exa4.json").read_text())
     (tmp_path / "bad.json").write_text('{"schema": "galois-scope/1", "kind": "instance"')
     (tmp_path / "list.json").write_text("[1, 0, 0]")
+    exa4 = json.loads((DATA / "exa4.json").read_text())
+    (tmp_path / "big.json").write_text(with_big_point(exa4))
     code, doc = run_cli(capsys, "corpus-run", str(tmp_path), "--jobs", jobs)
     assert code == 1 and doc["status"] == "fail"
-    assert [m["name"] for m in doc["matrix"]] == ["bad.json", "exa4", "list.json"]
-    bad, good, listed = doc["matrix"]
+    assert [m["name"] for m in doc["matrix"]] == ["bad.json", "big.json", "exa4", "list.json"]
+    bad, big, good, listed = doc["matrix"]
     assert good["status"] == "pass" and good["failures"] == [] and good["checked"] > 0
     assert bad["failures"][0].startswith("input error: Expecting")
     assert listed["failures"] == ["input error: an instance must be a JSON object"]
-    assert bad["checked"] == listed["checked"] == 0
+    assert big["failures"][0].startswith("input error: an integer literal of 5000 digits")
+    assert bad["checked"] == listed["checked"] == big["checked"] == 0
     assert doc["reports"] == [json.loads(json.dumps(run_one(DATA / "exa4.json")))]
     # with no file that gives a report nothing ran: an input error, as for one file
     (tmp_path / "exa4.json").unlink()
     assert main(["corpus-run", str(tmp_path), "--jobs", jobs]) == 2
     err = capsys.readouterr().err
     assert json.loads(err)["error"].startswith("bad.json: Expecting")
+
+
+@pytest.mark.parametrize("where", ["missing", "file", "empty"])
+def test_corpus_run_over_no_files_is_an_input_error(capsys, tmp_path, where):
+    """A DIR that gives no paths at all is an input error that names it, not
+    an empty matrix that passes."""
+    target = tmp_path / where
+    if where == "file":
+        target.write_text((DATA / "exa1.json").read_text())
+    elif where == "empty":
+        target.mkdir()
+        (target / "notes.txt").write_text("not an instance")
+    code = main(["corpus-run", str(target)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == f"{target}: not a directory holding *.json files"
 
 
 def test_corpus_run_internal_fault_exit_four(capsys, monkeypatch, tmp_path):
@@ -363,7 +390,8 @@ def test_forged_mismatch_on_smooth_x_exit_four(capsys, monkeypatch):
 
 # each argv ends in exit 2 with a JSON error; "{data}" is the bundled corpus,
 # "{dir}" holds inst.json, ex1-fermat.json with the given keys replaced
-# (None: removed), and the files of FAULT_FILES
+# (None: removed), the files of FAULT_FILES and three files with a BIG
+# literal: big-point.json, big-poly.json and big-candidates.json
 FAULT_FILES = {
     "short.json": [[1, 0, 0], [1, 0]],  # a candidate with 2 coordinates
     "null.json": [[1, None, 0]],
@@ -466,6 +494,15 @@ INPUT_FAULTS = [
      {"field": 3, "polynomial": "x0*x1^3 + x0*x2^3 + x0^4",
       "automorphisms": {"g": [["z(3)", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]}}),
     (["count-points", *POLY, "--nvars", "4", "--candidates", "{dir}/cone-points.json"], {}),
+    # an integer literal that int() refuses: past the digit limit ("{big}" is
+    # BIG), in text and in JSON, or written with a digit such as '²'
+    (["check-smooth", "--poly", "{big}*x0^4 + x1^4 + x2^4"], {}),
+    (["galois-at-point", "{data}/ex1-fermat.json", "--coords", "{big},1,0"], {}),
+    (["check-smooth", "{dir}/big-poly.json"], {}),
+    (["galois-at-point", "{dir}/big-point.json", "--point", "e0"], {}),
+    (["count-points", "{data}/ex1-fermat.json", "--candidates", "{dir}/big-candidates.json"], {}),
+    (["check-smooth", "--poly", "x0^\u00b2 + x1^4 + x2^4"], {}),
+    (["galois-at-point", "{data}/ex1-fermat.json", "--point", "e\u00b2"], {}),
 ]
 
 
@@ -486,7 +523,10 @@ def test_input_fault_exit_two(capsys, tmp_path, argv, edit):
     (tmp_path / "inst.json").write_text(json.dumps(raw))
     for name, doc in FAULT_FILES.items():
         (tmp_path / name).write_text(json.dumps(doc))
-    code = main([a.format(data=DATA, dir=tmp_path) for a in argv])
+    (tmp_path / "big-point.json").write_text(with_big_point(raw))
+    (tmp_path / "big-poly.json").write_text(json.dumps({**raw, "polynomial": f"{BIG}*x0^4"}))
+    (tmp_path / "big-candidates.json").write_text(f"[[{BIG}, 1, 0]]")
+    code = main([a.format(data=DATA, dir=tmp_path, big=BIG) for a in argv])
     err = capsys.readouterr().err
     assert code == 2
     assert "error" in json.loads(err)

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import divisors
 
 from galois_scope.corpus import random_unimodular
 from galois_scope.errors import (
@@ -19,7 +20,6 @@ from galois_scope.exactnum import (
     _root_in_field,
     common_field,
     cyclo_field,
-    divisors,
     embed_lift,
     recognize_root_of_unity,
     root_of_unity,
