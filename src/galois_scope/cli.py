@@ -32,7 +32,7 @@ from .corpus import (
     run_corpus,
     smoothness_section,
 )
-from .errors import BoundViolation, ConsistencyError, GaloisScopeError, ParseError
+from .errors import INPUT_ERRORS, INTERNAL_FAULTS, GaloisScopeError, ParseError
 from .fixlocus import fixed_locus
 from .galois import (
     certificate_from_automorphism,
@@ -42,7 +42,7 @@ from .galois import (
 )
 from .hypersurface import DEFAULT_SMOOTH_DEADLINE, TIMEOUT, verify_automorphism
 from .parsing import parse_count, parse_field, parse_point
-from .planecurves import classify_cyclic, group_closure, require_plane_curve
+from .planecurves import DEFAULT_CLOSURE_BOUND, classify_cyclic, group_closure, require_plane_curve
 from .projlin import projective_order
 
 EXIT_OK = 0
@@ -182,7 +182,7 @@ INSTANCE_ARGS = [
 AUT_ARGS = [("--aut", {"required": True})]
 GROUP_ARGS = [
     ("--group", {"required": True, "help": "group name or comma-separated generators"}),
-    ("--bound", {"type": int, "default": 4096}),
+    ("--bound", {"type": int, "default": DEFAULT_CLOSURE_BOUND}),
 ]
 
 # name, function, help, arguments besides INSTANCE_ARGS (corpus-run takes none of those)
@@ -215,8 +215,16 @@ COMMANDS = [
 ]
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors are input errors, which main prints
+    as JSON; its subparsers are of the same class."""
+
+    def error(self, message):
+        raise GaloisScopeError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="galois-scope",
         description="exact detection and certification of Galois points on smooth hypersurfaces")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -231,8 +239,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         deadline = getattr(args, "deadline", None)
         if deadline is not None and not deadline > 0:  # NaN too, as for expect.smooth_deadline
             raise GaloisScopeError(f"--deadline {deadline}: must be a positive number of seconds")
@@ -247,10 +255,10 @@ def main(argv=None) -> int:
             Path(args.json_out).write_text(text + "\n")
         print(text)
         return code
-    except (ConsistencyError, BoundViolation) as e:
+    except INTERNAL_FAULTS as e:
         print(json.dumps({"schema": SCHEMA, "error": f"internal fault: {e}"}), file=sys.stderr)
         return EXIT_INTERNAL
-    except (OSError, json.JSONDecodeError, GaloisScopeError) as e:
+    except INPUT_ERRORS as e:
         print(json.dumps({"schema": SCHEMA, "error": str(e)}), file=sys.stderr)
         return EXIT_INPUT
 

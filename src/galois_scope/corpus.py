@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import (
-    BoundViolation,
-    ConsistencyError,
+    INPUT_ERRORS,
+    INTERNAL_FAULTS,
     CriterionNotApplicable,
     GaloisScopeError,
     ParseError,
@@ -572,9 +572,9 @@ def _run_file(path, smooth_deadline, seed) -> dict:
     raises an input error; an internal fault still ends the run."""
     try:
         return run_one(path, smooth_deadline, seed)
-    except (ConsistencyError, BoundViolation):
+    except INTERNAL_FAULTS:
         raise
-    except (OSError, json.JSONDecodeError, GaloisScopeError) as e:
+    except INPUT_ERRORS as e:
         return {"schema": SCHEMA, "kind": "error", "name": Path(path).name, "error": str(e)}
 
 

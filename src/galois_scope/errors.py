@@ -1,4 +1,5 @@
 """Exception types shared across the package."""
+from json import JSONDecodeError
 
 
 class GaloisScopeError(Exception):
@@ -59,3 +60,10 @@ class ParseError(GaloisScopeError):
         if pos is not None:
             message = f"{message} (at position {pos})"
         super().__init__(message)
+
+
+# how every entry point sorts what a run raises: a failed theorem-level check
+# is an internal fault (a bug, not bad input) and is tested for first, since
+# both groups hold GaloisScopeErrors; the rest is an input error
+INTERNAL_FAULTS = (ConsistencyError, BoundViolation)
+INPUT_ERRORS = (OSError, JSONDecodeError, GaloisScopeError)

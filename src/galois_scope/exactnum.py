@@ -29,6 +29,11 @@ compute in (Kronecker-packed ints and tag pairs, see the last section) and
 the image mod p of the modular Groebner pass (`_residue`).  No other module
 reads a `CycloNum`'s tag or numerators through its internals or builds one
 from them; the monomial layouts are `polyring`'s and `groebner`'s.
+
+It also owns field membership: `in_field` is the one way a value enters a
+field (lifting from a subfield through `embed_lift`), and `unity_order`,
+`root_of_unity` and `recognize_root_of_unity` alone decide which roots of
+unity a field holds.
 """
 from __future__ import annotations
 
@@ -296,14 +301,13 @@ def _rational(r):
 
 
 def in_field(field: CycloField, c) -> "CycloNum":
-    """c as an element of field: an int (not a bool) or a Fraction is
-    converted, a CycloNum must already lie in field (else FieldMismatch)."""
+    """c as an element of field, the one way a value enters a field: an int
+    (not a bool) or a Fraction is converted, an element of field is returned
+    as it is, and an element of a subfield is lifted by embed_lift; any other
+    field raises ConductorMismatch.  Operators stay strict (`_coerce`)."""
     if not isinstance(c, CycloNum):
         return field.from_rational(c)
-    if c.field.N != field.N:
-        raise FieldMismatch(
-            f"an element of Q(zeta_{c.field.N}) where Q(zeta_{field.N}) is expected")
-    return c
+    return c if c.field is field else embed_lift(c, field)
 
 
 def _canon_tag(N: int, c, k: int, den: int = 1) -> tuple:
@@ -574,13 +578,25 @@ def _modular_inverse(num: tuple[int, ...], field: CycloField) -> tuple[list[int]
 # ---------------------------------------------------------------------------
 # module-level operations
 
-def root_of_unity(field: CycloField, M: int, j: int) -> CycloNum:
-    """zeta_M^j inside Q(zeta_N); requires M | N."""
-    if M < 1:
+def unity_order(field: CycloField) -> int:
+    """lcm(2, N), the number of roots of unity in Q(zeta_N): zeta_m lies in
+    the field exactly when m divides it."""
+    return math.lcm(2, field.N)
+
+
+def root_of_unity(field: CycloField, m: int, j: int) -> CycloNum:
+    """zeta_m^j inside Q(zeta_N); requires m | lcm(2, N) (else ConductorMismatch).
+
+    zeta_m^j is zeta_2N^e with e = j 2N/m: z^(e/2) for an even e, and, as
+    zeta_2N^N = -1, -z^((e+N)/2) for an odd e (then N is odd).
+    """
+    if m < 1:
         raise ValueError("root order must be positive")
-    if field.N % M != 0:
-        raise ConductorMismatch(f"zeta_{M} does not live in Q(zeta_{field.N}); enlarge the field")
-    return field.zeta((j % M) * (field.N // M))
+    N = field.N
+    if unity_order(field) % m:
+        raise ConductorMismatch(f"zeta_{m} does not live in Q(zeta_{N}); enlarge the field")
+    e = (j % m) * (2 * N // m)
+    return field.zeta(e // 2) if e % 2 == 0 else -field.zeta((e + N) // 2)
 
 
 def embed_lift(x: CycloNum, target: CycloField) -> CycloNum:
@@ -604,42 +620,23 @@ def embed_lift(x: CycloNum, target: CycloField) -> CycloNum:
     return _dense(target, acc, x._den, known_dense=True)
 
 
-def _root_in_field(field: CycloField, m: int, j: int) -> CycloNum:
-    """zeta_m^j when it exists in Q(zeta_N), i.e. when m | lcm(2, N)."""
-    if field.N % m == 0:
-        return root_of_unity(field, m, j)
-    if field.N % 2 == 1 and (2 * field.N) % m == 0:
-        # m = 2m' with m' odd dividing N: zeta_m = -zeta_m'^((m'+1)/2)
-        mp = m // 2
-        j %= m
-        sign = -1 if j % 2 else 1
-        exp = (j * ((mp + 1) // 2)) % mp
-        z = root_of_unity(field, mp, exp)
-        return -z if sign < 0 else z
-    raise ConductorMismatch(f"zeta_{m} does not live in Q(zeta_{field.N})")
-
-
 def recognize_root_of_unity(x: CycloNum):
-    """Return (m, j) with x = zeta_m^j, m minimal and gcd(j, m) = 1, or None.
+    """Return (m, j) with x = zeta_m^j, m minimal and gcd(j, m) = 1, or None:
+    the inverse of root_of_unity.
 
-    Every root of unity is tagged, so it is read off its tag; a dense value
-    is none.
+    Every root of unity is tagged, so it is read off its tag: +-z^k is
+    zeta_2N^e with e = 2k, plus N for the sign -, and with g = gcd(e, 2N)
+    it is zeta_(2N/g)^(e/g).  A dense value is none.
     """
+    if x._tag is None:
+        return None
+    c, k = x._tag
+    if c != 1 and c != -1:
+        return None
     N = x.field.N
-    if x._tag is not None:
-        c, k = x._tag
-        if c == -1 and N % 2 == 0:
-            c, k = 1, (k + N // 2) % N
-        if c == 1:
-            g = math.gcd(k, N)
-            return (N // g, (k // g) % (N // g)) if k else (1, 0)
-        if c == -1:
-            # odd conductor: -zeta_N^k has order 2 * ord(zeta_N^k)
-            g = math.gcd(k, N)
-            m0, j0 = N // g, k // g
-            m = 2 * m0
-            return (m, (m0 + 2 * j0) % m)
-    return None
+    e = (2 * k if c == 1 else 2 * k + N) % (2 * N)
+    g = math.gcd(e, 2 * N)
+    return 2 * N // g, e // g
 
 
 # ---------------------------------------------------------------------------

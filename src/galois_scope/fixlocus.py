@@ -8,7 +8,8 @@ from dataclasses import dataclass
 from .errors import ConsistencyError, CriterionNotApplicable
 from .exactnum import CycloNum
 from .galois import GaloisCertificate, _fault, certificate_from_automorphism
-from .hypersurface import SMOOTH, AutWitness, Hypersurface, is_smooth, verify_automorphism
+from .hypersurface import DEFAULT_SMOOTH_DEADLINE, SMOOTH, TIMEOUT, AutWitness, Hypersurface
+from .hypersurface import is_smooth, verify_automorphism
 from .polyring import HomogPoly, binary_form_roots, distinct_root_count
 from .projlin import ProjMatrix, Vector, eigen_structure, homology_kind, vec_normalize
 
@@ -135,30 +136,28 @@ def codim_criterion(X: Hypersurface, w: AutWitness,
     decisive component is a fixed curve that is not smooth rational: a smooth
     plane section of degree >= 4 qualifies, a line never does, and a singular
     section leaves the criterion indeterminate (its geometric genus is not
-    computed here).  A missing certificate when the criterion holds is
+    computed here), as does one whose smoothness check hits the default
+    smoothness deadline.  A missing certificate when the criterion holds is
     fatal on a smooth X and an input error on a certified singular one.
     """
     if X.n < 2:
         raise CriterionNotApplicable("codimension criterion requires n >= 2")
     kind = _criterion_kind(X, w)
     report = fixed_locus(X, w, witness_matrix)
-    detail = ""
+    holds, detail = False, ""
     if kind == "outer" or X.n >= 3:
         holds = any(c.dim == X.n - 1 for c in report.components)
     else:
-        holds = False
-        indeterminate = False
-        for c in report.components:
-            if c.kind == SECTION and c.dim == 1 and len(c.basis) == 3:
-                section = Hypersurface(1, X.d, c.restriction)
-                if is_smooth(section).status == SMOOTH:
-                    holds = True
-                    detail = "smooth plane section of positive genus"
-                    break
-                indeterminate = True
-                detail = "only singular fixed sections; genus not computed"
-        if not holds and indeterminate:
-            holds = None
+        # in P^3 at most one eigenspace has dimension 3, so one section at most
+        section = next((c.restriction for c in report.components
+                        if c.kind == SECTION and c.dim == 1), None)
+        if section is not None:
+            status = is_smooth(Hypersurface(1, X.d, section),
+                               deadline=DEFAULT_SMOOTH_DEADLINE).status
+            holds, detail = {
+                SMOOTH: (True, "smooth plane section of positive genus"),
+                TIMEOUT: (None, "the fixed section's smoothness check timed out"),
+            }.get(status, (None, "only singular fixed sections; genus not computed"))
     cert = certificate_from_automorphism(X, w)
     if holds is True and (cert is None or cert.kind != kind):
         raise _fault(X, ConsistencyError(

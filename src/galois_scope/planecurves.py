@@ -15,6 +15,8 @@ from .fixlocus import fixed_locus
 from .hypersurface import AutWitness, Hypersurface, coordinate_points, verify_automorphism
 from .projlin import ProjMatrix, projective_order
 
+DEFAULT_CLOSURE_BOUND = 4096  # elements
+
 
 @dataclass(frozen=True)
 class CyclicClass:
@@ -125,7 +127,7 @@ class GroupClosure:
     order: int
 
 
-def group_closure(generators, bound: int = 4096) -> GroupClosure:
+def group_closure(generators, bound: int = DEFAULT_CLOSURE_BOUND) -> GroupClosure:
     """Closure of the generators in the projective linear group (BFS).
 
     Elements are deduplicated by their canonical scalar normalization, so the

@@ -29,14 +29,14 @@ from .exactnum import (
     _integral,
     _nonzero,
     _repack,
-    _root_in_field,
     _value,
     _value_ops,
-    embed_lift,
     in_field,
     poly_gcd,
     poly_trim,
     recognize_root_of_unity,
+    root_of_unity,
+    unity_order,
 )
 
 Exponents = tuple[int, ...]
@@ -351,7 +351,7 @@ class HomogPoly:
         if target.N == self.field.N:
             return self
         return HomogPoly(target, self.nvars, self.degree,
-                         {m: embed_lift(c, target) for m, c in self.terms.items()})
+                         {m: in_field(target, c) for m, c in self.terms.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -547,11 +547,10 @@ def binary_form_roots(b: HomogPoly):
     if rec is None:
         return None
     om, oj = rec
-    # the roots of unity of Q(zeta_N) are the lcm(2, N)-th roots
-    if math.lcm(2, b.field.N) % (om * m) != 0:
+    if unity_order(b.field) % (om * m) != 0:
         return None
-    t = _root_in_field(b.field, om * m, oj)
-    step = _root_in_field(b.field, m, 1)
+    t = root_of_unity(b.field, om * m, oj)
+    step = root_of_unity(b.field, m, 1)
     for _ in range(m):
         roots.append((b.field.one, t))
         t = t * step

@@ -18,27 +18,21 @@ from .errors import (
 from .exactnum import (
     CycloField,
     CycloNum,
-    _root_in_field,
     common_field,
-    embed_lift,
+    in_field,
     poly_gcd,
     poly_trim,
     recognize_root_of_unity,
     root_of_unity,
+    unity_order,
 )
 
 Vector = tuple[CycloNum, ...]
 
 
-def as_scalar(field: CycloField, value) -> CycloNum:
-    """value in `field`: a rational, or an element of a subfield lifted by embed_lift."""
-    if isinstance(value, CycloNum):
-        return value if value.field.N == field.N else embed_lift(value, field)
-    return field.from_rational(value)
-
-
 def vector(field: CycloField, entries) -> Vector:
-    return tuple(as_scalar(field, e) for e in entries)
+    """The entries in `field`, each through `exactnum.in_field`."""
+    return tuple(in_field(field, e) for e in entries)
 
 
 def vec_proj_eq(u, v) -> bool:
@@ -90,7 +84,7 @@ class ProjMatrix:
 
     @classmethod
     def diagonal(cls, field, entries) -> "ProjMatrix":
-        es = [as_scalar(field, e) for e in entries]
+        es = vector(field, entries)
         n = len(es)
         return cls(field, tuple(
             tuple(es[i] if i == j else field.zero for j in range(n)) for i in range(n)))
@@ -147,7 +141,7 @@ class ProjMatrix:
             for r in self.rows)
 
     def scale(self, c) -> "ProjMatrix":
-        c = as_scalar(self.field, c)
+        c = in_field(self.field, c)
         return ProjMatrix(self.field, tuple(tuple(x * c for x in r) for r in self.rows))
 
     def __pow__(self, e: int) -> "ProjMatrix":
@@ -477,8 +471,8 @@ def _pattern_homology(es: EigenStructure, d: int, n: int) -> Homology | None:
 
 def _rank_trick_homology(A: ProjMatrix, d: int, n: int) -> Homology | None:
     field = A.field
-    roots = math.lcm(2, field.N)  # the order of the roots of unity in K
-    candidates = [(homology_kind(m, d), _root_in_field(field, m, j))
+    roots = unity_order(field)
+    candidates = [(homology_kind(m, d), root_of_unity(field, m, j))
                   for m in (d - 1, d) if roots % m == 0
                   for j in range(1, m) if math.gcd(j, m) == 1]
     if not candidates:

@@ -1,8 +1,12 @@
-"""The element encoding has one owner, `exactnum`.
+"""The element encoding and field membership have one owner, `exactnum`.
 
 No other module of the package imports its encoding internals, reads the
 private members of a `CycloNum` or `CycloField`, or builds a `CycloNum` from
-a raw tag or numerators.  The check reads the source with `ast`.
+a raw tag or numerators.  Nor does one lift a value into a field by itself
+(a call of `embed_lift`; `exactnum.in_field` is the rule), compute lcm(2, N)
+(which roots of unity a field holds is `exactnum.unity_order`), or define a
+second rule of either kind (`as_scalar`, `_root_in_field`).  The check reads
+the source with `ast`.
 """
 import ast
 from pathlib import Path
@@ -19,6 +23,7 @@ ENCODING_NAMES = {"_ZERO_TAG", "_canon_tag", "_dense"}
 PRIVATE_MEMBERS = {name for cls in (CycloNum, CycloField)
                    for name in [*vars(cls), *cls.__slots__]
                    if name.startswith("_") and not name.startswith("__")}
+MEMBERSHIP_RULES = {"as_scalar", "_root_in_field"}
 
 
 def violations(source: str) -> list[str]:
@@ -34,6 +39,13 @@ def violations(source: str) -> list[str]:
             name = getattr(node.func, "id", getattr(node.func, "attr", None))
             if name == "CycloNum" and (len(node.args) > 1 or node.keywords):
                 found.append(f"{node.lineno}: builds a CycloNum from its parts")
+            elif name == "embed_lift":
+                found.append(f"{node.lineno}: calls embed_lift")
+            elif name == "lcm" and any(isinstance(a, ast.Constant) and a.value == 2
+                                       for a in node.args):
+                found.append(f"{node.lineno}: computes lcm(2, ...)")
+        elif isinstance(node, ast.FunctionDef) and node.name in MEMBERSHIP_RULES:
+            found.append(f"{node.lineno}: defines {node.name}")
     return found
 
 
@@ -50,6 +62,19 @@ exactnum.CycloNum(K, num=(1, 2), den=3)
 """
     assert len(violations(source)) == 9
     assert violations("from .exactnum import CycloNum, cyclo_field\nx.tag\nK.zeta(3)\n") == []
+
+
+def test_checker_finds_each_second_membership_rule():
+    source = """
+embed_lift(x, K)
+exactnum.embed_lift(x, K)
+math.lcm(2, N)
+lcm(N, 2)
+def as_scalar(field, value): pass
+def _root_in_field(field, m, j): pass
+"""
+    assert len(violations(source)) == 6
+    assert violations("in_field(K, x)\nmath.lcm(3, N)\nunity_order(K)\n") == []
 
 
 @pytest.mark.parametrize("path", sorted(p for p in PACKAGE.glob("*.py") if p.name != "exactnum.py"),

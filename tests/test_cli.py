@@ -404,6 +404,14 @@ FAULT_FILES = {
 }
 CONE = {"field": 4, "polynomial": "x1^4 + x2^4",
         "automorphisms": {"g": [["z(4)", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]}}
+# argument errors, which argparse finds: a bad --field, a missing --aut, an
+# unknown command and a bad --jobs
+ARGUMENT_ERRORS = [
+    ["check-smooth", *POLY, "--field", "abc"],
+    ["verify-aut", "{data}/exa1.json"],
+    ["no-such-command"],
+    ["corpus-run", "--jobs", "two"],
+]
 INPUT_FAULTS = [
     *(([cmd, *POLY, "--aut", "g"], {}) for cmd in
       ("verify-aut", "order", "fix-locus", "galois-detect", "classify-cyclic")),
@@ -503,6 +511,7 @@ INPUT_FAULTS = [
     (["count-points", "{data}/ex1-fermat.json", "--candidates", "{dir}/big-candidates.json"], {}),
     (["check-smooth", "--poly", "x0^\u00b2 + x1^4 + x2^4"], {}),
     (["galois-at-point", "{data}/ex1-fermat.json", "--point", "e\u00b2"], {}),
+    *((argv, {}) for argv in ARGUMENT_ERRORS),
 ]
 
 
@@ -531,6 +540,34 @@ def test_input_fault_exit_two(capsys, tmp_path, argv, edit):
     assert code == 2
     assert "error" in json.loads(err)
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", ARGUMENT_ERRORS, ids=" ".join)
+def test_argument_error_is_one_json_line(capsys, argv):
+    code = main([a.format(data=DATA) for a in argv])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and set(json.loads(err)) == {"schema", "error"}
+
+
+def test_help_still_prints_usage(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["check-smooth", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: galois-scope check-smooth")
+
+
+@pytest.mark.parametrize("field, poly, same", [
+    ("1", "x0^4 + z(2)*x1^4 + x2^4", "x0^4 - x1^4 + x2^4"),
+    ("5", "x0^5 + z(10)*x1^5 + x2^5", "x0^5 - z(5)^3*x1^5 + x2^5"),
+])
+def test_roots_of_order_dividing_lcm_2_n_parse(capsys, field, poly, same):
+    """Q(zeta_N) holds zeta_M for every M | lcm(2, N): z(2) over Q is -1, and
+    z(10) over Q(zeta_5) is -z(5)^3."""
+    for command in (["check-smooth"], ["count-points"]):
+        got, want = (run_cli(capsys, *command, "--poly", text, "--field", field)
+                     for text in (poly, same))
+        assert got == want and got[0] == 0
 
 
 # -- the CLI contract under mutated corpus instances ------------------------

@@ -143,10 +143,14 @@ def test_recognize_examples():
 
 
 def test_recognize_inverts_root_of_unity():
-    for N in [4, 5, 6, 8, 9, 12]:
+    # Q(zeta_N) holds the m-th roots of unity for every m | lcm(2, N)
+    for N in [1, 3, 4, 5, 6, 8, 9, 12, 15]:
         F = cyclo_field(N)
-        for m in divisors(N):
+        for m in divisors(math.lcm(2, N)):
+            z = root_of_unity(F, m, 1)
+            assert z ** m == 1 and all(z ** k != 1 for k in range(1, m))
             for j in range(m):
+                assert root_of_unity(F, m, j) == z ** j
                 got = recognize_root_of_unity(root_of_unity(F, m, j))
                 g = math.gcd(j, m) if j else m
                 order = m // g
@@ -155,13 +159,9 @@ def test_recognize_inverts_root_of_unity():
                 assert mm == order
                 assert math.gcd(jj, mm) == 1 or mm == 1
                 # reconstruct and compare
-                assert root_of_unity(F, m, j) == _reconstruct(F, mm, jj)
-
-
-def _reconstruct(F, m, j):
-    from galois_scope.exactnum import _root_in_field
-
-    return _root_in_field(F, m, j)
+                assert root_of_unity(F, m, j) == root_of_unity(F, mm, jj)
+        with pytest.raises(ConductorMismatch):
+            root_of_unity(F, 2 * math.lcm(2, N), 1)
 
 
 def test_recognize_in_odd_conductor():

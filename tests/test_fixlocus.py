@@ -4,6 +4,7 @@ from itertools import product
 
 import pytest
 
+from galois_scope import fixlocus
 from galois_scope.errors import CriterionNotApplicable
 from galois_scope.exactnum import cyclo_field
 from galois_scope.fixlocus import (
@@ -15,7 +16,13 @@ from galois_scope.fixlocus import (
     fixed_locus,
     power_criterion,
 )
-from galois_scope.hypersurface import Hypersurface, verify_automorphism
+from galois_scope.hypersurface import (
+    DEFAULT_SMOOTH_DEADLINE,
+    TIMEOUT,
+    Hypersurface,
+    SmoothnessResult,
+    verify_automorphism,
+)
 from galois_scope.polyring import HomogPoly
 from galois_scope.projlin import ProjMatrix, vec_proj_eq
 
@@ -222,6 +229,26 @@ def test_codim_criterion_inner_surface():
     res = codim_criterion(X, w)
     assert res.holds is True and res.kind == "inner"
     assert res.certificate is not None
+
+
+def test_codim_criterion_section_check_has_a_deadline(monkeypatch):
+    """The fixed section's smoothness check runs under the default deadline,
+    and a timeout leaves the criterion indeterminate, with its own detail."""
+    deadlines = []
+
+    def timed_out(X, deadline=None):
+        deadlines.append(deadline)
+        return SmoothnessResult(TIMEOUT)
+
+    monkeypatch.setattr(fixlocus, "is_smooth", timed_out)
+    F4 = cyclo_field(4)
+    X = Hypersurface(2, 5, poly(F4, 4, {
+        (4, 1, 0, 0): 1, (0, 5, 0, 0): 1, (0, 0, 5, 0): 1, (0, 0, 0, 5): 1}))
+    w = verify_automorphism(X, ProjMatrix.diagonal(F4, [F4.zeta(), 1, 1, 1]))
+    res = codim_criterion(X, w)
+    assert deadlines == [DEFAULT_SMOOTH_DEADLINE]
+    assert res.holds is None and res.kind == "inner"
+    assert res.detail == "the fixed section's smoothness check timed out"
 
 
 def test_codim_criterion_fails_on_quartic_surface():

@@ -75,6 +75,18 @@ def test_parse_scalar_forms():
         parse_scalar("x0", F4)
 
 
+def test_parse_scalar_roots_of_order_dividing_lcm_2_n():
+    # Q(zeta_N) holds zeta_M for every M | lcm(2, N), odd N included
+    F5 = cyclo_field(5)
+    assert parse_scalar("z(2)", Q) == -1
+    assert parse_scalar("z(10)", F5) == -F5.zeta(3)
+    assert parse_scalar("z(10)^2", F5) == F5.zeta()
+    assert parse_scalar("z(6)", cyclo_field(3)) == -cyclo_field(3).zeta(2)
+    for text, field in (("z(4)", Q), ("z(20)", F5), ("z(4)", cyclo_field(6))):
+        with pytest.raises(ParseError):
+            parse_scalar(text, field)
+
+
 def test_render_scalar_round_trip():
     F12 = cyclo_field(12)
     rng = random.Random(33)

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from galois_scope import exactnum, polyring
 from galois_scope.corpus import corpus_paths, load_instance, normal_form_instance
-from galois_scope.errors import DegreeMismatch
-from galois_scope.exactnum import CycloNum, cyclo_field, root_of_unity
+from galois_scope.errors import ConductorMismatch, DegreeMismatch
+from galois_scope.exactnum import CycloNum, cyclo_field, embed_lift, root_of_unity
 from galois_scope.polyring import HomogPoly, binary_form_roots, distinct_root_count
 
 Q = cyclo_field(1)
@@ -666,6 +666,38 @@ def test_binary_form_roots_enumeration():
     b3 = poly(Q, 2, {(2, 0): 1, (1, 1): 1, (0, 2): 1})
     assert binary_form_roots(b3) is None
     assert distinct_root_count(b3) == 2
+
+
+def test_subfield_values_enter_through_in_field():
+    """from_terms, scale, polar, eval_at, restrict and PolarChain lift values
+    of a subfield and give what they give for the lifted values; a value of
+    a field that does not embed raises ConductorMismatch."""
+    F3, F12, F5 = cyclo_field(3), cyclo_field(12), cyclo_field(5)
+    w, s3 = F3.zeta(), F3.element([1, 2])  # a tag and a dense value
+    assert s3.tag is None
+
+    def lift(values):
+        return [embed_lift(x, F12) if isinstance(x, CycloNum) else x for x in values]
+
+    terms = {(4, 0, 0): 1, (0, 4, 0): w, (1, 1, 2): s3, (0, 0, 4): Fraction(1, 2)}
+    f = HomogPoly.from_terms(F12, 3, terms)
+    assert f == HomogPoly.from_terms(F12, 3, dict(zip(terms, lift(terms.values()))))
+    assert all(c.field is F12 for c in f.terms.values())
+    f = f + poly(F12, 3, {(2, 1, 1): F12.zeta(5)})
+    p, basis = (w, s3, 1), [(w, 1, 0), (0, s3, 1)]
+    assert f.scale(s3) == f.scale(embed_lift(s3, F12))
+    assert f.polar(p) == f.polar(lift(p))
+    assert_same_scalar(f.eval_at(p), f.eval_at(lift(p)))
+    assert f.restrict(basis) == f.restrict([lift(v) for v in basis])
+    chain, lifted = polyring.PolarChain(f, p), polyring.PolarChain(f, lift(p))
+    assert len(chain) == len(lifted) == f.degree + 1
+    assert all(chain.form(j) == lifted.form(j) for j in range(len(chain)))
+    bad = (F5.zeta(), 1, 0)
+    for use in (lambda: HomogPoly.from_terms(F12, 3, {(1, 0, 0): F5.zeta()}),
+                lambda: f.scale(F5.zeta()), lambda: f.polar(bad), lambda: f.eval_at(bad),
+                lambda: f.restrict([bad]), lambda: polyring.PolarChain(f, bad)):
+        with pytest.raises(ConductorMismatch):
+            use()
 
 
 def test_eval_at_examples():

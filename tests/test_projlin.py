@@ -17,7 +17,6 @@ from galois_scope.errors import (
     UnsupportedShape,
 )
 from galois_scope.exactnum import (
-    _root_in_field,
     common_field,
     cyclo_field,
     embed_lift,
@@ -290,7 +289,7 @@ def homology_cases(draw):
 
     def root(orders=()):
         m = draw(st.sampled_from([m for m in orders if roots % m == 0] + divisors(roots)))
-        return _root_in_field(K, m, draw(st.sampled_from(
+        return root_of_unity(K, m, draw(st.sampled_from(
             [j for j in range(m) if math.gcd(j, m) == 1])))
 
     c = draw(st.sampled_from([K.one, K.from_rational(-2)])) * root()
