@@ -129,8 +129,8 @@ def _need(ok, what: str, kind: str = "instance") -> None:
 def _check_groups_and_expect(groups: dict, expect: dict) -> None:
     """Reject nested values of the wrong shape before any section is built."""
     for name, members in groups.items():
-        _need(isinstance(members, list) and all(isinstance(m, str) for m in members),
-              f"groups.{name} must be a list of automorphism names")
+        _need(isinstance(members, list) and members and all(isinstance(m, str) for m in members),
+              f"groups.{name} must be a nonempty list of automorphism names")
     for key in ("automorphisms", "points", "counts", "rh", "abelian_check"):
         _need(isinstance(expect.get(key, {}), dict), f"expect.{key} must be a JSON object")
     for key in ("rh", "abelian_check"):

@@ -610,14 +610,9 @@ def embed_lift(x: CycloNum, target: CycloField) -> CycloNum:
     if x._tag is not None:
         c, k = x._tag
         return CycloNum(target, tag=_canon_tag(target.N, c, k * r))
-    acc = [0] * target.degree
-    for i, c in enumerate(x._num):
-        if c:
-            row = target._zeta_vec((i * r) % target.N)
-            for j, rj in enumerate(row):
-                if rj:
-                    acc[j] += c * rj
-    return _dense(target, acc, x._den, known_dense=True)
+    spread = [0] * ((len(x._num) - 1) * r + 1)  # x's numerators at the powers z^(i*r)
+    spread[::r] = x._num
+    return _dense(target, target._reduce(spread), x._den, known_dense=True)
 
 
 def recognize_root_of_unity(x: CycloNum):

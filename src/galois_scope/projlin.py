@@ -24,7 +24,6 @@ from .exactnum import (
     poly_trim,
     recognize_root_of_unity,
     root_of_unity,
-    unity_order,
 )
 
 Vector = tuple[CycloNum, ...]
@@ -346,9 +345,8 @@ def eigen_structure(A: ProjMatrix, witness: ProjMatrix | None = None) -> EigenSt
         if not D.is_diagonal():
             raise UnsupportedShape("witness does not diagonalize the matrix")
         inner = eigen_structure(D)
-        W = witness.embed(inner.field)
         pairs = tuple(
-            EigenPair(p.value, tuple(W.apply(v) for v in p.basis)) for p in inner.pairs)
+            EigenPair(p.value, tuple(witness.apply(v) for v in p.basis)) for p in inner.pairs)
         return EigenStructure(inner.field, pairs)
     if A.is_diagonal():
         field = A.field
@@ -430,69 +428,76 @@ def homology_form(A: ProjMatrix, d: int, n: int) -> Homology | None:
     """Test conjugacy of A to diag(a, b*I_(n+1)) with a/b a primitive root.
 
     The ratio a/b must be a primitive (d-1)-th root of unity (inner) or a
-    primitive d-th root (outer).  Everything is decided in A's own field
-    K = Q(zeta_N): the characteristic polynomial is (x-a)(x-b)^(n+1) with
-    n+1 >= 2, and an automorphism of K preserves root multiplicities, so it
-    fixes a and b.  Hence a, b and a/b lie in K, and a/b is a root of unity
-    of order dividing lcm(2, N).
+    primitive d-th root (outer).  A is such a homology exactly when
+    M = A - bI has rank one, M = u v^T, with a = b + v^T u = b + trace(M)
+    different from b: then A u = a u, the b-eigenspace ker M has dimension
+    n+1, and the center is [u], any nonzero column of M.  Rank one already
+    gives (A - aI)(A - bI) = u (v^T u - (a - b)) v^T = 0.  Everything stays
+    in A's own field: a and b are the roots of multiplicity 1 and n+1 >= 2
+    of the characteristic polynomial, so every field automorphism fixes them.
 
-    A diagonal matrix is read off its eigenvalue pattern.  A non-diagonal
-    monomial matrix is never a homology: a cycle of length l >= 2 of its
-    permutation contributes the l eigenvalues c*zeta_l^j, so A has three or
-    more eigenvalues, or two with ratio -1, while a homology has two with a
-    ratio of order d-1 >= 3 or d >= 4.  Any other matrix takes the rank
-    trick: for each candidate ratio rho in K the trace pins b by
-    trace = b*(rho + n + 1), and conjugacy is equivalent to
-    (A - aI)(A - bI) = 0 with rank(A - bI) <= 1.
+    A diagonal matrix is read off its diagonal.  A non-diagonal monomial
+    matrix is never a homology: a cycle of length l >= 2 of its permutation
+    contributes the l eigenvalues c*zeta_l^j, so A has three or more
+    eigenvalues, or two with ratio -1, while a homology has two with a ratio
+    of order d-1 >= 3 or d >= 4.  Any other matrix takes `_rank_one_homology`.
     """
     if A.size != n + 2:
         raise ValueError(f"matrix size {A.size} does not match n = {n}")
     if A.is_diagonal():
-        return _pattern_homology(eigen_structure(A), d, n)
+        diag = [A.rows[k][k] for k in range(A.size)]
+        b = _diagonal_b(diag)
+        rest = [k for k, x in enumerate(diag) if x != b]
+        if len(rest) != 1:
+            return None
+        k = rest[0]
+        center = tuple(A.field.one if j == k else A.field.zero for j in range(A.size))
+        return _homology(diag[k], b, center, d)
     if A.monomial_permutation() is not None:
         return None
-    return _rank_trick_homology(A, d, n)
+    return _rank_one_homology(A, d, n)
 
 
-def _pattern_homology(es: EigenStructure, d: int, n: int) -> Homology | None:
-    if len(es.pairs) != 2:
+def _diagonal_b(diag: list[CycloNum]) -> CycloNum:
+    """The value that repeats among the first three diagonal entries (of
+    which a homology's b takes at least two), or the second entry if none does."""
+    return diag[0] if diag[0] in (diag[1], diag[2]) else diag[1]
+
+
+def _rank_one_homology(A: ProjMatrix, d: int, n: int) -> Homology | None:
+    """homology_form by the rank of M = A - bI, b read from A.
+
+    Off the diagonal M equals A.  For the first nonzero A_ij, i != j, and any
+    k other than i and j, rank one gives M_kk = u_k v_k = A_ik A_kj / A_ij,
+    so b = A_kk - A_ik A_kj / A_ij; a diagonal A gives b by `_diagonal_b`.
+    M has rank one when, for a nonzero M_pq, M_rc M_pq = M_rq M_pc for every
+    r and c: each row is then a multiple of row p.
+    """
+    size, rows = A.size, A.rows
+    off = next(((i, j) for i in range(size) for j in range(size) if i != j and rows[i][j]), None)
+    if off is None:
+        b = _diagonal_b([rows[k][k] for k in range(size)])
+    else:
+        i, j = off
+        k = next(k for k in range(size) if k not in off)
+        b = rows[k][k] - rows[i][k] * rows[k][j] / rows[i][j]
+    M = [[x - b if r == c else x for c, x in enumerate(row)] for r, row in enumerate(rows)]
+    pivot = next(((p, q) for p in range(size) for q in range(size) if M[p][q]), None)
+    if pivot is None:
         return None
-    single, rest = sorted(es.pairs, key=lambda p: p.multiplicity)
-    if single.multiplicity != 1 or rest.multiplicity != n + 1:
+    p, q = pivot
+    if any(M[r][c] * M[p][q] != M[r][q] * M[p][c]
+           for r in range(size) if r != p for c in range(size) if c != q):
         return None
-    a, b = single.value, rest.value
+    a = sum((rows[k][k] for k in range(size)), A.field.zero) - b * (n + 1)
+    return _homology(a, b, vec_normalize([M[r][q] for r in range(size)]), d)
+
+
+def _homology(a: CycloNum, b: CycloNum, center: Vector, d: int) -> Homology | None:
+    """The Homology diag(a, b*I) with this center when a/b has order d-1 or d."""
+    if not b:
+        return None
     ratio = a / b
     rec = recognize_root_of_unity(ratio)
     kind = rec and homology_kind(rec[0], d)
-    if kind is None:
-        return None
-    return Homology(kind, a, b, vec_normalize(single.basis[0]), ratio)
-
-
-def _rank_trick_homology(A: ProjMatrix, d: int, n: int) -> Homology | None:
-    field = A.field
-    roots = unity_order(field)
-    candidates = [(homology_kind(m, d), root_of_unity(field, m, j))
-                  for m in (d - 1, d) if roots % m == 0
-                  for j in range(1, m) if math.gcd(j, m) == 1]
-    if not candidates:
-        return None
-    trace = sum((A.rows[i][i] for i in range(A.size)), field.zero)
-    for kind, rho in candidates:
-        b = trace / (rho + (n + 1))
-        if b.is_zero():
-            continue
-        a = rho * b
-        shift_b, shift_a = _minus_scalar(A, b), _minus_scalar(A, a)
-        if any(x for r in (shift_a @ shift_b).rows for x in r) or shift_b.rank() > 1:
-            continue
-        # A = bI would make rho = 1, so shift_b has rank 1
-        col = next(c for c in map(shift_b.column, range(A.size)) if any(c))
-        return Homology(kind, a, b, vec_normalize(col), rho)
-    return None
-
-
-def _minus_scalar(A: ProjMatrix, c: CycloNum) -> ProjMatrix:
-    """A - c*I."""
-    return ProjMatrix(A.field, tuple(
-        tuple(x - c if i == j else x for j, x in enumerate(r)) for i, r in enumerate(A.rows)))
+    return Homology(kind, a, b, center, ratio) if kind else None

@@ -255,15 +255,19 @@ def test_corpus_run_isolates_bad_files(capsys, tmp_path, jobs):
     (tmp_path / "list.json").write_text("[1, 0, 0]")
     exa4 = json.loads((DATA / "exa4.json").read_text())
     (tmp_path / "big.json").write_text(with_big_point(exa4))
+    (tmp_path / "empty-group.json").write_text(json.dumps({**exa4, "groups": {"E": []}}))
     code, doc = run_cli(capsys, "corpus-run", str(tmp_path), "--jobs", jobs)
     assert code == 1 and doc["status"] == "fail"
-    assert [m["name"] for m in doc["matrix"]] == ["bad.json", "big.json", "exa4", "list.json"]
-    bad, big, good, listed = doc["matrix"]
+    assert [m["name"] for m in doc["matrix"]] == [
+        "bad.json", "big.json", "empty-group.json", "exa4", "list.json"]
+    bad, big, empty, good, listed = doc["matrix"]
     assert good["status"] == "pass" and good["failures"] == [] and good["checked"] > 0
     assert bad["failures"][0].startswith("input error: Expecting")
     assert listed["failures"] == ["input error: an instance must be a JSON object"]
     assert big["failures"][0].startswith("input error: an integer literal of 5000 digits")
-    assert bad["checked"] == listed["checked"] == big["checked"] == 0
+    assert empty["failures"] == [
+        "input error: instance value groups.E must be a nonempty list of automorphism names"]
+    assert bad["checked"] == listed["checked"] == big["checked"] == empty["checked"] == 0
     assert doc["reports"] == [json.loads(json.dumps(run_one(DATA / "exa4.json")))]
     # with no file that gives a report nothing ran: an input error, as for one file
     (tmp_path / "exa4.json").unlink()
@@ -472,6 +476,10 @@ INPUT_FAULTS = [
         {"count": "3"}, {"dims": "ab"}, {"dims": [1.5]}, {"dims": [0]}, {"seed": [1]},
         {"degrees": [1]}, {"name": None})),
     (["corpus-run", "{dir}"], {"notes": 5}),
+    # a group with no generators
+    *(([cmd, "{dir}/inst.json", "--group", "E"], {"groups": {"G": ["g1", "g2"], "E": []}})
+      for cmd in ("group-closure", "rh-genus")),
+    (["corpus-run", "{dir}"], {"groups": {"G": ["g1", "g2"], "E": []}}),
     *(([cmd, path, "--deadline", value], {})
       for cmd, path in (("check-smooth", "{data}/exa5.json"), ("corpus-run", "{data}"))
       for value in ("nan", "0", "-1")),

@@ -232,11 +232,11 @@ def test_homology_form_rejects_three_eigenvalues():
 
 
 def test_homology_fast_path_matches_general():
-    from galois_scope.projlin import _rank_trick_homology
+    from galois_scope.projlin import _rank_one_homology
 
     F4 = cyclo_field(4)
     A = ProjMatrix.diagonal(F4, [F4.zeta(), 1, 1])
-    got = _rank_trick_homology(A, 4, 1)
+    got = _rank_one_homology(A, 4, 1)
     fast = homology_form(A, 4, 1)
     assert got is not None and fast is not None
     assert got.kind == fast.kind
@@ -331,6 +331,32 @@ def test_scalar_matrix_never_detected():
     for c in (F4.one, F4.zeta()):
         A = ProjMatrix.diagonal(F4, [c, c, c])
         assert homology_form(A, 4, 1) is None
+
+
+@pytest.mark.parametrize("rows, degrees", [
+    ([[1, 1, 0], [0, 1, 0], [0, 0, 1]], (4,)),  # a transvection: ratio 1
+    ([[1, 2, 0], [0, -1, 0], [0, 0, 1]], (4, 5, 6, 7)),  # a reflection: ratio -1
+    ([[1, 1, 1], [1, 1, 1], [1, 1, 1]], (4,)),  # rank one with b = 0
+])
+def test_rank_one_matrices_that_are_not_homologies(rows, degrees):
+    A = ProjMatrix.from_entries(Q, rows)
+    for d in degrees:
+        assert homology_form(A, d, 1) is None
+
+
+def test_homology_read_through_a_dense_off_diagonal_entry():
+    F5 = cyclo_field(5)
+    z = F5.zeta()
+    D = ProjMatrix.diagonal(F5, [z, 1, 1, 1])
+    M = ProjMatrix.from_entries(F5, [[1, 1 + z, 0, 0], [0, 1, 0, 0], [z, 0, 1, 0], [0, 0, 0, 1]])
+    A = M @ D @ M.inverse()
+    first = next(x for i, r in enumerate(A.rows) for j, x in enumerate(r) if i != j and x)
+    assert first.tag is None
+    for d, kind in ((5, "outer"), (6, "inner")):
+        want, h = homology_form(D, d, 2), homology_form(A, d, 2)
+        assert want.kind == h.kind == kind
+        assert h.ratio == want.ratio == z
+        assert vec_proj_eq(h.center, M.apply(want.center))
 
 
 def test_vector_lifts_subfield_entries():
