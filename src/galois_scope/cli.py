@@ -134,6 +134,8 @@ def cmd_rh_genus(args):
 
 
 def cmd_count_points(args):
+    if args.candidates and args.eigen:
+        raise GaloisScopeError("--candidates and --eigen cannot be combined")
     inst, X = _load_surface(args)
     if args.candidates:
         coords = read_json(args.candidates)
@@ -204,7 +206,9 @@ COMMANDS = [
     ("count-points", cmd_count_points, "certified Galois points over a candidate set",
      [("--candidates", {"help": "JSON file with a list of coordinate arrays"}),
       ("--eigen", {"action": "store_true",
-                   "help": "candidates = coordinate points + eigenpoints of all automorphisms"})]),
+                   "help": "candidates = coordinate points + eigenpoints of the instance's "
+                           "automorphisms (--poly has none, so it adds no points); "
+                           "not with --candidates"})]),
     ("corpus-run", cmd_corpus_run, "run the bundled (or given) corpus of instances",
      [("directory", {"nargs": "?", "help": "directory of instance files"}),
       ("--jobs", {"type": int, "default": 1}),

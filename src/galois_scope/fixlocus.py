@@ -45,9 +45,6 @@ class FixedLocusReport:
             return math.inf
         return self.total_finite_count or 0
 
-    def is_empty(self) -> bool:
-        return self.max_component_dim == -1
-
 
 def fixed_locus(X: Hypersurface, w: AutWitness,
                 witness_matrix: ProjMatrix | None = None) -> FixedLocusReport:

@@ -13,15 +13,16 @@ of each field is a guard bit that stays clear.  With G the mask of guard
 bits a product is a + b, and a divides b when (b + G - a) & G == G: each
 field of b + G - a keeps its guard bit exactly when its exponent in a is at
 most the one in b.  The last variable sits in the highest field, so within
-one degree the grevlex-larger monomial is the smaller int.  Monomials are
-packed on entry to `groebner_basis` and `modular_leading_monomials` and
-unpacked on exit.
+one degree the grevlex-larger monomial is the smaller int.
 
 One loop serves two coefficient domains, told apart by the characteristic p
 that every basis element carries: p = 0 for exact field elements
 (`groebner_basis`), a prime p for ints in [0, p) (`modular_leading_monomials`,
-the image of the ideal under a reduction Z[zeta_N] -> F_p).  A cooperative
-deadline is checked at every pair and at every reduction step.
+the image of the ideal under a reduction Z[zeta_N] -> F_p).  Both entries go
+through one entry loop, which packs the generators and returns the one
+reading the smoothness certificate takes from a basis: its minimal leading
+monomials, unpacked to exponent tuples.  A cooperative deadline is checked
+at every pair and at every reduction step.
 
 The packed monomial above is this module's own layout (`Packing`); the
 exponent tuples it converts from and to are `polyring`'s.  The coefficients
@@ -37,7 +38,7 @@ from functools import lru_cache
 
 from .errors import BoundViolation
 from .exactnum import _residue, factorize
-from .polyring import HomogPoly, grevlex_key
+from .polyring import HomogPoly
 
 # the modular pass works mod the least prime p = 1 (mod N) in this open range
 PRIME_RANGE = (2**29, 2**30)
@@ -240,30 +241,15 @@ def _buchberger(gens: list[Monic], p: int, packing: Packing,
     minimal = [g for k, g in enumerate(active)
                if not any((g.lm + G - o.lm) & G == G and (o.lm != g.lm or j < k)
                           for j, o in enumerate(active) if j != k)]
-    minimal.sort(key=lambda g: grevlex_key(packing.unpack(g.lm)))
+    # within one degree the grevlex-larger monomial is the smaller int
+    minimal.sort(key=lambda g: (packing.degree(g.lm), -g.lm))
     return minimal
 
 
 def groebner_basis(gens: list[HomogPoly], deadline: Deadline | None = None):
-    """Minimal Groebner basis of the ideal (grevlex) over the gens' field,
-    sorted by leading monomial; None if the deadline expires."""
-    gens = [g for g in gens if not g.is_zero()]
-    if not gens:
-        return []
-    field, nvars = gens[0].field, gens[0].nvars
-    packing = Packing(nvars)
-    monics = []
-    for g in gens:
-        packing.check_degree(g.degree)
-        terms = {packing.pack(m): c for m, c in g.terms.items()}
-        monics.append(Monic(min(terms), terms))
-    basis = _buchberger(monics, 0, packing, deadline)
-    if basis is None:
-        return None
-    unpack = packing.unpack
-    return [HomogPoly(field, nvars, packing.degree(g.lm),
-                      {unpack(g.lm): field.one, **{unpack(m): c for m, c in g.tail}})
-            for g in basis]
+    """Leading monomials of a minimal grevlex Groebner basis of the ideal of
+    gens over their field, sorted; None if the deadline expires."""
+    return _minimal_leading_monomials(gens, (0, None), deadline)
 
 
 @lru_cache(maxsize=None)
@@ -293,26 +279,37 @@ def modular_leading_monomials(gens: list[HomogPoly], deadline: Deadline | None =
     [] when the reduction does not apply: no prime in range, or p divides a
     coefficient's denominator.  An empty list certifies nothing.
     """
+    prime = modular_prime(gens[0].field.N) if gens else None
+    return [] if prime is None else _minimal_leading_monomials(gens, prime, deadline)
+
+
+def _minimal_leading_monomials(gens: list[HomogPoly], prime: tuple, deadline: Deadline | None):
+    """The entry loop of both passes: the sorted leading monomials of
+    `_buchberger`'s minimal basis, as exponent tuples; None if the deadline
+    expires.
+
+    prime is (0, None) for the exact pass, whose coefficients enter as they
+    are, or (p, w) for the image under zeta_N -> w mod p, which is [] when a
+    coefficient has none.  A generator whose image is zero is left out.
+    """
     if not gens:
-        return []
-    prime = modular_prime(gens[0].field.N)
-    if prime is None:
         return []
     p, w = prime
     packing = Packing(gens[0].nvars)
-    images = []
+    monics = []
     for g in gens:
         packing.check_degree(g.degree)
         terms = {}
         for m, c in g.terms.items():
-            r = _residue(c, p, w)
-            if r is None:
-                return []
-            if r:
-                terms[packing.pack(m)] = r
+            if p:
+                c = _residue(c, p, w)
+                if c is None:
+                    return []
+            if c:
+                terms[packing.pack(m)] = c
         if terms:
-            images.append(Monic(min(terms), terms, p))
-    basis = _buchberger(images, p, packing, deadline)
+            monics.append(Monic(min(terms), terms, p))
+    basis = _buchberger(monics, p, packing, deadline)
     return None if basis is None else [packing.unpack(g.lm) for g in basis]
 
 

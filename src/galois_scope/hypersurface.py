@@ -112,8 +112,7 @@ def is_smooth(X: Hypersurface, deadline: float | None = None) -> SmoothnessResul
     nvars = X.n + 2
     leads = modular_leading_monomials(gens, clock)
     if leads is not None and not all(leading_pure_powers(leads, nvars)):
-        basis = groebner_basis(gens, clock)
-        leads = None if basis is None else [g.leading_monomial() for g in basis]
+        leads = groebner_basis(gens, clock)
     if leads is None:
         return SmoothnessResult(TIMEOUT)
     covered = leading_pure_powers(leads, nvars)

@@ -405,6 +405,7 @@ FAULT_FILES = {
     # six points off the cone x0^4 + x1^4 + x2^4 = 0 in P^3 that the point
     # side takes as outer Galois points, over the smooth-case bound 4
     "cone-points.json": [[1, 0, 0, t] for t in range(5)] + [[0, 1, 0, 0]],
+    "e0.json": [[1, 0, 0]],  # a good candidate set, faulted only by the flags beside it
 }
 CONE = {"field": 4, "polynomial": "x1^4 + x2^4",
         "automorphisms": {"g": [["z(4)", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]}}
@@ -427,6 +428,7 @@ INPUT_FAULTS = [
     *((["galois-at-point", "{data}/ex1-fermat.json", "--coords", c], {})
       for c in ("1,0", "0,0,0", "1,0,0,0", "0.1,1,0")),
     (["count-points", "{data}/ex1-fermat.json", "--candidates", "{dir}/short.json"], {}),
+    (["count-points", "{data}/ex1-fermat.json", "--candidates", "{dir}/e0.json", "--eigen"], {}),
     (["galois-at-point", "{dir}/inst.json", "--point", "p"], {"points": {"p": [1, 0]}}),
     (["count-points", "{dir}/inst.json"], {"points": {"p": [0, 0, 0]}}),
     (["galois-at-point", "--poly", "x0^3 + x1^3 + x2^3", "--point", "e0"], {}),

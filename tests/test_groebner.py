@@ -2,10 +2,12 @@
 
 Two checks, on random forms and on fixed cases:
 
-* the minimal leading monomials of the basis equal those of sympy's reduced
-  grevlex basis, whenever the coefficients are rational;
+* the minimal leading monomials the kernel returns equal those of sympy's
+  reduced grevlex basis, whenever the coefficients are rational;
 * Buchberger's criterion, by the plain reducer below: every generator and
-  every S-pair of the returned basis reduces to zero.
+  every S-pair of the kernel's minimal basis reduces to zero.  The entries
+  return only the leading monomials, so the basis, lead and tail, is read
+  from the `_buchberger` call behind them.
 
 The modular pass (the same kernel mod p) may only certify smoothness where
 the exact pass does, and on the corpus, AC5 and benchmark forms it agrees.
@@ -87,8 +89,26 @@ def plain_s_polynomial(f: dict, g: dict) -> dict:
     return sub_multiple(shifted, g[lg].inverse(), tuple(a - b for a, b in zip(lcm, lg)), g)
 
 
-def check_buchberger_criterion(gens: list[HomogPoly], basis: list[HomogPoly]) -> None:
-    G = [g.terms for g in basis]
+def kernel_basis(gens: list[HomogPoly]) -> tuple[list, list[dict]]:
+    """groebner_basis(gens), and the minimal basis that its `_buchberger` call
+    returned, each element unpacked to {exponents: coefficient}, lead included."""
+    seen = []
+    buchberger = groebner._buchberger
+
+    def recording(monics, p, packing, deadline):
+        basis = buchberger(monics, p, packing, deadline)
+        seen.append((basis, packing))
+        return basis
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(groebner, "_buchberger", recording)
+        leads = groebner_basis(gens)
+    [(basis, packing)] = seen
+    one, unpack = gens[0].field.one, packing.unpack
+    return leads, [{unpack(g.lm): one, **{unpack(m): c for m, c in g.tail}} for g in basis]
+
+
+def check_buchberger_criterion(gens: list[HomogPoly], G: list[dict]) -> None:
     for g in gens:
         assert plain_reduce(dict(g.terms), G) == {}, "a generator is not in the basis ideal"
     for i in range(len(G)):
@@ -96,10 +116,10 @@ def check_buchberger_criterion(gens: list[HomogPoly], basis: list[HomogPoly]) ->
             assert plain_reduce(plain_s_polynomial(G[i], G[j]), G) == {}, (i, j)
 
 
-def minimal_leads(basis: list[HomogPoly]) -> list:
-    leads = [lead(g.terms) for g in basis]
+def minimal_leads(basis: list[dict], one) -> list:
+    leads = [lead(g) for g in basis]
     for g, m in zip(basis, leads):
-        assert g.terms[m] == g.field.one, "basis elements are monic"
+        assert g[m] == one, "basis elements are monic"
     for i, m in enumerate(leads):
         assert not any(j != i and all(a <= b for a, b in zip(o, m))
                        for j, o in enumerate(leads)), "the basis is not minimal"
@@ -135,11 +155,12 @@ def check_kernel(F: HomogPoly) -> tuple[bool, bool]:
     """Run the kernel on the Jacobian of F and check it against both references;
     returns the (exact, modular) smoothness verdicts."""
     gens = jacobian(F)
-    basis = groebner_basis(gens)
-    leads = minimal_leads(basis)
+    leads, basis = kernel_basis(gens)
+    assert leads == sorted(leads, key=grevlex_key), "the leads are sorted in grevlex order"
+    assert sorted(leads) == minimal_leads(basis, F.field.one)
     check_buchberger_criterion(gens, basis)
     if all(c.rational() is not None for c in F.terms.values()):
-        assert leads == sympy_minimal_leads(gens)
+        assert sorted(leads) == sympy_minimal_leads(gens)
     exact, modular = all(leading_pure_powers(leads, F.nvars)), modular_smooth(F)
     assert exact or not modular, "the modular pass certified a form the exact pass does not"
     return exact, modular
@@ -207,8 +228,7 @@ def test_corpus_jacobians_match_references(path):
 
 
 def exact_smooth(F: HomogPoly) -> bool:
-    basis = groebner_basis(jacobian(F))
-    return all(leading_pure_powers([g.leading_monomial() for g in basis], F.nvars))
+    return all(leading_pure_powers(groebner_basis(jacobian(F)), F.nvars))
 
 
 def test_modular_pass_agrees_on_benchmark_population():
