@@ -247,7 +247,12 @@ def projective_order(A: ProjMatrix, k_max: int = 10000) -> int:
     A monomial matrix (diagonal ones included) with permutation sigma has
     order L * ord(A^L), L the order of sigma and A^L diagonal; when a ratio of
     the diagonal of A^L is not a root of unity no power of A is scalar.
-    Otherwise K[A] is K[x]/mu_A for the minimal polynomial mu_A, so A^k is
+    Any other matrix of size 3 or more that `_rank_one` reads as A = bI + M,
+    M of rank one and a = b + trace(M), has order ord(a/b): for a != b,
+    (A - aI)(A - bI) = 0, so A is diagonalizable with eigenvalues a (once)
+    and b (size-1 times), and A^k is scalar exactly when (a/b)^k = 1; for
+    a == b, M != 0 and M^2 = trace(M) M = 0, so A^k = b^k I + k b^(k-1) M is
+    never scalar.  Otherwise K[A] is K[x]/mu_A for the minimal polynomial mu_A, so A^k is
     scalar exactly when x^k mod mu_A is a constant.  A power A^k = c*I makes
     mu_A divide x^k - c, which is squarefree, so a repeated factor in mu_A
     means that no power is scalar.
@@ -266,22 +271,34 @@ def projective_order(A: ProjMatrix, k_max: int = 10000) -> int:
                     f"infinite projective order: a diagonal ratio of A^{L} is not a root of unity")
             sub = math.lcm(sub, rec[0])
         order = L * sub
-        if order > k_max:
-            raise OrderBoundExceeded(f"projective order {order} exceeds bound {k_max}")
-        return order
-    mu = _minimal_polynomial(A)
-    if len(poly_gcd(mu, poly_trim([mu[k] * k for k in range(1, len(mu))]))) > 1:
-        raise OrderBoundExceeded("infinite projective order: the minimal polynomial is not squarefree")
-    zero = A.field.zero
-    r = [A.field.one] + [zero] * (len(mu) - 2)  # x^0 mod mu
-    for k in range(1, k_max + 1):
-        top = r[-1]
-        r = [zero] + r[:-1]
-        if top:
-            r = [x - top * c for x, c in zip(r, mu)]
-        if not any(r[1:]):
-            return k
-    raise OrderBoundExceeded(f"no scalar power within bound {k_max}")
+    elif A.size >= 3 and (read := _rank_one(A)) is not None:
+        a, b, _ = read
+        if a == b:
+            raise OrderBoundExceeded(
+                "infinite projective order: A is a scalar plus a nonzero nilpotent")
+        rec = recognize_root_of_unity(a / b)
+        if rec is None:
+            raise OrderBoundExceeded(
+                "infinite projective order: the eigenvalue ratio a/b is not a root of unity")
+        order = rec[0]
+    else:
+        mu = _minimal_polynomial(A)
+        if len(poly_gcd(mu, poly_trim([mu[k] * k for k in range(1, len(mu))]))) > 1:
+            raise OrderBoundExceeded(
+                "infinite projective order: the minimal polynomial is not squarefree")
+        zero = A.field.zero
+        r = [A.field.one] + [zero] * (len(mu) - 2)  # x^0 mod mu
+        for k in range(1, k_max + 1):
+            top = r[-1]
+            r = [zero] + r[:-1]
+            if top:
+                r = [x - top * c for x, c in zip(r, mu)]
+            if not any(r[1:]):
+                return k
+        raise OrderBoundExceeded(f"no scalar power within bound {k_max}")
+    if order > k_max:
+        raise OrderBoundExceeded(f"projective order {order} exceeds bound {k_max}")
+    return order
 
 
 def _minimal_polynomial(A: ProjMatrix) -> list[CycloNum]:
@@ -440,7 +457,7 @@ def homology_form(A: ProjMatrix, d: int, n: int) -> Homology | None:
     matrix is never a homology: a cycle of length l >= 2 of its permutation
     contributes the l eigenvalues c*zeta_l^j, so A has three or more
     eigenvalues, or two with ratio -1, while a homology has two with a ratio
-    of order d-1 >= 3 or d >= 4.  Any other matrix takes `_rank_one_homology`.
+    of order d-1 >= 3 or d >= 4.  Any other matrix is read by `_rank_one`.
     """
     if A.size != n + 2:
         raise ValueError(f"matrix size {A.size} does not match n = {n}")
@@ -455,7 +472,11 @@ def homology_form(A: ProjMatrix, d: int, n: int) -> Homology | None:
         return _homology(diag[k], b, center, d)
     if A.monomial_permutation() is not None:
         return None
-    return _rank_one_homology(A, d, n)
+    read = _rank_one(A)
+    if read is None:
+        return None
+    a, b, u = read
+    return _homology(a, b, vec_normalize(u), d)
 
 
 def _diagonal_b(diag: list[CycloNum]) -> CycloNum:
@@ -464,14 +485,16 @@ def _diagonal_b(diag: list[CycloNum]) -> CycloNum:
     return diag[0] if diag[0] in (diag[1], diag[2]) else diag[1]
 
 
-def _rank_one_homology(A: ProjMatrix, d: int, n: int) -> Homology | None:
-    """homology_form by the rank of M = A - bI, b read from A.
+def _rank_one(A: ProjMatrix) -> tuple[CycloNum, CycloNum, Vector] | None:
+    """(a, b, u) with M = A - bI of rank one, a = b + trace(M) and u a nonzero
+    column of M, or None when b is zero or M does not have rank one.
 
     Off the diagonal M equals A.  For the first nonzero A_ij, i != j, and any
     k other than i and j, rank one gives M_kk = u_k v_k = A_ik A_kj / A_ij,
-    so b = A_kk - A_ik A_kj / A_ij; a diagonal A gives b by `_diagonal_b`.
-    M has rank one when, for a nonzero M_pq, M_rc M_pq = M_rq M_pc for every
-    r and c: each row is then a multiple of row p.
+    so b = A_kk - A_ik A_kj / A_ij, which needs no division when the product
+    is zero; a diagonal A gives b by `_diagonal_b`.  M has rank one when, for
+    a nonzero M_pq, M_rc M_pq = M_rq M_pc for every r and c: each row is then
+    a multiple of row p.  Needs size >= 3.
     """
     size, rows = A.size, A.rows
     off = next(((i, j) for i in range(size) for j in range(size) if i != j and rows[i][j]), None)
@@ -480,7 +503,10 @@ def _rank_one_homology(A: ProjMatrix, d: int, n: int) -> Homology | None:
     else:
         i, j = off
         k = next(k for k in range(size) if k not in off)
-        b = rows[k][k] - rows[i][k] * rows[k][j] / rows[i][j]
+        t = rows[i][k] * rows[k][j]
+        b = rows[k][k] - t / rows[i][j] if t else rows[k][k]
+    if not b:
+        return None
     M = [[x - b if r == c else x for c, x in enumerate(row)] for r, row in enumerate(rows)]
     pivot = next(((p, q) for p in range(size) for q in range(size) if M[p][q]), None)
     if pivot is None:
@@ -489,8 +515,8 @@ def _rank_one_homology(A: ProjMatrix, d: int, n: int) -> Homology | None:
     if any(M[r][c] * M[p][q] != M[r][q] * M[p][c]
            for r in range(size) if r != p for c in range(size) if c != q):
         return None
-    a = sum((rows[k][k] for k in range(size)), A.field.zero) - b * (n + 1)
-    return _homology(a, b, vec_normalize([M[r][q] for r in range(size)]), d)
+    a = sum((rows[k][k] for k in range(size)), A.field.zero) - b * (size - 1)
+    return a, b, tuple(M[r][q] for r in range(size))
 
 
 def _homology(a: CycloNum, b: CycloNum, center: Vector, d: int) -> Homology | None:

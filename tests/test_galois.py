@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from galois_scope import corpus, exactnum, galois
+from galois_scope import corpus, exactnum, galois, projlin
 from galois_scope.corpus import random_unimodular
 from galois_scope.errors import (
     BoundViolation,
@@ -143,6 +143,19 @@ def test_galois_at_point_dense_inverse_count(monkeypatch, kind, most):
     pv = galois_at_point(Y, q)
     assert pv is not None and pv.kind == kind
     assert len(calls) <= most
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("kind", ["inner", "outer"])
+def test_certificate_path_builds_no_minimal_polynomial(monkeypatch, n, kind):
+    # a verified generator of a normal form is a homology: its order is read
+    # off the eigenvalue ratio, not from a minimal polynomial
+    monkeypatch.setattr(projlin, "_minimal_polynomial", lambda A: pytest.fail("minimal polynomial"))
+    X, B, p, _ = corpus.normal_form_instance(random.Random(f"minpoly:{n}:{kind}"), n, 5, kind)
+    w = verify_automorphism(X, B)
+    cert = certificate_from_automorphism(X, w)
+    assert w.order == cert.group_order == (4 if kind == "inner" else 5)
+    assert cert.kind == kind and vec_proj_eq(cert.point, p)
 
 
 def test_certificate_rejects_witness_of_wrong_order():

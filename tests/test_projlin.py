@@ -7,9 +7,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from sympy import divisors
+from sympy import divisors, primefactors
 
-from galois_scope.corpus import random_unimodular
+from galois_scope import exactnum, projlin
+from galois_scope.corpus import normal_form_instance, random_unimodular
 from galois_scope.errors import (
     ConductorMismatch,
     OrderBoundExceeded,
@@ -25,8 +26,10 @@ from galois_scope.exactnum import (
 )
 from galois_scope.projlin import (
     ProjMatrix,
+    _rank_one,
     eigen_structure,
     homology_form,
+    homology_kind,
     projective_order,
     vec_proj_eq,
     vector,
@@ -125,6 +128,50 @@ def test_projective_order_infinite_raises_at_once():
             projective_order(A)
         # no power is taken beyond A^size
         assert time.perf_counter() - start < 0.5
+
+
+def test_projective_order_dense_2x2():
+    # no third index to read b from, so the minimal polynomial decides
+    F5 = cyclo_field(5)
+    M = ProjMatrix.from_entries(F5, [[1, F5.zeta()], [2, 1]])
+    A = M @ ProjMatrix.diagonal(F5, [F5.zeta(), 1]) @ M.inverse()
+    assert all(x for r in A.rows for x in r)
+    power, k = A, 1
+    while not power.is_scalar():
+        power, k = power @ A, k + 1
+    assert projective_order(A) == k == 5
+
+
+def test_rank_one_order_raises(monkeypatch):
+    # conjugates of diag(2, 1, 1), of a transvection, and of diag(z5, 1, 1)
+    # under a bound of 4, each read as a rank-one perturbation of bI
+    monkeypatch.setattr(projlin, "_minimal_polynomial", lambda A: pytest.fail("minimal polynomial"))
+    F5 = cyclo_field(5)
+    M = ProjMatrix.from_entries(F5, [[1, F5.zeta(), 0], [0, 1, 2], [1, 0, 1]])
+    for rows, k_max, match in (
+            ([[2, 0, 0], [0, 1, 0], [0, 0, 1]], 10000, "infinite projective order"),
+            ([[1, 1, 0], [0, 1, 0], [0, 0, 1]], 10000, "infinite projective order"),
+            ([[F5.zeta(), 0, 0], [0, 1, 0], [0, 0, 1]], 4, "projective order 5 exceeds bound 4")):
+        A = M @ ProjMatrix.from_entries(F5, rows) @ M.inverse()
+        assert A.monomial_permutation() is None
+        with pytest.raises(OrderBoundExceeded, match=match):
+            projective_order(A, k_max=k_max)
+
+
+def test_rank_one_reads_b_without_a_dense_inverse(monkeypatch):
+    # the first nonzero off-diagonal entry A_01 is dense, and A_02*A_21 = 0,
+    # so b = A_22 needs no division by A_01
+    F5 = cyclo_field(5)
+    z = F5.zeta()
+    M = ProjMatrix.from_entries(F5, [[1, 1 + z, 0, 0], [0, 1, 0, 0], [z, 0, 1, 0], [0, 0, 0, 1]])
+    A = M @ ProjMatrix.diagonal(F5, [z, 1, 1, 1]) @ M.inverse()
+    assert A.rows[0][1].tag is None and not A.rows[0][2] * A.rows[2][1]
+    calls = []
+    inverse = exactnum._modular_inverse
+    monkeypatch.setattr(exactnum, "_modular_inverse",
+                        lambda num, field: calls.append(num) or inverse(num, field))
+    assert projective_order(A) == 5
+    assert calls == []
 
 
 def test_order_conjugation_invariant():
@@ -232,16 +279,15 @@ def test_homology_form_rejects_three_eigenvalues():
 
 
 def test_homology_fast_path_matches_general():
-    from galois_scope.projlin import _rank_one_homology
-
     F4 = cyclo_field(4)
     A = ProjMatrix.diagonal(F4, [F4.zeta(), 1, 1])
-    got = _rank_one_homology(A, 4, 1)
+    got = _rank_one(A)
     fast = homology_form(A, 4, 1)
     assert got is not None and fast is not None
-    assert got.kind == fast.kind
-    assert got.ratio == fast.ratio
-    assert vec_proj_eq(got.center, fast.center)
+    a, b, u = got
+    assert homology_kind(recognize_root_of_unity(a / b)[0], 4) == fast.kind
+    assert a / b == fast.ratio
+    assert vec_proj_eq(u, fast.center)
 
 
 def lifted_rank_trick(A, d, n):
@@ -324,6 +370,36 @@ def test_homology_form_matches_lifted_rank_trick(case):
         assert h.ratio.field is A.field and embed_lift(h.ratio, rho.field) == rho
         assert all(x.field is A.field for x in h.center)
         assert vec_proj_eq(h.center, center)
+
+
+def assert_order_by_powers(A, o):
+    """o is the least k with A^k scalar: A^o is, and no A^(o/q), q a prime factor of o, is."""
+    assert (A ** o).is_scalar()
+    assert not any((A ** (o // q)).is_scalar() for q in primefactors(o))
+
+
+@given(homology_cases())
+def test_projective_order_matches_powers(case):
+    A, _, _ = case
+    # the finite orders the shapes give divide this bound (a cycle of length
+    # at most 4 times a root of unity of K); on a raise no power up to the
+    # bound, the bound itself included, may be scalar
+    bound = 12 * math.lcm(2, A.field.N)
+    try:
+        o = projective_order(A, k_max=bound)
+    except OrderBoundExceeded:
+        assert not (A ** bound).is_scalar()
+        return
+    assert_order_by_powers(A, o)
+
+
+@pytest.mark.parametrize("n, d, kind", [
+    (1, 4, "inner"), (1, 5, "outer"), (2, 6, "inner"), (2, 4, "outer"), (3, 5, "inner")])
+def test_projective_order_of_normal_form_generators(n, d, kind):
+    _, B, _, _ = normal_form_instance(random.Random(f"order:{n}:{d}:{kind}"), n, d, kind)
+    o = projective_order(B)
+    assert o == (d - 1 if kind == "inner" else d)
+    assert_order_by_powers(B, o)
 
 
 def test_scalar_matrix_never_detected():
