@@ -1,5 +1,9 @@
 """Fixed loci Fix(g) on X via eigenspace decomposition, and the
-fixed-locus criteria that force Galois points."""
+fixed-locus criteria that force Galois points.
+
+Every criterion reads Fix(g) through `fixed_locus`, so g may be diagonal,
+monomial, or a homology diag(a, b*I) in any basis, with no conjugating
+matrix supplied; any other shape raises UnsupportedShape."""
 from __future__ import annotations
 
 import math
@@ -11,7 +15,7 @@ from .galois import GaloisCertificate, _fault, certificate_from_automorphism
 from .hypersurface import DEFAULT_SMOOTH_DEADLINE, SMOOTH, TIMEOUT, AutWitness, Hypersurface
 from .hypersurface import is_smooth, verify_automorphism
 from .polyring import HomogPoly, binary_form_roots, distinct_root_count
-from .projlin import ProjMatrix, Vector, eigen_structure, homology_kind, vec_normalize
+from .projlin import Vector, eigen_structure, homology_kind, vec_normalize
 
 EMPTY = "empty"
 FINITE = "finite_points"
@@ -46,10 +50,14 @@ class FixedLocusReport:
         return self.total_finite_count or 0
 
 
-def fixed_locus(X: Hypersurface, w: AutWitness,
-                witness_matrix: ProjMatrix | None = None) -> FixedLocusReport:
-    """Decompose Fix(g) on X as the union over eigenspaces E of P(E) meet X."""
-    es = eigen_structure(w.matrix, witness=witness_matrix)
+def fixed_locus(X: Hypersurface, w: AutWitness) -> FixedLocusReport:
+    """Decompose Fix(g) on X as the union over eigenspaces E of P(E) meet X.
+
+    The eigenspaces come from `projlin.eigen_structure`, so g must be
+    diagonal, monomial, or a homology diag(a, b*I) in any basis (read by its
+    rank-one part); other shapes raise UnsupportedShape.
+    """
+    es = eigen_structure(w.matrix)
     field = es.field
     F = X.F.embed(field)
     comps = []
@@ -104,18 +112,18 @@ def _criterion_kind(X: Hypersurface, w: AutWitness) -> str:
     return kind
 
 
-def curve_criterion(X: Hypersurface, w: AutWitness,
-                    witness_matrix: ProjMatrix | None = None) -> CriterionResult:
+def curve_criterion(X: Hypersurface, w: AutWitness) -> CriterionResult:
     """Plane-curve criterion: ord d-1 with #Fix != 2, or ord d with Fix nonempty.
 
-    This is an equivalence on smooth curves, so when it holds the certificate
-    must exist and a missing one is a fatal inconsistency; on a certified
-    singular X, outside the theorem, it is an input error.
+    Fix(g) comes from `fixed_locus`, so a conjugated homology g is read as
+    it stands.  This is an equivalence on smooth curves, so when it holds the
+    certificate must exist and a missing one is a fatal inconsistency; on a
+    certified singular X, outside the theorem, it is an input error.
     """
     if X.n != 1:
         raise CriterionNotApplicable("curve criterion requires n = 1")
     kind = _criterion_kind(X, w)
-    report = fixed_locus(X, w, witness_matrix)
+    report = fixed_locus(X, w)
     holds = report.cardinality() != (2 if kind == "inner" else 0)
     cert = certificate_from_automorphism(X, w)
     if holds and (cert is None or cert.kind != kind):
@@ -124,12 +132,12 @@ def curve_criterion(X: Hypersurface, w: AutWitness,
                            f"|Fix| = {report.cardinality()}")
 
 
-def codim_criterion(X: Hypersurface, w: AutWitness,
-                    witness_matrix: ProjMatrix | None = None) -> CriterionResult:
+def codim_criterion(X: Hypersurface, w: AutWitness) -> CriterionResult:
     """Codimension-one criterion for n >= 2.
 
-    For order d (outer) and for order d-1 with n >= 3, the test is whether a
-    component of Fix(g) has dimension n-1.  For n = 2 and order d-1 the
+    Fix(g) comes from `fixed_locus`, as in the curve criterion.  For order d
+    (outer) and for order d-1 with n >= 3, the test is whether a component
+    of Fix(g) has dimension n-1.  For n = 2 and order d-1 the
     decisive component is a fixed curve that is not smooth rational: a smooth
     plane section of degree >= 4 qualifies, a line never does, and a singular
     section leaves the criterion indeterminate (its geometric genus is not
@@ -140,7 +148,7 @@ def codim_criterion(X: Hypersurface, w: AutWitness,
     if X.n < 2:
         raise CriterionNotApplicable("codimension criterion requires n >= 2")
     kind = _criterion_kind(X, w)
-    report = fixed_locus(X, w, witness_matrix)
+    report = fixed_locus(X, w)
     holds, detail = False, ""
     if kind == "outer" or X.n >= 3:
         holds = any(c.dim == X.n - 1 for c in report.components)
@@ -162,19 +170,19 @@ def codim_criterion(X: Hypersurface, w: AutWitness,
     return CriterionResult("codim_criterion", kind, holds, report, cert, detail)
 
 
-def power_criterion(X: Hypersurface, w: AutWitness, k: int,
-                    witness_matrix: ProjMatrix | None = None) -> CriterionResult:
+def power_criterion(X: Hypersurface, w: AutWitness, k: int) -> CriterionResult:
     """Criterion for order k(d-1), k >= 2: many fixed points (n = 2) or a
     fixed locus of dimension n-2 (n >= 3) force an inner point for g^k.
-    A missing inner certificate when it holds is fatal on a smooth X and an
-    input error on a certified singular one."""
+    Fix(g) comes from `fixed_locus`, as in the curve criterion.  A missing
+    inner certificate when it holds is fatal on a smooth X and an input
+    error on a certified singular one."""
     if k < 2:
         raise CriterionNotApplicable("power criterion requires k >= 2")
     if w.order != k * (X.d - 1):
         raise CriterionNotApplicable(f"order {w.order} is not k(d-1) = {k * (X.d - 1)}")
     if X.n < 2:
         raise CriterionNotApplicable("power criterion requires n >= 2")
-    report = fixed_locus(X, w, witness_matrix)
+    report = fixed_locus(X, w)
     if X.n == 2:
         holds = report.cardinality() >= 5
         detail = f"|Fix| = {report.cardinality()}"

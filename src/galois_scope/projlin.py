@@ -255,7 +255,11 @@ def projective_order(A: ProjMatrix, k_max: int = 10000) -> int:
     never scalar.  Otherwise K[A] is K[x]/mu_A for the minimal polynomial mu_A, so A^k is
     scalar exactly when x^k mod mu_A is a constant.  A power A^k = c*I makes
     mu_A divide x^k - c, which is squarefree, so a repeated factor in mu_A
-    means that no power is scalar.
+    means that no power is scalar.  It also makes A diagonalizable, and the
+    ratios of its eigenvalues then generate a cyclic group of order k in the
+    splitting field L of mu_A, of degree [L:Q] <= phi(N) m! = D for
+    K = Q(zeta_N) and m = deg mu_A.  So phi(k) <= D, and phi(k) >= sqrt(k/2)
+    gives k <= 2 D^2: a loop that passes that bound proves the order infinite.
     """
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
@@ -272,7 +276,7 @@ def projective_order(A: ProjMatrix, k_max: int = 10000) -> int:
             sub = math.lcm(sub, rec[0])
         order = L * sub
     elif A.size >= 3 and (read := _rank_one(A)) is not None:
-        a, b, _ = read
+        a, b, _, _ = read
         if a == b:
             raise OrderBoundExceeded(
                 "infinite projective order: A is a scalar plus a nonzero nilpotent")
@@ -288,13 +292,16 @@ def projective_order(A: ProjMatrix, k_max: int = 10000) -> int:
                 "infinite projective order: the minimal polynomial is not squarefree")
         zero = A.field.zero
         r = [A.field.one] + [zero] * (len(mu) - 2)  # x^0 mod mu
-        for k in range(1, k_max + 1):
+        limit = min(k_max, 2 * (A.field.degree * math.factorial(len(mu) - 1)) ** 2)
+        for k in range(1, limit + 1):
             top = r[-1]
             r = [zero] + r[:-1]
             if top:
                 r = [x - top * c for x, c in zip(r, mu)]
             if not any(r[1:]):
                 return k
+        if limit < k_max:
+            raise OrderBoundExceeded(f"infinite projective order: no scalar power up to {limit}")
         raise OrderBoundExceeded(f"no scalar power within bound {k_max}")
     if order > k_max:
         raise OrderBoundExceeded(f"projective order {order} exceeds bound {k_max}")
@@ -331,7 +338,7 @@ def _cycles(sigma) -> list[list[int]]:
 
 
 # ---------------------------------------------------------------------------
-# eigenstructure for diagonal / monomial / witnessed matrices
+# eigenstructure for diagonal / monomial / rank-one homology matrices
 
 @dataclass(frozen=True)
 class EigenPair:
@@ -349,31 +356,35 @@ class EigenStructure:
     pairs: tuple[EigenPair, ...]
 
 
-def eigen_structure(A: ProjMatrix, witness: ProjMatrix | None = None) -> EigenStructure:
-    """Exact eigendecomposition.
+def eigen_structure(A: ProjMatrix) -> EigenStructure:
+    """Exact eigendecomposition of a diagonal, monomial or rank-one homology matrix.
 
-    Supports diagonal matrices, monomial matrices whose cycle products are
-    roots of unity (enlarging the field as needed for the cycle roots), and
-    arbitrary matrices accompanied by a conjugating witness W with W^-1 A W
-    diagonal.
+    A diagonal matrix is read off its diagonal.  A monomial matrix whose
+    cycle products are roots of unity has the cycle roots as eigenvalues,
+    the field enlarged as needed.  Any other matrix of size 3 or more that
+    `_rank_one` reads as A = bI + M, M of rank one and a = b + trace(M) != b,
+    has the pair (a, u), u the column of M with A u = a u, first, then the
+    pair (b, ker M).  Each row of M is a multiple of its pivot row w, so
+    ker M = ker w, spanned by w_q e_c - w_c e_q for c != q, q the first
+    nonzero index of w.  Anything else, a transvection (a == b) included, is
+    UnsupportedShape.
     """
-    if witness is not None:
-        D = witness.inverse() @ A @ witness
-        if not D.is_diagonal():
-            raise UnsupportedShape("witness does not diagonalize the matrix")
-        inner = eigen_structure(D)
-        pairs = tuple(
-            EigenPair(p.value, tuple(witness.apply(v) for v in p.basis)) for p in inner.pairs)
-        return EigenStructure(inner.field, pairs)
+    field, size = A.field, A.size
     if A.is_diagonal():
-        field = A.field
         return EigenStructure(field, _group_by_value(
-            (A.rows[i][i], tuple(field.one if j == i else field.zero for j in range(A.size)))
-            for i in range(A.size)))
+            (A.rows[i][i], tuple(field.one if j == i else field.zero for j in range(size)))
+            for i in range(size)))
     sigma = A.monomial_permutation()
-    if sigma is None:
-        raise UnsupportedShape("eigenstructure needs a diagonal, monomial, or witnessed matrix")
-    return _monomial_eigen(A, sigma)
+    if sigma is not None:
+        return _monomial_eigen(A, sigma)
+    read = _rank_one(A) if size >= 3 else None
+    if read is None or read[0] == read[1]:
+        raise UnsupportedShape("eigenstructure needs a diagonal, monomial or rank-one homology")
+    a, b, u, w = read
+    q = next(c for c, x in enumerate(w) if x)
+    plane = tuple(tuple(w[q] if i == c else -w[c] if i == q else field.zero for i in range(size))
+                  for c in range(size) if c != q)
+    return EigenStructure(field, (EigenPair(a, (u,)), EigenPair(b, plane)))
 
 
 def _group_by_value(items) -> tuple[EigenPair, ...]:
@@ -475,7 +486,7 @@ def homology_form(A: ProjMatrix, d: int, n: int) -> Homology | None:
     read = _rank_one(A)
     if read is None:
         return None
-    a, b, u = read
+    a, b, u, _ = read
     return _homology(a, b, vec_normalize(u), d)
 
 
@@ -485,9 +496,10 @@ def _diagonal_b(diag: list[CycloNum]) -> CycloNum:
     return diag[0] if diag[0] in (diag[1], diag[2]) else diag[1]
 
 
-def _rank_one(A: ProjMatrix) -> tuple[CycloNum, CycloNum, Vector] | None:
-    """(a, b, u) with M = A - bI of rank one, a = b + trace(M) and u a nonzero
-    column of M, or None when b is zero or M does not have rank one.
+def _rank_one(A: ProjMatrix) -> tuple[CycloNum, CycloNum, Vector, Vector] | None:
+    """(a, b, u, w) with M = A - bI of rank one, a = b + trace(M), w the first
+    nonzero row of M and u its column through w's first nonzero entry, or
+    None when b is zero or M does not have rank one.
 
     Off the diagonal M equals A.  For the first nonzero A_ij, i != j, and any
     k other than i and j, rank one gives M_kk = u_k v_k = A_ik A_kj / A_ij,
@@ -516,7 +528,7 @@ def _rank_one(A: ProjMatrix) -> tuple[CycloNum, CycloNum, Vector] | None:
            for r in range(size) if r != p for c in range(size) if c != q):
         return None
     a = sum((rows[k][k] for k in range(size)), A.field.zero) - b * (size - 1)
-    return a, b, tuple(M[r][q] for r in range(size))
+    return a, b, tuple(M[r][q] for r in range(size)), tuple(M[p])
 
 
 def _homology(a: CycloNum, b: CycloNum, center: Vector, d: int) -> Homology | None:

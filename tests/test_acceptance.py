@@ -146,10 +146,10 @@ def _smooth_plane_curve_instances():
     while made < 44:
         kind = "inner" if made % 2 == 0 else "outer"
         d = rng.choice([4, 5])
-        X, B, _, C = normal_form_instance(rng, 1, d, kind)
+        X, B, _, _ = normal_form_instance(rng, 1, d, kind)
         if is_smooth(X).status != "certified_smooth":
             continue
-        out.append((X, B, C))
+        out.append((X, B))
         made += 1
     # negative family: order d-1 with exactly two fixed points
     for d in (6, 8):
@@ -158,24 +158,24 @@ def _smooth_plane_curve_instances():
         X = Hypersurface(1, d, poly(field, 3, {
             (0, 0, d): 1, (d - 1, 0, 1): 1, (0, d - 1, 1): 1, (half, half, 0): 1}))
         A = ProjMatrix.diagonal(field, [field.zeta(half), field.zeta(half - 1), 1])
-        out.append((X, A, None))
+        out.append((X, A))
     # negative family: order d with empty fixed locus
     F5 = cyclo_field(5)
     for (a, b) in ((1, 1), (2, 2)):
         X = Hypersurface(1, 5, poly(F5, 3, {
             (5, 0, 0): 1, (0, 5, 0): 1, (0, 0, 5): 1, (5 - a - b, a, b): 1}))
         A = ProjMatrix.diagonal(F5, [F5.zeta(1), F5.zeta(2), 1])
-        out.append((X, A, None))
+        out.append((X, A))
     # positive: Fermat curves with the standard order-d generator
     for d, N in ((4, 4), (5, 5), (6, 6), (7, 7)):
         field = cyclo_field(N)
         X = Hypersurface(1, d, poly(field, 3, {(d, 0, 0): 1, (0, d, 0): 1, (0, 0, d): 1}))
         A = ProjMatrix.diagonal(field, [field.zeta(), 1, 1])
-        out.append((X, A, None))
+        out.append((X, A))
     # positive: inner normal forms with a full fixed line
     F3 = cyclo_field(3)
     out.append((Hypersurface(1, 4, poly(F3, 3, {(3, 1, 0): 1, (0, 4, 0): 1, (0, 0, 4): 1})),
-                ProjMatrix.diagonal(F3, [F3.zeta(), 1, 1]), None))
+                ProjMatrix.diagonal(F3, [F3.zeta(), 1, 1])))
     return out
 
 
@@ -183,11 +183,11 @@ def test_ac5_curve_criterion_equivalence():
     with criterion("AC5 curve criterion == certificate existence on 50+ curves"):
         instances = _smooth_plane_curve_instances()
         assert len(instances) >= 50
-        for X, A, change in instances:
+        for X, A in instances:
             assert is_smooth(X).status == "certified_smooth"
             w = verify_automorphism(X, A)
             assert w is not None
-            res = curve_criterion(X, w, witness_matrix=change)
+            res = curve_criterion(X, w)
             assert res.holds is not None  # always decidable on curves
             assert res.holds == (res.certificate is not None)
             if res.certificate is not None:

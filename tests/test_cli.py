@@ -1,5 +1,6 @@
 import io
 import json
+import random
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -12,6 +13,7 @@ from galois_scope import cli, corpus, galois
 from galois_scope.cli import main
 from galois_scope.corpus import bundled_corpus_dir, load_instance, run_one
 from galois_scope.errors import BoundViolation, ConsistencyError
+from galois_scope.parsing import render_poly
 
 DATA = bundled_corpus_dir()
 POLY = ["--poly", "x0^4 + x1^4 + x2^4"]
@@ -359,6 +361,28 @@ def test_corpus_run_codim_criterion_degree_41(capsys, tmp_path):
     assert code == 0
     criterion = doc["reports"][0]["automorphisms"]["g"]["criterion"]
     assert criterion["kind"] == "inner" and criterion["certificate"]["kind"] == "inner"
+
+
+@pytest.mark.parametrize("n, d, kind", [(1, 4, "inner"), (2, 5, "outer")])
+def test_conjugated_homology_commands(capsys, tmp_path, n, d, kind):
+    # a normal form's generator is a homology conjugated by a random change of
+    # coordinates; fix-locus and count-points --eigen read it as it stands, as
+    # galois-detect does
+    X, B, _, _ = corpus.normal_form_instance(random.Random(f"cli:{n}:{d}:{kind}"), n, d, kind)
+    assert B.monomial_permutation() is None
+    path = tmp_path / "nf.json"
+    path.write_text(json.dumps({
+        "schema": "galois-scope/1", "kind": "instance", "name": "nf", "n": n, "d": d,
+        "field": X.field.N, "polynomial": render_poly(X.F),
+        "automorphisms": {"g": [corpus.render_point(r) for r in B.rows]}}))
+    code, doc = run_cli(capsys, "galois-detect", str(path), "--aut", "g")
+    assert code == 0 and doc["certificate"]["kind"] == kind
+    code, doc = run_cli(capsys, "fix-locus", str(path), "--aut", "g")
+    assert code == 0
+    # the center comes first: on X for an inner point, off X for an outer one
+    assert doc["fixed_locus"]["components"][0]["dim"] == (0 if kind == "inner" else -1)
+    code, doc = run_cli(capsys, "count-points", str(path), "--eigen")
+    assert code == 0 and doc[kind] == 1
 
 
 def test_count_points_eigen_skips_unverified(capsys):

@@ -114,15 +114,20 @@ def test_projective_order_bound():
 
 
 def test_projective_order_infinite_raises_at_once():
-    # diag(1 + z(7), 1, 1), a swap whose square is diag(2, 2, 1), and a
-    # unipotent matrix (minimal polynomial (x-1)^2) over Q and conjugated over Q(z7)
+    # diag(1 + z(7), 1, 1), a swap whose square is diag(2, 2, 1), a unipotent
+    # matrix (minimal polynomial (x-1)^2) over Q and conjugated over Q(z7),
+    # and two matrices with a squarefree minimal polynomial of degree 3 and
+    # eigenvalue ratios that are no roots of unity, over Q and over Q(z7):
+    # the degree bound on the order (72 and 2592) ends their loops
     F7 = cyclo_field(7)
     unipotent = [[1, 1, 0], [0, 1, 0], [0, 0, 1]]
     M = ProjMatrix.from_entries(F7, [[1, F7.zeta(), 0], [0, 1, F7.zeta(3)], [1, 0, 1]])
     for A in (ProjMatrix.diagonal(F7, [1 + F7.zeta(), 1, 1]),
               ProjMatrix.from_entries(Q, [[0, 2, 0], [1, 0, 0], [0, 0, 1]]),
               ProjMatrix.from_entries(Q, unipotent),
-              M @ ProjMatrix.from_entries(F7, unipotent) @ M.inverse()):
+              M @ ProjMatrix.from_entries(F7, unipotent) @ M.inverse(),
+              ProjMatrix.from_entries(Q, [[2, 1, 0], [1, 1, 0], [0, 0, 1]]),
+              ProjMatrix.from_entries(F7, [[2, F7.zeta(), 0], [1, 1, 0], [0, 0, 1]])):
         start = time.perf_counter()
         with pytest.raises(OrderBoundExceeded, match="infinite projective order"):
             projective_order(A)
@@ -222,18 +227,44 @@ def test_eigen_structure_two_cycle_with_root():
     assert len(seen) == 2
 
 
-def test_eigen_structure_witnessed():
+def assert_eigenpairs(A, es):
+    """Every basis vector v of a pair satisfies A v = value * v, over es.field,
+    and the multiplicities sum to the size."""
+    B = A.embed(es.field)
+    for p in es.pairs:
+        for v in p.basis:
+            assert B.apply(v) == tuple(x * p.value for x in v)
+    assert sum(p.multiplicity for p in es.pairs) == A.size
+
+
+def test_eigen_structure_conjugated_homology():
+    # a conjugate of diag(z4, 1, 1) is read by its rank-one part: the a pair
+    # first, on the transported e0, then the b plane
     rng = random.Random(8)
     F4 = cyclo_field(4)
     D = ProjMatrix.diagonal(F4, [F4.zeta(), 1, 1])
     W = rand_invertible(rng, F4, 3)
     A = W @ D @ W.inverse()
-    es = eigen_structure(A, witness=W)
-    for p in es.pairs:
-        for v in p.basis:
-            assert A.apply(v) == tuple(x * p.value for x in v)
-    with pytest.raises(UnsupportedShape):
-        eigen_structure(A)
+    assert A.monomial_permutation() is None
+    es = eigen_structure(A)
+    assert es.field is F4
+    assert [(p.value, p.multiplicity) for p in es.pairs] == [(F4.zeta(), 1), (F4.one, 2)]
+    assert vec_proj_eq(es.pairs[0].basis[0], W.apply((1, 0, 0)))
+    assert_eigenpairs(A, es)
+
+
+def test_eigen_structure_unsupported():
+    # a transvection (a == b, not diagonalizable), a conjugate of
+    # diag(z5, z5^2, 1) (three eigenvalues, so no A - bI has rank one) and a
+    # dense 2x2 matrix (no third index for the rank-one reading)
+    F5 = cyclo_field(5)
+    M = ProjMatrix.from_entries(F5, [[1, 1, 0], [0, 1, 2], [1, 0, 1]])
+    for A in (ProjMatrix.from_entries(Q, [[1, 1, 0], [0, 1, 0], [0, 0, 1]]),
+              M @ ProjMatrix.diagonal(F5, [F5.zeta(), F5.zeta(2), 1]) @ M.inverse(),
+              ProjMatrix.from_entries(Q, [[1, 2], [3, 1]])):
+        assert A.monomial_permutation() is None
+        with pytest.raises(UnsupportedShape):
+            eigen_structure(A)
 
 
 def test_homology_form_examples():
@@ -284,7 +315,7 @@ def test_homology_fast_path_matches_general():
     got = _rank_one(A)
     fast = homology_form(A, 4, 1)
     assert got is not None and fast is not None
-    a, b, u = got
+    a, b, u, _ = got
     assert homology_kind(recognize_root_of_unity(a / b)[0], 4) == fast.kind
     assert a / b == fast.ratio
     assert vec_proj_eq(u, fast.center)
@@ -370,6 +401,24 @@ def test_homology_form_matches_lifted_rank_trick(case):
         assert h.ratio.field is A.field and embed_lift(h.ratio, rho.field) == rho
         assert all(x.field is A.field for x in h.center)
         assert vec_proj_eq(h.center, center)
+
+
+@settings(max_examples=150)
+@given(homology_cases())
+def test_eigen_structure_on_homology_cases(case):
+    # either no supported shape, or true eigenpairs spanning the space; a
+    # homology's center is the basis of its own a pair
+    A, d, n = case
+    try:
+        es = eigen_structure(A)
+    except UnsupportedShape:
+        assert homology_form(A, d, n) is None
+        return
+    assert_eigenpairs(A, es)
+    h = homology_form(A, d, n)
+    if h is not None:
+        assert any(p.value == h.a and p.multiplicity == 1 and vec_proj_eq(p.basis[0], h.center)
+                   for p in es.pairs)
 
 
 def assert_order_by_powers(A, o):
