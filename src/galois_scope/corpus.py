@@ -461,8 +461,9 @@ def random_unimodular(rng: random.Random, field, size: int) -> ProjMatrix:
 def normal_form_instance(rng: random.Random, n: int, d: int, kind: str):
     """A hypersurface in Galois normal form composed with a random change.
 
-    Returns (X, generator matrix, expected point): the generator is the
-    conjugated diagonal of order d-1 or d, the point the transported center.
+    Returns (X, generator matrix, expected point, change C): the generator
+    is C diag(zeta, 1, .., 1) C^-1, of order d-1 or d, the point the
+    transported center C e_0, and X the normal form composed with C^-1.
     """
     order = d - 1 if kind == "inner" else d
     field = cyclo_field(order)

@@ -12,7 +12,14 @@ from .groebner import (
     modular_leading_monomials,
 )
 from .polyring import HomogPoly, PolarChain
-from .projlin import ProjMatrix, Vector, projective_order, vector
+from .projlin import (
+    ProjMatrix,
+    Vector,
+    homology_eigenbasis,
+    homology_order,
+    projective_order,
+    vector,
+)
 
 SMOOTH = "certified_smooth"
 SINGULAR = "certified_singular"
@@ -66,12 +73,28 @@ class SmoothnessResult:
 
 
 def verify_automorphism(X: Hypersurface, A: ProjMatrix) -> AutWitness | None:
-    """Check F(A.X) = scale * F exactly; None when A does not preserve X."""
+    """Check F(A.X) = scale * F exactly; None when A does not preserve X.
+
+    A matrix that `projlin.homology_eigenbasis` reads as A C = C D, C
+    invertible and D = diag(a, b, .., b), is checked in that eigenbasis:
+    with G(Y) = F(C.Y), F(A.X) = scale * F exactly when G(D.Y) = scale * G,
+    and D scales a monomial of G with exponent k in Y_0 by a^k b^(d-k).
+    Every row of C but one holds at most two entries, where a dense A holds
+    n+2.  Any other matrix, a monomial one included, is substituted into F
+    as it is.
+    """
     if A.size != X.n + 2:
         raise ValueError("matrix size does not match the ambient dimension")
     F = X.F
     if A.field.N != F.field.N:
         raise ValueError("matrix and polynomial must share a field; lift explicitly")
+    eigen = homology_eigenbasis(A)
+    if eigen is not None:
+        a, b, basis = eigen
+        scales = {a ** k * b ** (X.d - k) for k in {m[0] for m in F.restrict(basis).terms}}
+        if len(scales) != 1:
+            return None
+        return AutWitness(A, scales.pop(), homology_order(a, b))
     G = F.transform(A)
     if set(G.terms) != set(F.terms):
         return None

@@ -247,12 +247,9 @@ def projective_order(A: ProjMatrix, k_max: int = 10000) -> int:
     A monomial matrix (diagonal ones included) with permutation sigma has
     order L * ord(A^L), L the order of sigma and A^L diagonal; when a ratio of
     the diagonal of A^L is not a root of unity no power of A is scalar.
-    Any other matrix of size 3 or more that `_rank_one` reads as A = bI + M,
-    M of rank one and a = b + trace(M), has order ord(a/b): for a != b,
-    (A - aI)(A - bI) = 0, so A is diagonalizable with eigenvalues a (once)
-    and b (size-1 times), and A^k is scalar exactly when (a/b)^k = 1; for
-    a == b, M != 0 and M^2 = trace(M) M = 0, so A^k = b^k I + k b^(k-1) M is
-    never scalar.  Otherwise K[A] is K[x]/mu_A for the minimal polynomial mu_A, so A^k is
+    Any other matrix of size 3 or more that `_rank_one` reads as A = bI + M
+    has the order `homology_order` reads off a and b.  Otherwise K[A] is
+    K[x]/mu_A for the minimal polynomial mu_A, so A^k is
     scalar exactly when x^k mod mu_A is a constant.  A power A^k = c*I makes
     mu_A divide x^k - c, which is squarefree, so a repeated factor in mu_A
     means that no power is scalar.  It also makes A diagonalizable, and the
@@ -274,35 +271,49 @@ def projective_order(A: ProjMatrix, k_max: int = 10000) -> int:
                 raise OrderBoundExceeded(
                     f"infinite projective order: a diagonal ratio of A^{L} is not a root of unity")
             sub = math.lcm(sub, rec[0])
-        order = L * sub
-    elif A.size >= 3 and (read := _rank_one(A)) is not None:
-        a, b, _, _ = read
-        if a == b:
-            raise OrderBoundExceeded(
-                "infinite projective order: A is a scalar plus a nonzero nilpotent")
-        rec = recognize_root_of_unity(a / b)
-        if rec is None:
-            raise OrderBoundExceeded(
-                "infinite projective order: the eigenvalue ratio a/b is not a root of unity")
-        order = rec[0]
-    else:
-        mu = _minimal_polynomial(A)
-        if len(poly_gcd(mu, poly_trim([mu[k] * k for k in range(1, len(mu))]))) > 1:
-            raise OrderBoundExceeded(
-                "infinite projective order: the minimal polynomial is not squarefree")
-        zero = A.field.zero
-        r = [A.field.one] + [zero] * (len(mu) - 2)  # x^0 mod mu
-        limit = min(k_max, 2 * (A.field.degree * math.factorial(len(mu) - 1)) ** 2)
-        for k in range(1, limit + 1):
-            top = r[-1]
-            r = [zero] + r[:-1]
-            if top:
-                r = [x - top * c for x, c in zip(r, mu)]
-            if not any(r[1:]):
-                return k
-        if limit < k_max:
-            raise OrderBoundExceeded(f"infinite projective order: no scalar power up to {limit}")
-        raise OrderBoundExceeded(f"no scalar power within bound {k_max}")
+        return _bounded(L * sub, k_max)
+    if A.size >= 3 and (read := _rank_one(A)) is not None:
+        return homology_order(read[0], read[1], k_max)
+    mu = _minimal_polynomial(A)
+    if len(poly_gcd(mu, poly_trim([mu[k] * k for k in range(1, len(mu))]))) > 1:
+        raise OrderBoundExceeded(
+            "infinite projective order: the minimal polynomial is not squarefree")
+    zero = A.field.zero
+    r = [A.field.one] + [zero] * (len(mu) - 2)  # x^0 mod mu
+    limit = min(k_max, 2 * (A.field.degree * math.factorial(len(mu) - 1)) ** 2)
+    for k in range(1, limit + 1):
+        top = r[-1]
+        r = [zero] + r[:-1]
+        if top:
+            r = [x - top * c for x, c in zip(r, mu)]
+        if not any(r[1:]):
+            return k
+    if limit < k_max:
+        raise OrderBoundExceeded(f"infinite projective order: no scalar power up to {limit}")
+    raise OrderBoundExceeded(f"no scalar power within bound {k_max}")
+
+
+def homology_order(a: CycloNum, b: CycloNum, k_max: int = 10000) -> int:
+    """The projective order of a matrix that `_rank_one` reads as A = bI + M,
+    M of rank one and a = b + trace(M): ord(a/b), OrderBoundExceeded when it
+    is infinite or above k_max.
+
+    For a != b, (A - aI)(A - bI) = 0, so A is diagonalizable with eigenvalues
+    a (once) and b (size-1 times), and A^k is scalar exactly when
+    (a/b)^k = 1; for a == b, M != 0 and M^2 = trace(M) M = 0, so
+    A^k = b^k I + k b^(k-1) M is never scalar.
+    """
+    if a == b:
+        raise OrderBoundExceeded(
+            "infinite projective order: A is a scalar plus a nonzero nilpotent")
+    rec = recognize_root_of_unity(a / b)
+    if rec is None:
+        raise OrderBoundExceeded(
+            "infinite projective order: the eigenvalue ratio a/b is not a root of unity")
+    return _bounded(rec[0], k_max)
+
+
+def _bounded(order: int, k_max: int) -> int:
     if order > k_max:
         raise OrderBoundExceeded(f"projective order {order} exceeds bound {k_max}")
     return order
@@ -364,10 +375,8 @@ def eigen_structure(A: ProjMatrix) -> EigenStructure:
     the field enlarged as needed.  Any other matrix of size 3 or more that
     `_rank_one` reads as A = bI + M, M of rank one and a = b + trace(M) != b,
     has the pair (a, u), u the column of M with A u = a u, first, then the
-    pair (b, ker M).  Each row of M is a multiple of its pivot row w, so
-    ker M = ker w, spanned by w_q e_c - w_c e_q for c != q, q the first
-    nonzero index of w.  Anything else, a transvection (a == b) included, is
-    UnsupportedShape.
+    pair (b, ker M), both from `_eigenbasis`.  Anything else, a transvection
+    (a == b) included, is UnsupportedShape.
     """
     field, size = A.field, A.size
     if A.is_diagonal():
@@ -381,10 +390,44 @@ def eigen_structure(A: ProjMatrix) -> EigenStructure:
     if read is None or read[0] == read[1]:
         raise UnsupportedShape("eigenstructure needs a diagonal, monomial or rank-one homology")
     a, b, u, w = read
+    basis = _eigenbasis(u, w)
+    return EigenStructure(field, (EigenPair(a, basis[:1]), EigenPair(b, basis[1:])))
+
+
+def homology_eigenbasis(A: ProjMatrix) -> tuple[CycloNum, CycloNum, tuple[Vector, ...]] | None:
+    """(a, b, C) with A C = C diag(a, b, .., b), C given by its columns, for
+    a matrix that is not monomial, has size 3 or more, and that `_rank_one`
+    reads as A = bI + M with a != b; None for any other matrix.
+
+    The columns are `_eigenbasis(u, w)` with u and w scaled to a leading 1,
+    as `vec_normalize` scales them.  Both lead with M_pq, M's first nonzero
+    entry, so one inverse scales both.  A homology conjugated by a rational
+    change has M = (a - b) x y^T, x and y rational, so the scaled u and w are
+    rational.
+    """
+    if A.size < 3 or A.monomial_permutation() is not None:
+        return None
+    read = _rank_one(A)
+    if read is None or read[0] == read[1]:
+        return None
+    a, b, u, w = read
+    inv = next(x for x in w if x).inverse()
+    return a, b, _eigenbasis(tuple(x * inv for x in u), tuple(x * inv for x in w))
+
+
+def _eigenbasis(u: Vector, w: Vector) -> tuple[Vector, ...]:
+    """u, then w_q e_c - w_c e_q for c != q, q the first nonzero index of w.
+
+    For a rank-one reading A = bI + M with a != b, u a nonzero column of M
+    and w a nonzero row, A u = a u, and each row of M is a multiple of w, so
+    ker M = ker w, which the other vectors span, is the b-eigenspace.  This
+    takes no inverse.
+    """
+    zero = u[0].field.zero
     q = next(c for c, x in enumerate(w) if x)
-    plane = tuple(tuple(w[q] if i == c else -w[c] if i == q else field.zero for i in range(size))
-                  for c in range(size) if c != q)
-    return EigenStructure(field, (EigenPair(a, (u,)), EigenPair(b, plane)))
+    return (u,) + tuple(tuple(w[q] if i == c else -w[c] if i == q else zero
+                              for i in range(len(w)))
+                        for c in range(len(w)) if c != q)
 
 
 def _group_by_value(items) -> tuple[EigenPair, ...]:

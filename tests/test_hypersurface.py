@@ -1,17 +1,20 @@
 import random
 from fractions import Fraction
 
-from hypothesis import given
+import pytest
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from galois_scope import hypersurface
-from galois_scope.corpus import random_unimodular
+from galois_scope import hypersurface, projlin
+from galois_scope.corpus import normal_form_instance, random_unimodular
+from galois_scope.errors import OrderBoundExceeded
 from galois_scope.exactnum import cyclo_field
 from galois_scope.groebner import leading_pure_powers, modular_leading_monomials, modular_prime
 from galois_scope.hypersurface import (
     SINGULAR,
     SMOOTH,
     TIMEOUT,
+    AutWitness,
     Hypersurface,
     _singular_result,
     is_smooth,
@@ -20,7 +23,7 @@ from galois_scope.hypersurface import (
     verify_automorphism,
 )
 from galois_scope.polyring import HomogPoly
-from galois_scope.projlin import ProjMatrix
+from galois_scope.projlin import ProjMatrix, projective_order
 
 Q = cyclo_field(1)
 
@@ -84,6 +87,86 @@ def test_witness_composition():
     assert wA is not None and wAA is not None
     # scale of the square is determined by composition
     assert wAA.scale == wA.scale * wA.scale
+
+
+def transform_witness(X, A):
+    """The substitution check: F(A.X) against scale * F, then projective_order(A)."""
+    F = X.F
+    G = F.transform(A)
+    if set(G.terms) != set(F.terms):
+        return None
+    mono = next(iter(F.terms))
+    lam = G.terms[mono] / F.terms[mono]
+    if any(G.terms[m] != c * lam for m, c in F.terms.items()):
+        return None
+    return AutWitness(A, lam, projective_order(A))
+
+
+def witness_or_message(verify, X, A):
+    try:
+        w = verify(X, A)
+    except OrderBoundExceeded as exc:
+        return str(exc)
+    return w and (w.matrix, w.scale, w.scale.tag, w.order)
+
+
+@st.composite
+def conjugated_automorphisms(draw):
+    """(X, A), A times a scalar: a normal-form generator or a power of it, the
+    same centre with another axis, a conjugated diag(2, 1, .., 1) on that
+    normal form, a reducible x0 * G(x1, ..) under a conjugated
+    diag(2, 1, .., 1), or a cone over G(x1, ..) under a conjugated
+    transvection."""
+    n, d = draw(st.integers(1, 3)), draw(st.integers(4, 7))
+    kind = draw(st.sampled_from(["inner", "outer"]))
+    rng = random.Random(draw(st.integers(0, 2**16)))
+    X, B, _, C = normal_form_instance(rng, n, d, kind)
+    K, size = X.field, n + 2
+    shape = draw(st.sampled_from(["power", "axis", "ratio 2", "reducible", "transvection"]))
+    if shape == "power":
+        A = B ** draw(st.integers(1, d))
+    elif shape == "axis":
+        T = ProjMatrix.from_entries(K, [[1] + [rng.randint(-2, 2) for _ in range(size - 1)]]
+                                    + [[int(i == j) for j in range(size)] for i in range(1, size)])
+        C2 = C @ T  # C2 e_0 = C e_0
+        A = C2 @ ProjMatrix.diagonal(K, [K.zeta()] + [1] * (size - 1)) @ C2.inverse()
+    elif shape == "ratio 2":
+        A = C @ ProjMatrix.diagonal(K, [2] + [1] * (size - 1)) @ C.inverse()
+    else:
+        if shape == "reducible":  # x0 * (x1^(d-1) + .. + x_(n+1)^(d-1))
+            terms = {(1,) + tuple((d - 1) * (j == i) for j in range(1, size)): 1
+                     for i in range(1, size)}
+            A0 = ProjMatrix.diagonal(K, [2] + [1] * (size - 1))
+        else:
+            terms = {tuple(d * (j == i) for j in range(size)): 1 for i in range(1, size)}
+            A0 = ProjMatrix.from_entries(K, [[int(i == j or (i, j) == (0, 1)) for j in range(size)]
+                                             for i in range(size)])
+        X = Hypersurface(n, d, HomogPoly.from_terms(K, size, terms, degree=d).transform(C.inverse()))
+        A = C @ A0 @ C.inverse()
+    return X, A.scale(draw(st.sampled_from([1, -2, 3, K.zeta()])))
+
+
+@settings(max_examples=60, deadline=None)
+@given(conjugated_automorphisms())
+def test_eigenbasis_verify_matches_transform(case):
+    # the same witness (matrix, scale and its form, order) or the same message
+    X, A = case
+    assert witness_or_message(verify_automorphism, X, A) == witness_or_message(
+        transform_witness, X, A)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["inner", "outer"])
+def test_generator_verify_makes_no_transform(monkeypatch, n, kind):
+    # a normal-form generator is verified in its eigenbasis, read once
+    X, B, _, _ = normal_form_instance(random.Random(f"eigenbasis:{n}:{kind}"), n, 5, kind)
+    monkeypatch.setattr(HomogPoly, "transform", lambda F, A: pytest.fail("dense transform"))
+    calls = []
+    rank_one = projlin._rank_one
+    monkeypatch.setattr(projlin, "_rank_one", lambda A: calls.append(A) or rank_one(A))
+    w = verify_automorphism(X, B)
+    assert w is not None and w.order == (4 if kind == "inner" else 5)
+    assert calls == [B]
 
 
 def test_smooth_fermat():

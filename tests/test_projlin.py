@@ -28,6 +28,7 @@ from galois_scope.projlin import (
     ProjMatrix,
     _rank_one,
     eigen_structure,
+    homology_eigenbasis,
     homology_form,
     homology_kind,
     projective_order,
@@ -419,6 +420,22 @@ def test_eigen_structure_on_homology_cases(case):
     if h is not None:
         assert any(p.value == h.a and p.multiplicity == 1 and vec_proj_eq(p.basis[0], h.center)
                    for p in es.pairs)
+
+
+@settings(max_examples=150)
+@given(homology_cases())
+def test_homology_eigenbasis_diagonalizes(case):
+    # A C = C diag(a, b, .., b) with C invertible, or a shape with no such reading
+    A, _, _ = case
+    eigen = homology_eigenbasis(A)
+    if eigen is None:
+        read = _rank_one(A)
+        assert A.monomial_permutation() is not None or read is None or read[0] == read[1]
+        return
+    a, b, basis = eigen
+    C = ProjMatrix(A.field, tuple(zip(*basis)))
+    assert A @ C == C @ ProjMatrix.diagonal(A.field, [a] + [b] * (A.size - 1))
+    assert C.rank() == A.size
 
 
 def assert_order_by_powers(A, o):
