@@ -80,8 +80,10 @@ def verify_automorphism(X: Hypersurface, A: ProjMatrix) -> AutWitness | None:
     with G(Y) = F(C.Y), F(A.X) = scale * F exactly when G(D.Y) = scale * G,
     and D scales a monomial of G with exponent k in Y_0 by a^k b^(d-k).
     Every row of C but one holds at most two entries, where a dense A holds
-    n+2.  Any other matrix, a monomial one included, is substituted into F
-    as it is.
+    n+2.  Any other matrix is substituted into F as it is: a diagonal one,
+    which is its own eigenbasis, a non-diagonal monomial one, which
+    `projlin._rank_one` never reads, and every shape with no rank-one
+    reading.
     """
     if A.size != X.n + 2:
         raise ValueError("matrix size does not match the ambient dimension")

@@ -223,12 +223,15 @@ def abelian_constraint_check(X: Hypersurface, G: GroupClosure) -> AbelianCheck:
             raise CriterionNotApplicable("closure contains a matrix that does not preserve X")
     if G.cyclic:
         return AbelianCheck("not-applicable", "cyclic group")
+    orders = []
     for elem in G.elements:
         k = projective_order(elem, k_max=G.order)
         if X.d % k != 0:
             return AbelianCheck("fail", f"element of order {k} does not divide d = {X.d}")
+        orders.append(k)
     for p in _prime_divisors(G.order):
-        torsion = sum(1 for elem in G.elements if (elem ** p).is_scalar())
+        # g^p is scalar exactly when ord(g) divides p
+        torsion = sum(1 for k in orders if p % k == 0)
         rank = 0
         t = torsion
         while t > 1:

@@ -247,8 +247,8 @@ def projective_order(A: ProjMatrix, k_max: int = 10000) -> int:
     A monomial matrix (diagonal ones included) with permutation sigma has
     order L * ord(A^L), L the order of sigma and A^L diagonal; when a ratio of
     the diagonal of A^L is not a root of unity no power of A is scalar.
-    Any other matrix of size 3 or more that `_rank_one` reads as A = bI + M
-    has the order `homology_order` reads off a and b.  Otherwise K[A] is
+    Any other matrix that `_rank_one` reads as A = bI + M has the order
+    `homology_order` reads off a and b.  Otherwise K[A] is
     K[x]/mu_A for the minimal polynomial mu_A, so A^k is
     scalar exactly when x^k mod mu_A is a constant.  A power A^k = c*I makes
     mu_A divide x^k - c, which is squarefree, so a repeated factor in mu_A
@@ -272,7 +272,7 @@ def projective_order(A: ProjMatrix, k_max: int = 10000) -> int:
                     f"infinite projective order: a diagonal ratio of A^{L} is not a root of unity")
             sub = math.lcm(sub, rec[0])
         return _bounded(L * sub, k_max)
-    if A.size >= 3 and (read := _rank_one(A)) is not None:
+    if (read := _rank_one(A)) is not None:
         return homology_order(read[0], read[1], k_max)
     mu = _minimal_polynomial(A)
     if len(poly_gcd(mu, poly_trim([mu[k] * k for k in range(1, len(mu))]))) > 1:
@@ -372,10 +372,10 @@ def eigen_structure(A: ProjMatrix) -> EigenStructure:
 
     A diagonal matrix is read off its diagonal.  A monomial matrix whose
     cycle products are roots of unity has the cycle roots as eigenvalues,
-    the field enlarged as needed.  Any other matrix of size 3 or more that
-    `_rank_one` reads as A = bI + M, M of rank one and a = b + trace(M) != b,
-    has the pair (a, u), u the column of M with A u = a u, first, then the
-    pair (b, ker M), both from `_eigenbasis`.  Anything else, a transvection
+    the field enlarged as needed.  Any other matrix that `_rank_one` reads
+    as A = bI + M, M of rank one and a = b + trace(M) != b, has the pair
+    (a, u), u the column of M with A u = a u, first, then the pair
+    (b, ker M), both from `_eigenbasis`.  Anything else, a transvection
     (a == b) included, is UnsupportedShape.
     """
     field, size = A.field, A.size
@@ -386,7 +386,7 @@ def eigen_structure(A: ProjMatrix) -> EigenStructure:
     sigma = A.monomial_permutation()
     if sigma is not None:
         return _monomial_eigen(A, sigma)
-    read = _rank_one(A) if size >= 3 else None
+    read = _rank_one(A)
     if read is None or read[0] == read[1]:
         raise UnsupportedShape("eigenstructure needs a diagonal, monomial or rank-one homology")
     a, b, u, w = read
@@ -396,8 +396,9 @@ def eigen_structure(A: ProjMatrix) -> EigenStructure:
 
 def homology_eigenbasis(A: ProjMatrix) -> tuple[CycloNum, CycloNum, tuple[Vector, ...]] | None:
     """(a, b, C) with A C = C diag(a, b, .., b), C given by its columns, for
-    a matrix that is not monomial, has size 3 or more, and that `_rank_one`
-    reads as A = bI + M with a != b; None for any other matrix.
+    a non-diagonal matrix that `_rank_one` reads as A = bI + M with a != b;
+    None for any other matrix.  A diagonal matrix is its own eigenbasis, so
+    it gains nothing from C.
 
     The columns are `_eigenbasis(u, w)` with u and w scaled to a leading 1,
     as `vec_normalize` scales them.  Both lead with M_pq, M's first nonzero
@@ -405,7 +406,7 @@ def homology_eigenbasis(A: ProjMatrix) -> tuple[CycloNum, CycloNum, tuple[Vector
     change has M = (a - b) x y^T, x and y rational, so the scaled u and w are
     rational.
     """
-    if A.size < 3 or A.monomial_permutation() is not None:
+    if A.is_diagonal():
         return None
     read = _rank_one(A)
     if read is None or read[0] == read[1]:
@@ -507,25 +508,12 @@ def homology_form(A: ProjMatrix, d: int, n: int) -> Homology | None:
     in A's own field: a and b are the roots of multiplicity 1 and n+1 >= 2
     of the characteristic polynomial, so every field automorphism fixes them.
 
-    A diagonal matrix is read off its diagonal.  A non-diagonal monomial
-    matrix is never a homology: a cycle of length l >= 2 of its permutation
-    contributes the l eigenvalues c*zeta_l^j, so A has three or more
-    eigenvalues, or two with ratio -1, while a homology has two with a ratio
-    of order d-1 >= 3 or d >= 4.  Any other matrix is read by `_rank_one`.
+    `_rank_one` is the one reading, diagonal and monomial matrices included;
+    the center is its u scaled to a leading 1, e_k for a diagonal matrix.
+    A 2x2 matrix (n = 0) reads as None.
     """
     if A.size != n + 2:
         raise ValueError(f"matrix size {A.size} does not match n = {n}")
-    if A.is_diagonal():
-        diag = [A.rows[k][k] for k in range(A.size)]
-        b = _diagonal_b(diag)
-        rest = [k for k, x in enumerate(diag) if x != b]
-        if len(rest) != 1:
-            return None
-        k = rest[0]
-        center = tuple(A.field.one if j == k else A.field.zero for j in range(A.size))
-        return _homology(diag[k], b, center, d)
-    if A.monomial_permutation() is not None:
-        return None
     read = _rank_one(A)
     if read is None:
         return None
@@ -533,33 +521,47 @@ def homology_form(A: ProjMatrix, d: int, n: int) -> Homology | None:
     return _homology(a, b, vec_normalize(u), d)
 
 
-def _diagonal_b(diag: list[CycloNum]) -> CycloNum:
-    """The value that repeats among the first three diagonal entries (of
-    which a homology's b takes at least two), or the second entry if none does."""
-    return diag[0] if diag[0] in (diag[1], diag[2]) else diag[1]
-
-
 def _rank_one(A: ProjMatrix) -> tuple[CycloNum, CycloNum, Vector, Vector] | None:
-    """(a, b, u, w) with M = A - bI of rank one, a = b + trace(M), w the first
-    nonzero row of M and u its column through w's first nonzero entry, or
-    None when b is zero or M does not have rank one.
+    """(a, b, u, w) with M = A - bI of rank one, b != 0, a = b + trace(M),
+    w a nonzero row of M and u a nonzero column through w's first nonzero
+    entry; None for any other matrix, and for every matrix of size below 3.
 
-    Off the diagonal M equals A.  For the first nonzero A_ij, i != j, and any
-    k other than i and j, rank one gives M_kk = u_k v_k = A_ik A_kj / A_ij,
-    so b = A_kk - A_ik A_kj / A_ij, which needs no division when the product
-    is zero; a diagonal A gives b by `_diagonal_b`.  M has rank one when, for
-    a nonzero M_pq, M_rc M_pq = M_rq M_pc for every r and c: each row is then
-    a multiple of row p.  Needs size >= 3.
+    A diagonal A is read off its pattern: b repeats among the first three
+    entries (a homology's b takes at least two of them), exactly one entry
+    a differs, and u = w = e_k for its index k, with no product or inverse.
+
+    A non-diagonal monomial matrix is None (`projective_order` and
+    `eigen_structure` read it through its permutation first): it is never a
+    homology of order d-1 or d.  A cycle of length l >= 2 of its permutation contributes the l
+    eigenvalues c*zeta_l^j, so A has three or more eigenvalues, or two with
+    ratio -1, while a homology has two with a ratio of order d-1 >= 3 or
+    d >= 4.
+
+    Any other A: off the diagonal M equals A.  For the first nonzero A_ij,
+    i != j, and any k other than i and j, rank one gives
+    M_kk = u_k v_k = A_ik A_kj / A_ij, so b = A_kk - A_ik A_kj / A_ij, which
+    needs no division when the product is zero.  M has rank one when, for
+    the first nonzero M_pq, M_rc M_pq = M_rq M_pc for every r and c: each
+    row is then a multiple of row p, which is w.
     """
     size, rows = A.size, A.rows
+    if size < 3:
+        return None
     off = next(((i, j) for i in range(size) for j in range(size) if i != j and rows[i][j]), None)
     if off is None:
-        b = _diagonal_b([rows[k][k] for k in range(size)])
-    else:
-        i, j = off
-        k = next(k for k in range(size) if k not in off)
-        t = rows[i][k] * rows[k][j]
-        b = rows[k][k] - t / rows[i][j] if t else rows[k][k]
+        diag = [rows[k][k] for k in range(size)]
+        b = diag[0] if diag[0] in (diag[1], diag[2]) else diag[1]
+        rest = [k for k, x in enumerate(diag) if x != b]
+        if len(rest) != 1 or not b:
+            return None
+        e = tuple(A.field.one if j == rest[0] else A.field.zero for j in range(size))
+        return diag[rest[0]], b, e, e
+    if A.monomial_permutation() is not None:
+        return None
+    i, j = off
+    k = next(k for k in range(size) if k not in off)
+    t = rows[i][k] * rows[k][j]
+    b = rows[k][k] - t / rows[i][j] if t else rows[k][k]
     if not b:
         return None
     M = [[x - b if r == c else x for c, x in enumerate(row)] for r, row in enumerate(rows)]
@@ -576,8 +578,6 @@ def _rank_one(A: ProjMatrix) -> tuple[CycloNum, CycloNum, Vector, Vector] | None
 
 def _homology(a: CycloNum, b: CycloNum, center: Vector, d: int) -> Homology | None:
     """The Homology diag(a, b*I) with this center when a/b has order d-1 or d."""
-    if not b:
-        return None
     ratio = a / b
     rec = recognize_root_of_unity(ratio)
     kind = rec and homology_kind(rec[0], d)

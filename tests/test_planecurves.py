@@ -1,5 +1,6 @@
 import pytest
 
+from galois_scope.corpus import bundled_corpus_dir, load_instance, resolve_group
 from galois_scope.errors import ClosureBound
 from galois_scope.exactnum import cyclo_field
 from galois_scope.hypersurface import Hypersurface, is_smooth, verify_automorphism
@@ -234,6 +235,26 @@ def test_abelian_check_rank_two_order_four():
         ProjMatrix.diagonal(F4, [1, F4.zeta(), 1]),
     ])
     assert G.order == 16 and G.abelian and not G.cyclic
+    assert abelian_constraint_check(X, G).verdict == "pass"
+
+
+@pytest.mark.parametrize("name", ["ex1-fermat", "fermat-quartic-z4xz4"])
+def test_abelian_torsion_read_off_the_orders(name):
+    # g^p is scalar exactly when ord(g) divides p, so the p-torsion counted
+    # from the element orders equals the count of scalar p-th powers
+    if name == "ex1-fermat":
+        inst = load_instance(bundled_corpus_dir() / "ex1-fermat.json")
+        X, G = inst.surface, group_closure(resolve_group(inst, "G"))
+        assert G.order == 4
+    else:
+        F4 = cyclo_field(4)
+        X = fermat_quartic(F4)
+        G = group_closure([ProjMatrix.diagonal(F4, [F4.zeta(), 1, 1]),
+                           ProjMatrix.diagonal(F4, [1, F4.zeta(), 1])])
+        assert G.order == 16
+    orders = [projective_order(e, k_max=G.order) for e in G.elements]
+    assert sum(1 for k in orders if 2 % k == 0) == 4
+    assert sum(1 for e in G.elements if (e ** 2).is_scalar()) == 4
     assert abelian_constraint_check(X, G).verdict == "pass"
 
 

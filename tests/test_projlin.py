@@ -10,7 +10,12 @@ from hypothesis import strategies as st
 from sympy import divisors, primefactors
 
 from galois_scope import exactnum, projlin
-from galois_scope.corpus import normal_form_instance, random_unimodular
+from galois_scope.corpus import (
+    bundled_corpus_dir,
+    load_instance,
+    normal_form_instance,
+    random_unimodular,
+)
 from galois_scope.errors import (
     ConductorMismatch,
     OrderBoundExceeded,
@@ -30,7 +35,6 @@ from galois_scope.projlin import (
     eigen_structure,
     homology_eigenbasis,
     homology_form,
-    homology_kind,
     projective_order,
     vec_proj_eq,
     vector,
@@ -310,16 +314,31 @@ def test_homology_form_rejects_three_eigenvalues():
                 assert homology_form(A, d, 2) is None
 
 
-def test_homology_fast_path_matches_general():
-    F4 = cyclo_field(4)
-    A = ProjMatrix.diagonal(F4, [F4.zeta(), 1, 1])
-    got = _rank_one(A)
-    fast = homology_form(A, 4, 1)
-    assert got is not None and fast is not None
-    a, b, u, _ = got
-    assert homology_kind(recognize_root_of_unity(a / b)[0], 4) == fast.kind
-    assert a / b == fast.ratio
-    assert vec_proj_eq(u, fast.center)
+@pytest.mark.parametrize("rows", [[[2, 0], [0, 1]], [[2, 1], [1, 1]]])
+def test_size_two_has_no_rank_one_reading(rows):
+    # no third index to read b from: None, for a diagonal and a dense 2x2
+    A = ProjMatrix.from_entries(Q, rows)
+    assert _rank_one(A) is None
+    assert homology_form(A, 4, 0) is None
+
+
+def test_diagonal_read_with_no_dense_arithmetic(monkeypatch):
+    # over Q(zeta_495) A - bI of a diagonal is dense, so a product or an
+    # inverse there would be dense; the diagonal is read off its pattern
+    inst = load_instance(bundled_corpus_dir() / "exa3.json")
+    h = inst.automorphisms["h"]
+    K = h.field
+    D = ProjMatrix.diagonal(K, [K.zeta(45), 1, 1, 1])
+    for name in ("poly_mul", "_modular_inverse"):
+        monkeypatch.setattr(exactnum, name, lambda *args, name=name: pytest.fail(name))
+    assert len({h.rows[k][k] for k in range(4)}) > 2
+    assert _rank_one(h) is None
+    assert homology_form(h, inst.d, inst.n) is None
+    e0 = (K.one, K.zero, K.zero, K.zero)
+    assert _rank_one(D) == (K.zeta(45), K.one, e0, e0)
+    got = homology_form(D, 11, 2)
+    assert got.kind == "outer" and got.center == e0
+    assert got.a == got.ratio == K.zeta(45) and got.b == K.one
 
 
 def lifted_rank_trick(A, d, n):
