@@ -10,9 +10,11 @@ Two independent detectors are implemented and cross-validated elsewhere:
   times L^(d-1) (p off X) or T*L^(d-2) (p a smooth point of X, T the tangent
   form), with no change of coordinates.
 
-Both read the multiplicity of X at a point from the polar chain, which runs
-over Python ints (`polyring.PolarChain`); only the forms that give L become
-field elements.
+The automorphism side takes the multiplicity of X at the center from the
+verified witness, which read it while verifying (`AutWitness.reading`).  The
+point side reads the multiplicity from the polar chain, which runs over
+Python ints (`polyring.PolarChain`); only the forms that give L become field
+elements.
 """
 from __future__ import annotations
 
@@ -22,9 +24,9 @@ from .errors import BoundViolation, ConsistencyError, CriterionNotApplicable, Ga
 from .errors import SingularPoint
 from .exactnum import CycloField, CycloNum, common_field
 from .hypersurface import DEFAULT_SMOOTH_DEADLINE, SINGULAR, AutWitness, Hypersurface
-from .hypersurface import coordinate_points, is_smooth, multiplicity_at_point, polar_chain
+from .hypersurface import coordinate_points, is_smooth, polar_chain
 from .polyring import HomogPoly
-from .projlin import ProjMatrix, Vector, eigen_structure, homology_form, homology_kind
+from .projlin import ProjMatrix, Vector, _homology, eigen_structure, homology_kind
 from .projlin import vec_normalize, vector
 
 
@@ -80,29 +82,31 @@ def _fault(X: Hypersurface, error: GaloisScopeError) -> GaloisScopeError:
 def certificate_from_automorphism(X: Hypersurface, w: AutWitness) -> GaloisCertificate | None:
     """Certify a Galois point from a verified automorphism, or return None.
 
-    On success the center of the detected homology is classified inner or
-    outer by its multiplicity on X, read from the polar chain at the center
-    (`multiplicity_at_point`, as on the point side).  A projective order
-    that does not give the eigenvalue-ratio kind (`homology_kind`) means the
-    witness was not verified, and is fatal.  So is a mismatch between the
-    kind and the multiplicity of the center, on a smooth X; on a certified
-    singular X it is an input error, as the theorems assume smoothness.
-    The certificate lives in the field of X and of the matrix.
+    Kind, ratio, center and the multiplicity of X at the center all come
+    from the witness's homology reading (`AutWitness.reading`), taken by
+    `verify_automorphism`; a witness with no reading certifies nothing.  A
+    projective order that does not give the eigenvalue-ratio kind
+    (`homology_kind`) means the witness was not verified, and is fatal.  So
+    is a mismatch between the kind and the multiplicity of the center, on a
+    smooth X; on a certified singular X it is an input error, as the
+    theorems assume smoothness.  The certificate lives in the field of X and
+    of the matrix.
     """
     _require_detectable(X)
-    h = homology_form(w.matrix, X.d, X.n)
+    if w.reading is None:
+        return None
+    a, b, center, mult = w.reading
+    h = _homology(a, b, vec_normalize(center), X.d)
     if h is None:
         return None
     if homology_kind(w.order, X.d) != h.kind:
         raise ConsistencyError(f"detected {h.kind} shape but the witness has projective "
                                f"order {w.order}")
-    p = h.center
-    mult = multiplicity_at_point(X, p)
     if mult != (1 if h.kind == "inner" else 0):
         raise _fault(X, ConsistencyError(f"detected {h.kind} shape but the center has "
                                          f"multiplicity {mult} on X"))
     return GaloisCertificate(
-        point=p,
+        point=h.center,
         kind=h.kind,
         generator=w.matrix,
         group_order=w.order,

@@ -15,6 +15,7 @@ from .polyring import HomogPoly, PolarChain
 from .projlin import (
     ProjMatrix,
     Vector,
+    _rank_one,
     homology_eigenbasis,
     homology_order,
     projective_order,
@@ -59,11 +60,19 @@ class Hypersurface:
 
 @dataclass(frozen=True)
 class AutWitness:
-    """A verified linear automorphism: F(A.X) = scale * F, of the given projective order."""
+    """A verified linear automorphism: F(A.X) = scale * F, of the given projective order.
+
+    `reading` is (a, b, center, multiplicity) when A is a homology
+    diag(a, b, .., b) in some basis, center its a-eigenvector: the
+    multiplicity of X at the center, read off F in that eigenbasis while
+    verifying, is what the certificate classifies the center by.  It is None
+    for every other shape.
+    """
 
     matrix: ProjMatrix
     scale: CycloNum
     order: int
+    reading: tuple[CycloNum, CycloNum, Vector, int] | None = None
 
 
 @dataclass(frozen=True)
@@ -84,6 +93,10 @@ def verify_automorphism(X: Hypersurface, A: ProjMatrix) -> AutWitness | None:
     which is its own eigenbasis, a non-diagonal monomial one, which
     `projlin._rank_one` never reads, and every shape with no rank-one
     reading.
+
+    The witness of a homology keeps its reading: the multiplicity of X at
+    the center C e_0 is d minus the largest Y_0 exponent k of G, and a
+    diagonal homology, center e_k, reads it off F itself.
     """
     if A.size != X.n + 2:
         raise ValueError("matrix size does not match the ambient dimension")
@@ -93,10 +106,12 @@ def verify_automorphism(X: Hypersurface, A: ProjMatrix) -> AutWitness | None:
     eigen = homology_eigenbasis(A)
     if eigen is not None:
         a, b, basis = eigen
-        scales = {a ** k * b ** (X.d - k) for k in {m[0] for m in F.restrict(basis).terms}}
+        exponents = {m[0] for m in F.restrict(basis).terms}
+        scales = {a ** k * b ** (X.d - k) for k in exponents}
         if len(scales) != 1:
             return None
-        return AutWitness(A, scales.pop(), homology_order(a, b))
+        reading = (a, b, basis[0], X.d - max(exponents))
+        return AutWitness(A, scales.pop(), homology_order(a, b), reading)
     G = F.transform(A)
     if set(G.terms) != set(F.terms):
         return None
@@ -105,7 +120,11 @@ def verify_automorphism(X: Hypersurface, A: ProjMatrix) -> AutWitness | None:
     for m, c in F.terms.items():
         if G.terms[m] != c * lam:
             return None
-    return AutWitness(A, lam, projective_order(A))
+    read = _rank_one(A) if A.is_diagonal() else None  # the pattern read: no product, no inverse
+    if read is not None:
+        k = read[2].index(A.field.one)  # X has multiplicity d - j at e_k, j the top exponent of X_k
+        read = read[:3] + (X.d - max(m[k] for m in F.terms),)
+    return AutWitness(A, lam, projective_order(A), read)
 
 
 def jacobian_generators(X: Hypersurface) -> list[HomogPoly]:

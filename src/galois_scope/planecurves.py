@@ -10,7 +10,7 @@ from fractions import Fraction
 from itertools import permutations
 
 from .errors import ClosureBound, ConsistencyError, CriterionNotApplicable, UnsupportedShape
-from .exactnum import recognize_root_of_unity
+from .exactnum import factorize, recognize_root_of_unity
 from .fixlocus import fixed_locus
 from .hypersurface import AutWitness, Hypersurface, coordinate_points, verify_automorphism
 from .projlin import ProjMatrix, projective_order
@@ -156,12 +156,7 @@ def group_closure(generators, bound: int = DEFAULT_CLOSURE_BOUND) -> GroupClosur
                 queue.append(nxt)
     abelian = all((a @ b).proj_eq(b @ a) for i, a in enumerate(gens) for b in gens[i + 1:])
     order = len(elements)
-    cyclic = False
-    for e in elements:
-        k = projective_order(e, k_max=order)
-        if k == order:
-            cyclic = True
-            break
+    cyclic = any(projective_order(e, k_max=order) == order for e in elements)
     return GroupClosure(tuple(elements), tuple(gens), abelian, cyclic, order)
 
 
@@ -218,22 +213,21 @@ def abelian_constraint_check(X: Hypersurface, G: GroupClosure) -> AbelianCheck:
     require_plane_curve(X, "abelian check", 4)
     if not G.abelian:
         raise CriterionNotApplicable("closure is not abelian")
+    orders = []  # the witness orders: each element's projective order, read once
     for elem in G.elements:
-        if verify_automorphism(X, elem) is None:
+        w = verify_automorphism(X, elem)
+        if w is None:
             raise CriterionNotApplicable("closure contains a matrix that does not preserve X")
+        orders.append(w.order)
     if G.cyclic:
         return AbelianCheck("not-applicable", "cyclic group")
-    orders = []
-    for elem in G.elements:
-        k = projective_order(elem, k_max=G.order)
+    for k in orders:
         if X.d % k != 0:
             return AbelianCheck("fail", f"element of order {k} does not divide d = {X.d}")
-        orders.append(k)
-    for p in _prime_divisors(G.order):
-        # g^p is scalar exactly when ord(g) divides p
-        torsion = sum(1 for k in orders if p % k == 0)
+    for p in sorted(factorize(G.order)):
+        # g^p is scalar exactly when ord(g) divides p: t counts the p-torsion
+        t = sum(1 for k in orders if p % k == 0)
         rank = 0
-        t = torsion
         while t > 1:
             if t % p:
                 raise ConsistencyError("p-torsion subgroup size is not a p-power")
@@ -242,9 +236,3 @@ def abelian_constraint_check(X: Hypersurface, G: GroupClosure) -> AbelianCheck:
         if rank > 2:
             return AbelianCheck("fail", f"{p}-rank {rank} exceeds 2")
     return AbelianCheck("pass")
-
-
-def _prime_divisors(n: int) -> list[int]:
-    from .exactnum import factorize
-
-    return sorted(factorize(n))

@@ -3,16 +3,18 @@ import json
 import random
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from galois_scope import cli, corpus, galois
+from galois_scope import cli, corpus
 from galois_scope.cli import main
 from galois_scope.corpus import bundled_corpus_dir, load_instance, run_one
 from galois_scope.errors import BoundViolation, ConsistencyError
+from galois_scope.hypersurface import verify_automorphism
 from galois_scope.parsing import render_poly
 
 DATA = bundled_corpus_dir()
@@ -409,7 +411,11 @@ def test_internal_fault_exit_four(capsys, monkeypatch, error):
 
 def test_forged_mismatch_on_smooth_x_exit_four(capsys, monkeypatch):
     # a singular X at the same check exits 2 (INPUT_FAULTS); a smooth one stays a fault
-    monkeypatch.setattr(galois, "multiplicity_at_point", lambda X, p: 1)
+    def forged(X, A):  # a verified witness whose reading puts its centre on X
+        w = verify_automorphism(X, A)
+        return replace(w, reading=w.reading[:3] + (1,))
+
+    monkeypatch.setattr(cli, "verify_automorphism", forged)
     code = main(["galois-detect", str(DATA / "ex1-fermat.json"), "--aut", "h4"])
     out, err = capsys.readouterr()
     assert code == 4 and out == ""

@@ -1,11 +1,12 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from galois_scope import corpus, exactnum, galois, projlin
+from galois_scope import corpus, exactnum, galois, hypersurface, projlin
 from galois_scope.corpus import random_unimodular
 from galois_scope.errors import (
     BoundViolation,
@@ -24,7 +25,6 @@ from galois_scope.galois import (
     point_verdict,
 )
 from galois_scope.hypersurface import (
-    AutWitness,
     Hypersurface,
     multiplicity_at_point,
     verify_automorphism,
@@ -158,14 +158,33 @@ def test_certificate_path_builds_no_minimal_polynomial(monkeypatch, n, kind):
     assert cert.kind == kind and vec_proj_eq(cert.point, p)
 
 
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("kind", ["inner", "outer"])
+@pytest.mark.parametrize("shape", ["conjugated", "diagonal"])
+def test_certificate_reads_only_the_witness(monkeypatch, shape, n, kind):
+    # kind, centre and multiplicity come from the witness's reading: no
+    # second rank-one read of the matrix and no polar chain at the centre
+    X, B, _, C = corpus.normal_form_instance(random.Random(f"reading:{n}:{kind}"), n, 5, kind)
+    if shape == "diagonal":
+        K = X.field
+        X = Hypersurface(n, 5, X.F.transform(C))
+        B = ProjMatrix.diagonal(K, [K.zeta()] + [1] * (n + 1))
+    w = verify_automorphism(X, B)
+    want = certificate_from_automorphism(X, w)
+    assert want is not None and want.kind == kind
+    monkeypatch.setattr(projlin, "_rank_one", lambda A: pytest.fail("second rank-one read"))
+    monkeypatch.setattr(hypersurface, "PolarChain", lambda F, p: pytest.fail("polar chain"))
+    assert certificate_from_automorphism(X, w) == want
+
+
 def test_certificate_rejects_witness_of_wrong_order():
-    # a witness built by hand, not by verify_automorphism: its order 2 is
-    # neither d-1 nor d, so it cannot carry the outer homology it holds
+    # a witness forged from a verified one: its order 2 is neither d-1 nor d,
+    # so it cannot carry the outer homology it holds
     F4 = cyclo_field(4)
     X = fermat_quartic(F4)
     w = verify_automorphism(X, ProjMatrix.diagonal(F4, [F4.zeta(), 1, 1]))
     with pytest.raises(ConsistencyError, match="projective order 2"):
-        certificate_from_automorphism(X, AutWitness(w.matrix, w.scale, 2))
+        certificate_from_automorphism(X, replace(w, order=2))
 
 
 def test_forged_mismatch_on_smooth_x_is_a_fault(monkeypatch):
@@ -173,9 +192,8 @@ def test_forged_mismatch_on_smooth_x_is_a_fault(monkeypatch):
     F4 = cyclo_field(4)
     X = fermat_quartic(F4)
     w = verify_automorphism(X, ProjMatrix.diagonal(F4, [F4.zeta(), 1, 1]))
-    monkeypatch.setattr(galois, "multiplicity_at_point", lambda X, p: 1)
     with pytest.raises(ConsistencyError, match="multiplicity 1"):
-        certificate_from_automorphism(X, w)
+        certificate_from_automorphism(X, replace(w, reading=w.reading[:3] + (1,)))
     monkeypatch.setattr(galois, "galois_count_bounds", lambda n, d: (0, 0))
     with pytest.raises(BoundViolation):
         count_certified_points(X, coordinate_points(X))

@@ -2,13 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from galois_scope import hypersurface, projlin
 from galois_scope.corpus import normal_form_instance, random_unimodular
 from galois_scope.errors import OrderBoundExceeded
-from galois_scope.exactnum import cyclo_field
+from galois_scope.exactnum import cyclo_field, recognize_root_of_unity
 from galois_scope.groebner import leading_pure_powers, modular_leading_monomials, modular_prime
 from galois_scope.hypersurface import (
     SINGULAR,
@@ -23,7 +23,8 @@ from galois_scope.hypersurface import (
     verify_automorphism,
 )
 from galois_scope.polyring import HomogPoly
-from galois_scope.projlin import ProjMatrix, projective_order
+from galois_scope.projlin import ProjMatrix, _rank_one, projective_order
+from test_projlin import homology_cases
 
 Q = cyclo_field(1)
 
@@ -167,6 +168,91 @@ def test_generator_verify_makes_no_transform(monkeypatch, n, kind):
     w = verify_automorphism(X, B)
     assert w is not None and w.order == (4 if kind == "inner" else 5)
     assert calls == [B]
+
+
+def form_preserved_by(A, d, n, rng):
+    """(X, A, multiplicity) for a matrix A that reads as A = bI + M, M of rank
+    one, a != b and a/b a root of unity: X is F0(C^-1 X) for an eigenbasis C
+    of A, F0 = G(Y') plus terms Y_0^k H(Y') with ord(a/b) dividing k, so A
+    preserves X, and X has multiplicity d - max(k) at the centre C e_0
+    (d for a cone, when no k fits).  None for any other A."""
+    read = _rank_one(A)
+    if read is None or read[0] == read[1]:
+        return None
+    rec = recognize_root_of_unity(read[0] / read[1])
+    if rec is None:
+        return None
+    K, size = A.field, n + 2
+
+    def monomial(k):
+        mono = [k] + [0] * (size - 1)
+        for _ in range(d - k):
+            mono[rng.randrange(1, size)] += 1
+        return tuple(mono)
+
+    terms = {tuple(d * (j == i) for j in range(size)): rng.randint(1, 3) for i in range(1, size)}
+    tops = [k for k in range(rec[0], d + 1, rec[0]) if rng.random() < 0.6]
+    for k in tops:
+        terms[monomial(k)] = rng.choice([-1, 1, 2])
+    C = ProjMatrix(K, tuple(zip(*projlin._eigenbasis(read[2], read[3]))))
+    X = Hypersurface(n, d, HomogPoly.from_terms(K, size, terms, degree=d).transform(C.inverse()))
+    return X, A, d - max(tops, default=0)
+
+
+@st.composite
+def homology_witness_cases(draw):
+    """(X, A, multiplicity): a `homology_cases` matrix with a homology
+    reading on a form it preserves, or a normal-form generator (n = 1, 2)."""
+    if draw(st.booleans()):
+        A, d, n = draw(homology_cases().filter(lambda case: _rank_one(case[0]) is not None))
+        case = form_preserved_by(A, d, n, random.Random(draw(st.integers(0, 2**16))))
+        if case is not None:
+            return case
+    n, d = draw(st.integers(1, 2)), draw(st.integers(4, 7))
+    kind = draw(st.sampled_from(["inner", "outer"]))
+    X, B, _, _ = normal_form_instance(random.Random(draw(st.integers(0, 2**16))), n, d, kind)
+    return X, B, int(kind == "inner")
+
+
+F3, F4 = cyclo_field(3), cyclo_field(4)
+CONE = (Hypersurface(1, 4, poly(F4, 3, {(0, 4, 0): 1, (0, 0, 4): 1})),
+        ProjMatrix.diagonal(F4, [F4.zeta(), 1, 1]), 4)
+REDUCIBLE = (Hypersurface(1, 4, poly(F3, 3, {(1, 3, 0): 1, (1, 0, 3): 1, (4, 0, 0): 1})),
+             ProjMatrix.diagonal(F3, [F3.zeta(), 1, 1]), 0)
+
+
+@settings(max_examples=60)
+@given(homology_witness_cases())
+@example(CONE)
+@example(REDUCIBLE)
+def test_reading_multiplicity_matches_polar_chain(case):
+    # the multiplicity verify reads off F in the eigenbasis (or off F for a
+    # diagonal homology) is the point side's polar-chain reading at the centre
+    X, A, mult = case
+    w = verify_automorphism(X, A)
+    assert w is not None and w.reading is not None
+    a, b, centre, got = w.reading
+    assert (a, b) == _rank_one(A)[:2]
+    assert A.apply(centre) == tuple(a * x for x in centre)
+    assert got == multiplicity_at_point(X, centre) == mult
+
+
+@pytest.mark.parametrize("shape", ["monomial", "three eigenvalues", "conjugated three", "2x2"])
+def test_reading_only_for_homologies(shape):
+    X = fermat_quartic(F4)
+    if shape == "monomial":
+        A = ProjMatrix.from_entries(F4, [[0, 1, 0], [1, 0, 0], [0, 0, 1]])
+    elif shape == "three eigenvalues":
+        A = ProjMatrix.diagonal(F4, [F4.zeta(), F4.zeta(2), 1])
+    elif shape == "conjugated three":  # no rank-one reading, substituted as it is
+        C = random_unimodular(random.Random(4), F4, 3)
+        X = Hypersurface(1, 4, X.F.transform(C.inverse()))
+        A = C @ ProjMatrix.diagonal(F4, [F4.zeta(), F4.zeta(2), 1]) @ C.inverse()
+    else:
+        X = Hypersurface(0, 4, poly(F4, 2, {(4, 0): 1, (0, 4): 1}))
+        A = ProjMatrix.diagonal(F4, [F4.zeta(), 1])
+    w = verify_automorphism(X, A)
+    assert w is not None and w.reading is None
 
 
 def test_smooth_fermat():

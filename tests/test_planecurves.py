@@ -1,10 +1,12 @@
 import pytest
 
+from galois_scope import hypersurface, planecurves
 from galois_scope.corpus import bundled_corpus_dir, load_instance, resolve_group
 from galois_scope.errors import ClosureBound
 from galois_scope.exactnum import cyclo_field
 from galois_scope.hypersurface import Hypersurface, is_smooth, verify_automorphism
 from galois_scope.planecurves import (
+    AbelianCheck,
     abelian_constraint_check,
     classify_cyclic,
     coord_point_count,
@@ -256,6 +258,27 @@ def test_abelian_torsion_read_off_the_orders(name):
     assert sum(1 for k in orders if 2 % k == 0) == 4
     assert sum(1 for e in G.elements if (e ** 2).is_scalar()) == 4
     assert abelian_constraint_check(X, G).verdict == "pass"
+
+
+def test_abelian_check_reads_each_order_once(monkeypatch):
+    # the orders come from the witnesses of the verify loop: one
+    # projective_order call per element at most, none a second time
+    F4 = cyclo_field(4)
+    X = fermat_quartic(F4)
+    G = group_closure([ProjMatrix.diagonal(F4, [F4.zeta(), 1, 1]),
+                       ProjMatrix.diagonal(F4, [1, F4.zeta(), 1])])
+    calls = []
+
+    def counted(A, k_max=10000):
+        calls.append(A)
+        return projective_order(A, k_max)
+
+    for module in (hypersurface, planecurves):
+        monkeypatch.setattr(module, "projective_order", counted)
+    check = abelian_constraint_check(X, G)
+    assert check == AbelianCheck("pass")
+    assert len(calls) <= len(G.elements) == 16
+    assert len({A.rows for A in calls}) == len(calls)
 
 
 def test_abelian_check_cyclic_not_applicable():
