@@ -21,8 +21,11 @@ that every basis element carries: p = 0 for exact field elements
 the image of the ideal under a reduction Z[zeta_N] -> F_p).  Both entries go
 through one entry loop, which packs the generators and returns the one
 reading the smoothness certificate takes from a basis: its minimal leading
-monomials, unpacked to exponent tuples.  A cooperative deadline is checked
-at every pair and at every reduction step.
+monomials, unpacked to exponent tuples.  The exact pass runs Buchberger to
+completion.  The modular pass only certifies smoothness, so it stops as soon
+as every variable has a pure power among the leading monomials and returns
+the minimal leads of the partial basis built so far.  A cooperative deadline
+is checked at every pair and at every reduction step.
 
 The packed monomial above is this module's own layout (`Packing`); the
 exponent tuples it converts from and to are `polyring`'s.  The coefficients
@@ -88,6 +91,14 @@ class Packing:
         # each field of sel is all ones where the exponent in a is at least the one in b
         sel = (((a + self.guard - b) & self.guard) >> (WIDTH - 1)) * self.mask
         return (a & sel) | (b & ~sel)
+
+    def pure_power_of(self, m: int):
+        """The variables of which m is a pure power: every variable for the
+        constant 0, (i,) when field i alone is nonzero, none otherwise."""
+        if not m:
+            return range(self.nvars)
+        i = (m.bit_length() - 1) // WIDTH
+        return (i,) if m >> (WIDTH * i) << (WIDTH * i) == m else ()
 
     def check_degree(self, degree: int) -> None:
         if degree >= self.limit:
@@ -220,14 +231,22 @@ def _buchberger(gens: list[Monic], p: int, packing: Packing,
     Minimal: one monic element per minimal leading monomial.  Those monomials
     generate the leading ideal, so they do not depend on the order in which
     pairs are processed.
+
+    For a prime p the loop stops once every variable has a pure power among
+    the leading monomials, generators included, and the rest of the pairs
+    are dropped: the minimal elements of the partial basis built so far are
+    returned.  They all lie in the ideal, and the pure powers are all that
+    the modular pass certifies.  The exact pass (p = 0) runs to completion.
     """
     active: list[Monic] = []
     pairs: list = []
     order = itertools.count()
+    missing = set(range(packing.nvars))  # variables with no pure power among the leads yet
     for g in gens:
+        missing.difference_update(packing.pure_power_of(g.lm))
         active = _update(active, pairs, g, order, packing)
     reducers = [(g.lm, g) for g in active]
-    while pairs:
+    while pairs and (missing or not p):
         if deadline is not None and deadline.expired():
             return None
         _, _, f, g, _ = heapq.heappop(pairs)
@@ -235,7 +254,9 @@ def _buchberger(gens: list[Monic], p: int, packing: Packing,
         if rem is None:
             return None
         if rem:  # the first remainder term is the leading one
-            active = _update(active, pairs, Monic(next(iter(rem)), rem, p), order, packing)
+            h = Monic(next(iter(rem)), rem, p)
+            missing.difference_update(packing.pure_power_of(h.lm))
+            active = _update(active, pairs, h, order, packing)
             reducers = [(g.lm, g) for g in active]
     G = packing.guard
     minimal = [g for k, g in enumerate(active)
@@ -276,6 +297,10 @@ def modular_leading_monomials(gens: list[HomogPoly], deadline: Deadline | None =
     """Leading monomials of a minimal grevlex Groebner basis of the gens'
     image mod p, (p, w) = modular_prime(N); None if the deadline expires.
 
+    Once every variable has a pure power among the leading monomials the
+    basis is left partial: the monomials returned then are the minimal leads
+    of the elements built so far, each the lead of an element of the image.
+
     [] when the reduction does not apply: no prime in range, or p divides a
     coefficient's denominator.  An empty list certifies nothing.
     """
@@ -285,7 +310,8 @@ def modular_leading_monomials(gens: list[HomogPoly], deadline: Deadline | None =
 
 def _minimal_leading_monomials(gens: list[HomogPoly], prime: tuple, deadline: Deadline | None):
     """The entry loop of both passes: the sorted leading monomials of
-    `_buchberger`'s minimal basis, as exponent tuples; None if the deadline
+    `_buchberger`'s minimal basis (for a prime p, a partial one once every
+    variable has a pure power), as exponent tuples; None if the deadline
     expires.
 
     prime is (0, None) for the exact pass, whose coefficients enter as they
@@ -314,10 +340,14 @@ def _minimal_leading_monomials(gens: list[HomogPoly], prime: tuple, deadline: De
 
 
 def leading_pure_powers(leads: list, nvars: int) -> list[bool]:
-    """For each variable, whether some pure power of it is among the leading monomials."""
+    """For each variable, whether some pure power of it is among the leading
+    monomials.  The constant monomial, the lead of a unit ideal, is the zeroth
+    power of every variable."""
     out = [False] * nvars
     for lm in leads:
         nz = [i for i, e in enumerate(lm) if e]
+        if not nz:
+            return [True] * nvars
         if len(nz) == 1:
             out[nz[0]] = True
     return out

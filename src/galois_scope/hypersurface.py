@@ -136,20 +136,22 @@ def is_smooth(X: Hypersurface, deadline: float | None = None) -> SmoothnessResul
 
     The singular locus is empty exactly when the Jacobian ideal is
     zero-dimensional at the cone over the origin, i.e. when every variable
-    has a pure power among the Groebner leading terms.  A timeout is a
-    first-class result; smoothness is never guessed.
+    has a pure power among the Groebner leading terms.  The constant lead of
+    a unit ideal (the partials of a hyperplane) is the zeroth power of every
+    variable.  A timeout is a first-class result; smoothness is never guessed.
 
     A modular pass runs first: the same kernel on the partials mod p, under
-    zeta_N -> w (groebner.modular_prime).  A pure power of every variable
-    there certifies smoothness over the field.  The partials cut out a
-    closed subscheme of projective space over the local ring R of Z[zeta_N]
-    at the prime (p, zeta_N - w); it is proper over R, so its image in
-    Spec R is closed, and a closed set that misses the closed point of a
-    local scheme is empty.  So an empty fibre at p forces an empty generic
-    fibre.  This holds even when p divides d: mod p the partials can only
-    gain zeros.  Any other outcome falls back to the exact pass, which alone
-    decides `certified_singular` and its witness.  One deadline covers both
-    passes.
+    zeta_N -> w (groebner.modular_prime), stopped as soon as every variable
+    has a pure power among its leading monomials.  Those pure powers lead
+    elements of the image ideal mod p, and they certify smoothness over the
+    field.  The partials cut out a closed subscheme of projective space over
+    the local ring R of Z[zeta_N] at the prime (p, zeta_N - w); it is proper
+    over R, so its image in Spec R is closed, and a closed set that misses
+    the closed point of a local scheme is empty.  So an empty fibre at p
+    forces an empty generic fibre.  This holds even when p divides d: mod p
+    the partials can only gain zeros.  Any other outcome falls back to the
+    exact pass, which alone decides `certified_singular` and its witness.
+    One deadline covers both passes.
     """
     clock = Deadline(deadline)
     gens = [g for g in jacobian_generators(X) if not g.is_zero()]

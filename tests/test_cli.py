@@ -100,6 +100,14 @@ def test_inline_poly(capsys):
     assert doc["status"] == "certified_smooth"
 
 
+@pytest.mark.parametrize("line", ["x0", "x0+x1"])
+def test_line_is_smooth(capsys, line):
+    # the partials are constants, so the Jacobian ideal is the unit ideal
+    code, doc = run_cli(capsys, "check-smooth", "--poly", line, "--nvars", "3", "--field", "1")
+    assert code == 0
+    assert doc["status"] == "certified_smooth" and doc["witness"] is None
+
+
 def test_json_out_writes_file(capsys, tmp_path):
     out = tmp_path / "report.json"
     code, doc = run_cli(capsys, "verify-aut", str(DATA / "exa1.json"), "--aut", "g",

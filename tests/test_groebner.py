@@ -11,6 +11,8 @@ Two checks, on random forms and on fixed cases:
 
 The modular pass (the same kernel mod p) may only certify smoothness where
 the exact pass does, and on the corpus, AC5 and benchmark forms it agrees.
+On the benchmark and fixed cases its verdict also matches sympy's basis of
+the same image mod p, and it stops once every variable has a pure power.
 The packed-int monomial primitives are checked against their tuple
 definitions, and an exponent field too narrow for the work is refused.
 """
@@ -30,7 +32,7 @@ from galois_scope.corpus import (
     normal_form_instance,
 )
 from galois_scope.errors import BoundViolation
-from galois_scope.exactnum import cyclo_field
+from galois_scope.exactnum import _residue, cyclo_field
 from galois_scope.groebner import (
     PRIME_RANGE,
     Packing,
@@ -231,16 +233,65 @@ def exact_smooth(F: HomogPoly) -> bool:
     return all(leading_pure_powers(groebner_basis(jacobian(F)), F.nvars))
 
 
+# the smooth benchmark's normal forms, one draw per kind in each cell
+SMOOTH_BENCHMARK = {
+    f"smooth:{n}:{d}:{kind}": normal_form_instance(
+        random.Random(f"smooth:{n}:{d}:{kind}:0"), n, d, kind)[0].F
+    for n, d in ((1, 4), (1, 5), (1, 6), (2, 4)) for kind in ("inner", "outer")
+}
+
+
 def test_modular_pass_agrees_on_benchmark_population():
-    # the smooth benchmark's forms, one draw per kind in each cell, and its
-    # singular quartic x0^4 + x1^4
-    forms = [poly(3, {(4, 0, 0): 1, (0, 4, 0): 1})]
-    for n, d in ((1, 4), (1, 5), (1, 6), (2, 4)):
-        for kind in ("inner", "outer"):
-            X, *_ = normal_form_instance(random.Random(f"smooth:{n}:{d}:{kind}:0"), n, d, kind)
-            forms.append(X.F)
+    # the smooth benchmark's forms and its singular quartic x0^4 + x1^4
+    forms = [poly(3, {(4, 0, 0): 1, (0, 4, 0): 1}), *SMOOTH_BENCHMARK.values()]
     verdicts = [(modular_smooth(F), exact_smooth(F)) for F in forms]
     assert verdicts == [(False, False)] + [(True, True)] * 8
+
+
+def sympy_modular_smooth(F: HomogPoly) -> bool:
+    """Whether sympy's grevlex basis of the Jacobian's image under
+    zeta_N -> w mod p, (p, w) = modular_prime(N), is zero-dimensional."""
+    import sympy
+
+    p, w = modular_prime(F.field.N)
+    xs = sympy.symbols(f"s0:{F.nvars}")
+    polys = []
+    for g in jacobian(F):
+        coeffs = {m: _residue(c, p, w) for m, c in g.terms.items()}
+        assert None not in coeffs.values(), "p divides a denominator"
+        polys.append(sympy.Poly.from_dict(coeffs, *xs, modulus=p))
+    return sympy.groebner(polys, *xs, order="grevlex", modulus=p).is_zero_dimensional
+
+
+@pytest.mark.parametrize("name", [*sorted(KNOWN_CASES), *SMOOTH_BENCHMARK])
+def test_modular_pass_matches_sympy_mod_p(name):
+    F = {**KNOWN_CASES, **SMOOTH_BENCHMARK}[name]
+    assert modular_smooth(F) == sympy_modular_smooth(F)
+
+
+def test_modular_pass_stops_at_its_certificate(monkeypatch):
+    # the loop ends once every variable has a pure power among the leads;
+    # run to completion it makes 19, 19, 30, 30, 45, 45, 57, 57 normal forms
+    calls = []
+    normal_form = groebner.normal_form
+
+    def counting(*args):
+        calls.append(1)
+        return normal_form(*args)
+
+    monkeypatch.setattr(groebner, "normal_form", counting)
+    counts = []
+    for F in SMOOTH_BENCHMARK.values():
+        calls.clear()
+        leads = modular_leading_monomials(jacobian(F))
+        assert all(leading_pure_powers(leads, F.nvars))
+        counts.append(len(calls))
+    assert all(c <= bound for c, bound in zip(counts, [14, 14, 25, 26, 40, 40, 32, 32])), counts
+
+
+def test_constant_lead_is_a_pure_power_of_every_variable():
+    # the lead of a unit ideal, as for the Jacobian of a hyperplane
+    assert leading_pure_powers([(0, 0, 0)], 3) == [True] * 3
 
 
 def test_modular_pass_agrees_on_ac5_draws():
@@ -292,6 +343,8 @@ def test_packing_primitives_match_tuples(pair):
     assert P.unpack(pa + pb) == tuple(x + y for x, y in zip(a, b))
     G = P.guard  # the kernel's inline divisibility test
     assert ((pb + G - pa) & G == G) == all(x <= y for x, y in zip(a, b))
+    assert set(P.pure_power_of(pa)) == {i for i in range(len(a))
+                                        if not any(a[:i] + a[i + 1:])}
     lcm = P.lcm(pa, pb)
     assert P.unpack(lcm) == tuple(map(max, a, b))
     assert (lcm == pa + pb) == (not any(x and y for x, y in zip(a, b)))

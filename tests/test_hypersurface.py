@@ -279,6 +279,12 @@ def test_smooth_quintic_surface():
     assert res.status == SMOOTH
 
 
+def test_plane_is_smooth():
+    # x0 + x3 in P^3: its Jacobian ideal is the unit ideal, led by the constant monomial
+    X = Hypersurface(2, 1, poly(Q, 4, {(1, 0, 0, 0): 1, (0, 0, 0, 1): 1}))
+    assert is_smooth(X).status == SMOOTH
+
+
 def test_smooth_matches_sympy_groebner():
     import sympy
 
