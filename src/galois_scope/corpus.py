@@ -126,13 +126,33 @@ def _need(ok, what: str, kind: str = "instance") -> None:
         raise GaloisScopeError(f"{kind} value {what}")
 
 
+# the keys each expectation block may hold: a misspelt key would skip its check
+EXPECT_KEYS = ("smooth", "smooth_deadline", "singular_witness", "automorphisms", "points",
+               "counts", "rh", "abelian_check", "discrepancies_nonempty")
+AUT_EXPECT_KEYS = ("verified", "order", "scale", "certificate", "detect_powers_none",
+                   "fixed_locus", "rows", "rows_include", "criterion")
+FIXED_LOCUS_KEYS = ("total_finite", "max_dim", "component_count")
+COUNTS_KEYS = ("candidates", "inner", "outer")
+
+
+def _known_keys(block: dict, label: str, keys) -> None:
+    unknown = sorted(set(block) - set(keys))
+    _need(not unknown, f"{label} has unknown keys {unknown}")
+
+
 def _check_groups_and_expect(groups: dict, expect: dict) -> None:
-    """Reject nested values of the wrong shape before any section is built."""
+    """Reject nested values of the wrong shape, and unknown expectation
+    keys, before any section is built."""
     for name, members in groups.items():
         _need(isinstance(members, list) and members and all(isinstance(m, str) for m in members),
               f"groups.{name} must be a nonempty list of automorphism names")
+    _known_keys(expect, "expect", EXPECT_KEYS)
     for key in ("automorphisms", "points", "counts", "rh", "abelian_check"):
         _need(isinstance(expect.get(key, {}), dict), f"expect.{key} must be a JSON object")
+    counts = expect.get("counts", {})
+    _known_keys(counts, "expect.counts", COUNTS_KEYS)
+    _need(counts.get("candidates", "coordinate") in ("coordinate", "eigen"),
+          "expect.counts.candidates must be coordinate or eigen")
     for key in ("rh", "abelian_check"):
         if key in expect:
             group = expect[key].get("group")
@@ -145,7 +165,9 @@ def _check_groups_and_expect(groups: dict, expect: dict) -> None:
     for name, want in expect.get("automorphisms", {}).items():
         label = f"expect.automorphisms.{name}"
         _need(isinstance(want, dict), f"{label} must be a JSON object")
+        _known_keys(want, label, AUT_EXPECT_KEYS)
         _need(isinstance(want.get("fixed_locus", {}), dict), f"{label}.fixed_locus must be an object")
+        _known_keys(want.get("fixed_locus", {}), f"{label}.fixed_locus", FIXED_LOCUS_KEYS)
         _need(isinstance(want.get("certificate", {}), (dict, type(None))),
               f"{label}.certificate must be an object or null")
         powers = want.get("detect_powers_none", [])
@@ -409,7 +431,7 @@ def build_report(inst: Instance, smooth_deadline: float | None = None) -> dict:
 
     if "counts" in expect:
         want = expect["counts"]
-        if want.get("candidates", "coordinate") == "eigen":
+        if want.get("candidates") == "eigen":
             cands = eigen_candidate_points(X, list(witnesses.values()))
         else:
             cands = coordinate_points(X)

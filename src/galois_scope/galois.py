@@ -11,10 +11,11 @@ Two independent detectors are implemented and cross-validated elsewhere:
   form), with no change of coordinates.
 
 The automorphism side takes the multiplicity of X at the center from the
-verified witness, which read it while verifying (`AutWitness.reading`).  The
-point side reads the multiplicity from the polar chain, which runs over
-Python ints (`polyring.PolarChain`); only the forms that give L become field
-elements.
+verified witness, which read it while verifying (`AutWitness.reading`), in
+the one eigenbasis `projlin.homology_eigenbasis` builds for every homology,
+diagonal or not; the eigen candidates read the same basis.  The point side
+reads the multiplicity from the polar chain, which runs over Python ints
+(`polyring.PolarChain`); only the forms that give L become field elements.
 """
 from __future__ import annotations
 
@@ -24,8 +25,8 @@ from .errors import BoundViolation, ConsistencyError, CriterionNotApplicable, Ga
 from .errors import SingularPoint
 from .exactnum import CycloField, CycloNum, common_field
 from .hypersurface import DEFAULT_SMOOTH_DEADLINE, SINGULAR, AutWitness, Hypersurface
-from .hypersurface import coordinate_points, is_smooth, polar_chain
-from .polyring import HomogPoly
+from .hypersurface import coordinate_points, is_smooth
+from .polyring import HomogPoly, PolarChain
 from .projlin import ProjMatrix, Vector, _homology, eigen_structure, homology_kind
 from .projlin import vec_normalize, vector
 
@@ -84,19 +85,20 @@ def certificate_from_automorphism(X: Hypersurface, w: AutWitness) -> GaloisCerti
 
     Kind, ratio, center and the multiplicity of X at the center all come
     from the witness's homology reading (`AutWitness.reading`), taken by
-    `verify_automorphism`; a witness with no reading certifies nothing.  A
-    projective order that does not give the eigenvalue-ratio kind
-    (`homology_kind`) means the witness was not verified, and is fatal.  So
-    is a mismatch between the kind and the multiplicity of the center, on a
-    smooth X; on a certified singular X it is an input error, as the
-    theorems assume smoothness.  The certificate lives in the field of X and
-    of the matrix.
+    `verify_automorphism` in the eigenbasis of `projlin.homology_eigenbasis`,
+    whose center already has a leading 1; a witness with no reading
+    certifies nothing.  A projective order that does not give the
+    eigenvalue-ratio kind (`homology_kind`) means the witness was not
+    verified, and is fatal.  So is a mismatch between the kind and the
+    multiplicity of the center, on a smooth X; on a certified singular X it
+    is an input error, as the theorems assume smoothness.  The certificate
+    lives in the field of X and of the matrix.
     """
     _require_detectable(X)
     if w.reading is None:
         return None
     a, b, center, mult = w.reading
-    h = _homology(a, b, vec_normalize(center), X.d)
+    h = _homology(a, b, center, X.d)
     if h is None:
         return None
     if homology_kind(w.order, X.d) != h.kind:
@@ -138,7 +140,7 @@ def galois_at_point(X: Hypersurface, point) -> PointVerdict | None:
     _require_detectable(X)
     d = X.d
     p = vector(X.field, point)
-    chain = polar_chain(X, p)
+    chain = PolarChain(X.F, p)
     mult = d + 1 - len(chain)  # the multiplicity of X at the point
     if mult >= 2:
         raise SingularPoint(f"point has multiplicity {mult}; it is neither smooth nor exterior")
@@ -213,8 +215,7 @@ def count_certified_points(X: Hypersurface, candidates) -> CountReport:
 
 
 def eigen_candidate_points(X: Hypersurface, witnesses) -> list[Vector]:
-    """Coordinate points plus all eigenspace basis vectors of the witnesses."""
+    """Coordinate points plus all eigenspace basis vectors of the witnesses,
+    each in the field it was read in (`count_certified_points` lifts them)."""
     structures = [eigen_structure(w.matrix) for w in witnesses]
-    field = common_field(X.field.N, *(es.field.N for es in structures))
-    points = coordinate_points(X) + [v for es in structures for p in es.pairs for v in p.basis]
-    return [vector(field, p) for p in points]
+    return coordinate_points(X) + [v for es in structures for p in es.pairs for v in p.basis]

@@ -15,11 +15,9 @@ from .polyring import HomogPoly, PolarChain
 from .projlin import (
     ProjMatrix,
     Vector,
-    _rank_one,
     homology_eigenbasis,
     homology_order,
     projective_order,
-    vector,
 )
 
 SMOOTH = "certified_smooth"
@@ -63,8 +61,9 @@ class AutWitness:
     """A verified linear automorphism: F(A.X) = scale * F, of the given projective order.
 
     `reading` is (a, b, center, multiplicity) when A is a homology
-    diag(a, b, .., b) in some basis, center its a-eigenvector: the
-    multiplicity of X at the center, read off F in that eigenbasis while
+    diag(a, b, .., b) in the eigenbasis C of `projlin.homology_eigenbasis`,
+    diagonal homologies included, and center = C e_0, its a-eigenvector with
+    a leading 1: the multiplicity of X at the center, read off F(C.Y) while
     verifying, is what the certificate classifies the center by.  It is None
     for every other shape.
     """
@@ -84,19 +83,17 @@ class SmoothnessResult:
 def verify_automorphism(X: Hypersurface, A: ProjMatrix) -> AutWitness | None:
     """Check F(A.X) = scale * F exactly; None when A does not preserve X.
 
-    A matrix that `projlin.homology_eigenbasis` reads as A C = C D, C
-    invertible and D = diag(a, b, .., b), is checked in that eigenbasis:
-    with G(Y) = F(C.Y), F(A.X) = scale * F exactly when G(D.Y) = scale * G,
-    and D scales a monomial of G with exponent k in Y_0 by a^k b^(d-k).
-    Every row of C but one holds at most two entries, where a dense A holds
-    n+2.  Any other matrix is substituted into F as it is: a diagonal one,
-    which is its own eigenbasis, a non-diagonal monomial one, which
-    `projlin._rank_one` never reads, and every shape with no rank-one
-    reading.
+    Every homology, one that `projlin.homology_eigenbasis` reads as
+    A C = C D with C invertible and D = diag(a, b, .., b), is checked in that
+    eigenbasis: with G(Y) = F(C.Y), F(A.X) = scale * F exactly when
+    G(D.Y) = scale * G, and D scales a monomial of G with exponent k in Y_0
+    by a^k b^(d-k).  Every row of C but one holds at most two entries, where
+    a dense A holds n+2; a diagonal homology's C permutes the coordinates.
+    Any other matrix is substituted into F as it is: a monomial one that is
+    not a homology, and every shape with no rank-one reading.
 
     The witness of a homology keeps its reading: the multiplicity of X at
-    the center C e_0 is d minus the largest Y_0 exponent k of G, and a
-    diagonal homology, center e_k, reads it off F itself.
+    the center C e_0 is d minus the largest Y_0 exponent k of G.
     """
     if A.size != X.n + 2:
         raise ValueError("matrix size does not match the ambient dimension")
@@ -120,11 +117,7 @@ def verify_automorphism(X: Hypersurface, A: ProjMatrix) -> AutWitness | None:
     for m, c in F.terms.items():
         if G.terms[m] != c * lam:
             return None
-    read = _rank_one(A) if A.is_diagonal() else None  # the pattern read: no product, no inverse
-    if read is not None:
-        k = read[2].index(A.field.one)  # X has multiplicity d - j at e_k, j the top exponent of X_k
-        read = read[:3] + (X.d - max(m[k] for m in F.terms),)
-    return AutWitness(A, lam, projective_order(A), read)
+    return AutWitness(A, lam, projective_order(A))
 
 
 def jacobian_generators(X: Hypersurface) -> list[HomogPoly]:
@@ -182,23 +175,12 @@ def coordinate_points(X: Hypersurface) -> list[Vector]:
     return [tuple(field.one if j == i else field.zero for j in range(size)) for i in range(size)]
 
 
-def polar_chain(X: Hypersurface, point) -> PolarChain:
-    """The polars F, D_pF, D_p^2 F, ... of F at p, up to the last nonzero one.
-
-    Moving p to [1:0:...:0] makes D_p^j F / j! the coefficient of X0^j, so
-    the chain holds d + 1 - m forms, m the multiplicity of X at p.  It runs
-    in the integer value form of `polyring.PolarChain`.
-    """
-    p = vector(X.field, point)
-    if all(x.is_zero() for x in p):
-        raise ValueError("the zero vector is not a point")
-    return PolarChain(X.F, p)
-
-
 def multiplicity_at_point(X: Hypersurface, point) -> int:
     """Multiplicity of X at a point: 0 off X, 1 at a smooth point of X.
 
-    It is d + 1 minus the length of the polar chain, built over Python ints,
-    with no field element made or multiplied.
+    Moving p to [1:0:...:0] makes D_p^j F / j! the coefficient of X0^j, so
+    the polar chain F, D_pF, D_p^2 F, ... up to its last nonzero form holds
+    d + 1 - m forms, m the multiplicity.  `polyring.PolarChain` builds it
+    over Python ints, with no field element made or multiplied.
     """
-    return X.d + 1 - len(polar_chain(X, point))
+    return X.d + 1 - len(PolarChain(X.F, point))

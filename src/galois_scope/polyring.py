@@ -377,7 +377,8 @@ class PolarChain:
     x^N - 1, unpacked and reduced mod Phi_N.  So the chain has the length
     that the field gives it, and `form(j)` converts P_j' to the exact P_j,
     in its canonical representation and in the term order of the CycloNum
-    recursion (iterated `HomogPoly.polar`).
+    recursion (iterated `HomogPoly.polar`).  A zero p is not a point, and
+    raises ValueError.
     """
 
     __slots__ = ("field", "nvars", "degree", "forms", "bits", "bound", "den_f", "den_p")
@@ -385,6 +386,8 @@ class PolarChain:
     def __init__(self, F: HomogPoly, point):
         field, N, d = F.field, F.field.N, F.degree
         pt = [in_field(field, c) for c in point]
+        if not any(pt):
+            raise ValueError("the zero vector is not a point")
         self.field, self.nvars, self.degree = field, F.nvars, d
         self.den_f, coeffs = _integral(F.terms.values())
         self.den_p, entries = _integral(pt)

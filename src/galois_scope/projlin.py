@@ -374,9 +374,9 @@ def eigen_structure(A: ProjMatrix) -> EigenStructure:
     cycle products are roots of unity has the cycle roots as eigenvalues,
     the field enlarged as needed.  Any other matrix that `_rank_one` reads
     as A = bI + M, M of rank one and a = b + trace(M) != b, has the pair
-    (a, u), u the column of M with A u = a u, first, then the pair
-    (b, ker M), both from `_eigenbasis`.  Anything else, a transvection
-    (a == b) included, is UnsupportedShape.
+    (a, C e_0) first, then the pair (b, ker M), from the eigenbasis C of
+    `homology_eigenbasis`.  Anything else, a transvection (a == b)
+    included, is UnsupportedShape.
     """
     field, size = A.field, A.size
     if A.is_diagonal():
@@ -386,28 +386,27 @@ def eigen_structure(A: ProjMatrix) -> EigenStructure:
     sigma = A.monomial_permutation()
     if sigma is not None:
         return _monomial_eigen(A, sigma)
-    read = _rank_one(A)
-    if read is None or read[0] == read[1]:
+    eigen = homology_eigenbasis(A)
+    if eigen is None:
         raise UnsupportedShape("eigenstructure needs a diagonal, monomial or rank-one homology")
-    a, b, u, w = read
-    basis = _eigenbasis(u, w)
+    a, b, basis = eigen
     return EigenStructure(field, (EigenPair(a, basis[:1]), EigenPair(b, basis[1:])))
 
 
 def homology_eigenbasis(A: ProjMatrix) -> tuple[CycloNum, CycloNum, tuple[Vector, ...]] | None:
     """(a, b, C) with A C = C diag(a, b, .., b), C given by its columns, for
-    a non-diagonal matrix that `_rank_one` reads as A = bI + M with a != b;
-    None for any other matrix.  A diagonal matrix is its own eigenbasis, so
-    it gains nothing from C.
+    a matrix that `_rank_one` reads as A = bI + M with a != b, diagonal ones
+    included; None for any other matrix.  This is the one builder of a
+    homology's eigenbasis: verification, the fixed locus and the eigen
+    candidates all read it.
 
     The columns are `_eigenbasis(u, w)` with u and w scaled to a leading 1,
     as `vec_normalize` scales them.  Both lead with M_pq, M's first nonzero
-    entry, so one inverse scales both.  A homology conjugated by a rational
-    change has M = (a - b) x y^T, x and y rational, so the scaled u and w are
-    rational.
+    entry, so one inverse scales both.  A diagonal homology reads as
+    u = w = e_k, so C is the coordinate permutation (e_k, e_j for j != k).
+    A homology conjugated by a rational change has M = (a - b) x y^T, x and
+    y rational, so the scaled u and w are rational.
     """
-    if A.is_diagonal():
-        return None
     read = _rank_one(A)
     if read is None or read[0] == read[1]:
         return None

@@ -8,7 +8,10 @@ a raw tag or numerators.  Nor does one lift a value into a field by itself
 second rule of either kind (`as_scalar`, `_root_in_field`).  No module
 imports a process or thread pool either (`concurrent`, `multiprocessing`):
 the package runs in the calling process, since ROADMAP rules out
-multi-backend runs.  The checks read the source with `ast`.
+multi-backend runs.  A homology's rank-one reading and its eigenbasis have
+one owner, `projlin`: no other module imports `_rank_one` or `_eigenbasis`,
+so every caller reads a homology through `projlin.homology_eigenbasis` and
+its siblings.  The checks read the source with `ast`.
 """
 import ast
 from pathlib import Path
@@ -27,6 +30,7 @@ PRIVATE_MEMBERS = {name for cls in (CycloNum, CycloField)
                    if name.startswith("_") and not name.startswith("__")}
 MEMBERSHIP_RULES = {"as_scalar", "_root_in_field"}
 PARALLEL_MODULES = {"concurrent", "multiprocessing"}
+HOMOLOGY_INTERNALS = {"_rank_one", "_eigenbasis"}
 
 
 def violations(source: str) -> list[str]:
@@ -117,3 +121,29 @@ def run():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_package_runs_in_one_process(path):
     assert parallel_imports(path.read_text()) == []
+
+
+def homology_internal_imports(source: str) -> list[str]:
+    """Each import of projlin's rank-one reading or eigenbasis builder in
+    source, at any depth, as 'line: imports name'."""
+    return [f"{node.lineno}: imports {a.name}" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "projlin"
+            for a in node.names if a.name in HOMOLOGY_INTERNALS]
+
+
+def test_checker_finds_each_homology_internal_import():
+    source = """
+from .projlin import ProjMatrix, _rank_one
+from galois_scope.projlin import _eigenbasis
+def verify():
+    from .projlin import _rank_one as read
+"""
+    assert len(homology_internal_imports(source)) == 3
+    assert homology_internal_imports(
+        "from .projlin import homology_eigenbasis\nfrom .polyring import _eigenbasis\n") == []
+
+
+@pytest.mark.parametrize("path", sorted(p for p in PACKAGE.glob("*.py") if p.name != "projlin.py"),
+                         ids=lambda p: p.name)
+def test_only_projlin_reads_a_homology(path):
+    assert homology_internal_imports(path.read_text()) == []

@@ -247,6 +247,21 @@ def test_corpus_run_isolates_bad_files(capsys, tmp_path):
     assert json.loads(err)["error"].startswith("bad.json: Expecting")
 
 
+def test_corpus_run_fails_a_misspelt_expectation(capsys, tmp_path):
+    # "eigne" would run the coordinate candidates and pass
+    (tmp_path / "exa4.json").write_text((DATA / "exa4.json").read_text())
+    exa1 = json.loads((DATA / "exa1.json").read_text())
+    exa1["expect"]["counts"]["candidates"] = "eigne"
+    (tmp_path / "exa1.json").write_text(json.dumps(exa1))
+    code, doc = run_cli(capsys, "corpus-run", str(tmp_path))
+    assert code == 1 and doc["status"] == "fail"
+    bad, good = doc["matrix"]
+    assert bad["name"] == "exa1.json" and bad["checked"] == 0
+    assert bad["failures"] == [
+        "input error: instance value expect.counts.candidates must be coordinate or eigen"]
+    assert good["name"] == "exa4" and good["status"] == "pass"
+
+
 @pytest.mark.parametrize("where", ["missing", "file", "empty"])
 def test_corpus_run_over_no_files_is_an_input_error(capsys, tmp_path, where):
     """A DIR that gives no paths at all is an input error that names it, not
@@ -471,7 +486,14 @@ INPUT_FAULTS = [
         {"expect": {"automorphisms": {"h4": {"rows_include": 4}}}},
         {"expect": {"automorphisms": {"h4": {"criterion": {"verdict": "holds"}}}}},
         {"expect": {"automorphisms": {"h4": {"criterion": {"name": "power", "verdict": "holds"}}}}},
+        # a misspelt expectation key or candidate set, which would skip its check
+        {"expect": {"counts": {"candidates": "eigne", "inner": 0, "outer": 3}}},
+        {"expect": {"counts": {"candidate": "eigen", "inner": 0, "outer": 3}}},
+        {"expect": {"smoth": "certified_smooth"}},
+        {"expect": {"automorphisms": {"h4": {"verified": True, "fixed_locs": {}}}}},
+        {"expect": {"automorphisms": {"h4": {"fixed_locus": {"total": 3}}}}},
     )),
+    (["check-smooth", "{dir}/inst.json"], {"expect": {"counts": {"candidates": "eigne"}}}),
     # generator files and notes: every key is checked before anything runs
     *((["corpus-run", "{dir}"], {"kind": "generator", **edit}) for edit in (
         {"count": "3"}, {"dims": "ab"}, {"dims": [1.5]}, {"dims": [0]}, {"seed": [1]},

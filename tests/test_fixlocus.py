@@ -4,7 +4,8 @@ from itertools import product
 
 import pytest
 
-from galois_scope import fixlocus
+from galois_scope import fixlocus, galois, projlin
+from galois_scope.corpus import counts_section, fixed_locus_json, normal_form_instance
 from galois_scope.errors import CriterionNotApplicable
 from galois_scope.exactnum import cyclo_field
 from galois_scope.fixlocus import (
@@ -364,3 +365,34 @@ def test_criterion_without_certificate_on_singular_x_is_input_error(name):
         run, message = lambda: power_criterion(X, w, k=2), "no inner certificate"
     with pytest.raises(CriterionNotApplicable, match=f"X is singular.*{message}"):
         run()
+
+
+def raw_eigen_structure(A):
+    """The rank-one eigenstructure from the unscaled `_eigenbasis(u, w)`."""
+    a, b, u, w = projlin._rank_one(A)
+    basis = projlin._eigenbasis(u, w)
+    return projlin.EigenStructure(A.field, (projlin.EigenPair(a, basis[:1]),
+                                            projlin.EigenPair(b, basis[1:])))
+
+
+@pytest.mark.parametrize("n, d, kind, conductor", [
+    (1, 5, "inner", None), (1, 5, "outer", None), (2, 5, "outer", None), (1, 5, "outer", 495)])
+def test_scaled_eigenbasis_reports_match_raw(monkeypatch, n, d, kind, conductor):
+    # the fixed locus and the eigen candidates' counts of a conjugated
+    # generator read the same from `homology_eigenbasis` as from the
+    # unscaled basis, in its own field (conductor 4 or 5) and in Q(zeta_495)
+    X, B, _, _ = normal_form_instance(random.Random(f"raw:{n}:{kind}"), n, d, kind)
+    if conductor:
+        K = cyclo_field(conductor)
+        X, B = X.embed(K), B.embed(K)
+    w = verify_automorphism(X, B)
+
+    def reports():
+        return (fixed_locus_json(fixed_locus(X, w)),
+                counts_section(X, galois.eigen_candidate_points(X, [w])))
+
+    scaled = reports()
+    monkeypatch.setattr(fixlocus, "eigen_structure", raw_eigen_structure)
+    monkeypatch.setattr(galois, "eigen_structure", raw_eigen_structure)
+    assert reports() == scaled
+    assert scaled[0]["field"] == X.field.N

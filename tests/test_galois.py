@@ -173,7 +173,8 @@ def test_certificate_reads_only_the_witness(monkeypatch, shape, n, kind):
     want = certificate_from_automorphism(X, w)
     assert want is not None and want.kind == kind
     monkeypatch.setattr(projlin, "_rank_one", lambda A: pytest.fail("second rank-one read"))
-    monkeypatch.setattr(hypersurface, "PolarChain", lambda F, p: pytest.fail("polar chain"))
+    for module in (hypersurface, galois):
+        monkeypatch.setattr(module, "PolarChain", lambda F, p: pytest.fail("polar chain"))
     assert certificate_from_automorphism(X, w) == want
 
 

@@ -1,14 +1,17 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from sympy import divisors
 
 from galois_scope import hypersurface, projlin
-from galois_scope.corpus import normal_form_instance, random_unimodular
+from galois_scope.corpus import bundled_corpus_dir, load_instance, normal_form_instance
+from galois_scope.corpus import random_unimodular
 from galois_scope.errors import OrderBoundExceeded
-from galois_scope.exactnum import cyclo_field, recognize_root_of_unity
+from galois_scope.exactnum import cyclo_field, recognize_root_of_unity, root_of_unity
 from galois_scope.groebner import leading_pure_powers, modular_leading_monomials, modular_prime
 from galois_scope.hypersurface import (
     SINGULAR,
@@ -23,7 +26,7 @@ from galois_scope.hypersurface import (
     verify_automorphism,
 )
 from galois_scope.polyring import HomogPoly
-from galois_scope.projlin import ProjMatrix, _rank_one, projective_order
+from galois_scope.projlin import ProjMatrix, _rank_one, projective_order, vec_normalize
 from test_projlin import homology_cases
 
 Q = cyclo_field(1)
@@ -234,7 +237,60 @@ def test_reading_multiplicity_matches_polar_chain(case):
     a, b, centre, got = w.reading
     assert (a, b) == _rank_one(A)[:2]
     assert A.apply(centre) == tuple(a * x for x in centre)
+    assert centre == vec_normalize(centre)
     assert got == multiplicity_at_point(X, centre) == mult
+
+
+def diagonal_witness(X, A):
+    """The substitution witness of a diagonal homology with the reading
+    e_k, k the index of the one entry a, and d minus the top X_k exponent of F."""
+    read = _rank_one(A)
+    k = read[2].index(A.field.one)
+    w = transform_witness(X, A)
+    return w and (w.matrix, w.scale, w.scale.tag, w.order,
+                  read[:3] + (X.d - max(m[k] for m in X.F.terms),))
+
+
+def assert_verified_in_eigenbasis(X, A):
+    """A diagonal homology verifies with no dense transform and one rank-one
+    read, to the substitution witness and the e_k reading."""
+    want = diagonal_witness(X, A)
+    calls = []
+    rank_one = projlin._rank_one
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(HomogPoly, "transform", lambda F, A: pytest.fail("dense transform"))
+        mp.setattr(projlin, "_rank_one", lambda A: calls.append(A) or rank_one(A))
+        w = verify_automorphism(X, A)
+    assert calls == [A]
+    assert (w.matrix, w.scale, w.scale.tag, w.order, w.reading) == want
+    return w
+
+
+@pytest.mark.parametrize("name", ["g1", "g2", "h4"])
+def test_fermat_diagonal_homologies_verify_in_eigenbasis(name):
+    inst = load_instance(bundled_corpus_dir() / "ex1-fermat.json")
+    assert assert_verified_in_eigenbasis(inst.surface, inst.automorphisms[name]) is not None
+
+
+@st.composite
+def diagonal_homology_cases(draw):
+    """(X, A, multiplicity): c * diag(1, .., zeta, .., 1), zeta a root of
+    unity of order m >= 2 at a drawn index, on a form it preserves
+    (`form_preserved_by`)."""
+    N, n, d = draw(st.sampled_from([3, 4, 5, 8, 12])), draw(st.integers(1, 2)), draw(st.integers(4, 7))
+    K, size = cyclo_field(N), n + 2
+    zeta = root_of_unity(K, draw(st.sampled_from(divisors(math.lcm(2, N))[1:])), 1)
+    k = draw(st.integers(0, size - 1))
+    A = ProjMatrix.diagonal(K, [zeta if i == k else 1 for i in range(size)])
+    A = A.scale(draw(st.sampled_from([1, -2, 3, K.zeta()])))
+    return form_preserved_by(A, d, n, random.Random(draw(st.integers(0, 2**16))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(diagonal_homology_cases())
+def test_diagonal_homology_verifies_in_eigenbasis(case):
+    X, A, mult = case
+    assert assert_verified_in_eigenbasis(X, A).reading[3] == mult
 
 
 @pytest.mark.parametrize("shape", ["monomial", "three eigenvalues", "conjugated three", "2x2"])
