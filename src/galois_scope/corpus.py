@@ -13,6 +13,7 @@ import json
 import random
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import (
     INPUT_ERRORS,
@@ -31,8 +32,8 @@ from .galois import (
     galois_at_point,
     point_verdict,
 )
-from .hypersurface import DEFAULT_SMOOTH_DEADLINE, SMOOTH, TIMEOUT, Hypersurface, is_smooth
-from .hypersurface import verify_automorphism
+from .hypersurface import DEFAULT_SMOOTH_DEADLINE, SINGULAR, SMOOTH, TIMEOUT, Hypersurface
+from .hypersurface import is_smooth, verify_automorphism
 from .parsing import (
     int_literal,
     parse_count,
@@ -48,10 +49,11 @@ from .polyring import HomogPoly
 from .projlin import ProjMatrix, projective_order, vec_proj_eq
 
 SCHEMA = "galois-scope/1"
-REQUIRED_KEYS = ("name", "n", "d", "field", "polynomial")
 # input limits, for memory: a monomial or a point has n + 2 entries, and the
 # point side keeps the d polars of F, whose coefficients grow like d!
 MAX_N = MAX_DEGREE = 1000
+STATUSES = (SMOOTH, SINGULAR, TIMEOUT)
+CRITERIA = {"curve": curve_criterion, "codim": codim_criterion, "power": power_criterion}
 
 
 @dataclass
@@ -82,105 +84,203 @@ def instance_hash(raw: dict) -> str:
 
 def load_instance(source) -> Instance:
     """Load an instance from a path or an already-parsed document."""
-    if isinstance(source, (str, Path)):
-        raw = read_json(source)
-    else:
-        raw = source
+    raw = read_json(source) if isinstance(source, (str, Path)) else source
     if not isinstance(raw, dict):
         raise GaloisScopeError("an instance must be a JSON object")
-    if raw.get("schema") != SCHEMA:
-        raise GaloisScopeError(f"unsupported schema {raw.get('schema')!r}")
-    missing = [key for key in REQUIRED_KEYS if key not in raw]
-    if missing:
-        raise GaloisScopeError(f"instance is missing required keys {missing}")
-    for key in ("automorphisms", "points", "groups", "expect"):
-        if not isinstance(raw.get(key, {}), dict):
-            raise GaloisScopeError(f"instance key {key!r} must be a JSON object")
-    _check_groups_and_expect(raw.get("groups", {}), raw.get("expect", {}))
-    notes = raw.get("notes", [])
-    _need(isinstance(notes, list) and all(isinstance(s, str) for s in notes),
-          "notes must be a list of strings")
+    _check_block(raw, INSTANCE, "", "instance", raw)
     field = parse_field(raw["field"])
     n, d = parse_count(raw["n"], "n"), parse_count(raw["d"], "degree")
     auts = {name: parse_matrix(rows, field, n + 2)
             for name, rows in raw.get("automorphisms", {}).items()}
     pts = {name: parse_point(coords, field, n + 2)
            for name, coords in raw.get("points", {}).items()}
-    return Instance(
-        name=raw["name"],
-        n=n,
-        d=d,
-        conductor=field.N,
-        surface=parse_surface(raw["polynomial"], n, field, degree=d),
-        automorphisms=auts,
-        points=pts,
-        groups=raw.get("groups", {}),
-        expect=raw.get("expect", {}),
-        notes=raw.get("notes", []),
-        raw=raw,
-    )
+    X = parse_surface(raw["polynomial"], n, field, degree=d)
+    return Instance(name=raw["name"], n=n, d=d, conductor=field.N, surface=X, automorphisms=auts,
+                    points=pts, groups=raw.get("groups", {}), expect=raw.get("expect", {}),
+                    notes=raw.get("notes", []), raw=raw)
 
 
-def _need(ok, what: str, kind: str = "instance") -> None:
+def _need(ok, what: str, kind: str) -> None:
     if not ok:
-        raise GaloisScopeError(f"{kind} value {what}")
+        raise GaloisScopeError(f"{kind} {what}")
 
 
-# the keys each expectation block may hold: a misspelt key would skip its check
-EXPECT_KEYS = ("smooth", "smooth_deadline", "singular_witness", "automorphisms", "points",
-               "counts", "rh", "abelian_check", "discrepancies_nonempty")
-AUT_EXPECT_KEYS = ("verified", "order", "scale", "certificate", "detect_powers_none",
-                   "fixed_locus", "rows", "rows_include", "criterion")
-FIXED_LOCUS_KEYS = ("total_finite", "max_dim", "component_count")
-COUNTS_KEYS = ("candidates", "inner", "outer")
+# ---------------------------------------------------------------------------
+# the schema: one table per block of an input document
+
+class Key(NamedTuple):
+    """One key of a block.
+
+    `shape` is the table of a nested block, a test shape(value, block, doc)
+    that the value must pass, given the block that holds it and the whole
+    document (`what` says the shape in an error), or None for a value that a
+    parser reads.
+    `read` is the key of the report section the expected value is compared
+    with, or None for a value that build_report uses itself; `check`
+    compares a value that is not plain equality: check(exp, label, want,
+    section).  A key "*" stands for every name of a named map.
+    """
+    shape: object = None
+    what: str = ""
+    read: str | None = None
+    check: object = None
+    required: bool = False
 
 
-def _known_keys(block: dict, label: str, keys) -> None:
-    unknown = sorted(set(block) - set(keys))
-    _need(not unknown, f"{label} has unknown keys {unknown}")
+def _is(*types):
+    return lambda v, *_: type(v) in types  # so a bool is no int
 
 
-def _check_groups_and_expect(groups: dict, expect: dict) -> None:
-    """Reject nested values of the wrong shape, and unknown expectation
-    keys, before any section is built."""
-    for name, members in groups.items():
-        _need(isinstance(members, list) and members and all(isinstance(m, str) for m in members),
-              f"groups.{name} must be a nonempty list of automorphism names")
-    _known_keys(expect, "expect", EXPECT_KEYS)
-    for key in ("automorphisms", "points", "counts", "rh", "abelian_check"):
-        _need(isinstance(expect.get(key, {}), dict), f"expect.{key} must be a JSON object")
-    counts = expect.get("counts", {})
-    _known_keys(counts, "expect.counts", COUNTS_KEYS)
-    _need(counts.get("candidates", "coordinate") in ("coordinate", "eigen"),
-          "expect.counts.candidates must be coordinate or eigen")
-    for key in ("rh", "abelian_check"):
-        if key in expect:
-            group = expect[key].get("group")
-            _need(isinstance(group, str) and group in groups,
-                  f"expect.{key}.group {group!r} is not one of the instance's groups")
-            _need(key == "rh" or "verdict" in expect[key], f"expect.{key} needs a verdict")
-    deadline = expect.get("smooth_deadline", DEFAULT_SMOOTH_DEADLINE)
-    _need(type(deadline) in (int, float) and deadline > 0,
-          "expect.smooth_deadline must be a positive number")
-    for name, want in expect.get("automorphisms", {}).items():
-        label = f"expect.automorphisms.{name}"
-        _need(isinstance(want, dict), f"{label} must be a JSON object")
-        _known_keys(want, label, AUT_EXPECT_KEYS)
-        _need(isinstance(want.get("fixed_locus", {}), dict), f"{label}.fixed_locus must be an object")
-        _known_keys(want.get("fixed_locus", {}), f"{label}.fixed_locus", FIXED_LOCUS_KEYS)
-        _need(isinstance(want.get("certificate", {}), (dict, type(None))),
-              f"{label}.certificate must be an object or null")
-        powers = want.get("detect_powers_none", [])
-        _need(isinstance(powers, list) and all(type(j) is int for j in powers),
-              f"{label}.detect_powers_none must be a list of integers")
-        _need(isinstance(want.get("rows_include", []), list), f"{label}.rows_include must be a list")
-        if "criterion" in want:
-            crit = want["criterion"]
-            _need(isinstance(crit, dict) and crit.get("name") in ("curve", "codim", "power")
-                  and "verdict" in crit, f"{label}.criterion needs a verdict and a name: "
-                  "curve, codim or power")
-            _need(crit["name"] != "power" or (type(crit.get("k")) is int and crit["k"] >= 2),
-                  f"{label}.criterion power needs an integer k >= 2")
+def _one_of(*values):
+    return lambda v, *_: v in values
+
+
+def _list_of(kind, least=None, most=None, nonempty=False):
+    return lambda v, *_: type(v) is list and (v or not nonempty) and all(
+        type(x) is kind and (least is None or least <= x <= most) for x in v)
+
+
+def _certificate(exp, label, want, got):
+    if want is None or got is None:
+        exp.check(f"{label}.certificate", want, got)
+    else:
+        for key in want:
+            exp.check(f"{label}.certificate.{key}", want[key], got.get(key))
+
+
+def _smoothness(exp, label, want, got):
+    if want == "optional":
+        exp.check("smoothness (optional: smooth or timeout)", True,
+                  got["status"] in (SMOOTH, TIMEOUT))
+    elif want != "skip":
+        exp.check("smoothness", want, got["status"])
+
+
+def _detectors(exp, label, want, got):
+    for j in want:
+        exp.check(f"{label}^b{j} detector", None, got[j])
+
+
+def _rows_include(exp, label, want, got):
+    for r in want:
+        exp.check(f"{label}.rows includes {r}", True, r in got)
+
+
+def _points(exp, label, want, got):
+    for name, verdict in want.items():
+        exp.check(f"point {name}", verdict, got[name])
+
+
+def _automorphisms(exp, label, want, views):
+    for name, block in want.items():
+        if name in views:
+            exp.compare(name, block, views[name], AUTOMORPHISM)
+        else:
+            exp.failures.append(f"automorphism {name}: not defined in the instance")
+
+
+_INT = (_is(int), "an integer")
+FIXED_LOCUS = {
+    "total_finite": Key(_is(int, type(None)), "an integer or null", "total_finite"),
+    "max_dim": Key(*_INT, "max_dim"),
+    "component_count": Key(*_INT, "components", lambda exp, label, want, got:
+                           exp.check(f"{label}.component_count", want, len(got))),
+}
+CRITERION = {
+    "name": Key(lambda v, block, _: v in tuple(CRITERIA) and (v != "power" or "k" in block),
+                "curve, codim, or power with a k", required=True),
+    "k": Key(lambda v, block, _: type(v) is int and v >= 2 and block["name"] == "power",
+             "an integer >= 2, for a power criterion"),
+    "verdict": Key(_is(str), "text", "verdict", required=True),
+}
+AUTOMORPHISM = {
+    "verified": Key(_is(bool), "true or false", "verified"),
+    "order": Key(*_INT, "order"),
+    "scale": Key(_is(str, type(None)), "scalar text or null", "scale"),
+    "certificate": Key(_is(dict, type(None)), "an object or null", "certificate", _certificate),
+    "detect_powers_none": Key(_list_of(int), "a list of integers", "detectors", _detectors),
+    "fixed_locus": Key(FIXED_LOCUS, read="fixed_locus"),
+    "rows": Key(_list_of(int), "a list of integers", "classification_rows"),
+    "rows_include": Key(_list_of(int), "a list of integers", "classification_rows", _rows_include),
+    "criterion": Key(CRITERION, read="criterion"),
+}
+COUNTS = {
+    "candidates": Key(_one_of("coordinate", "eigen"), "coordinate or eigen"),
+    "inner": Key(*_INT, "inner", required=True),
+    "outer": Key(*_INT, "outer", required=True),
+}
+_GROUP = Key(lambda v, _, doc: type(v) is str and v in doc.get("groups", {}),
+             "one of the instance's groups", required=True)
+RH = {
+    "group": _GROUP,
+    **{key: Key(*_INT, key) for key in
+       ("curve_genus", "stabilizer_sum", "group_order", "quotient_genus")},
+    "fix_counts": Key(_list_of(int), "a list of integers", "fix_counts"),
+}
+ABELIAN_CHECK = {
+    "group": _GROUP,
+    "verdict": Key(_one_of("pass", "fail", "not-applicable"), "pass, fail or not-applicable",
+                   "verdict", required=True),
+}
+EXPECT = {
+    "smooth": Key(_one_of("skip", "optional", *STATUSES), "one of skip, optional, "
+                  + ", ".join(STATUSES), "smoothness", _smoothness),
+    "smooth_deadline": Key(lambda v, *_: type(v) in (int, float) and v > 0, "a positive number"),
+    "singular_witness": Key(
+        lambda v, block, _: _list_of(str)(v) and block.get("smooth") in STATUSES,
+        "a list of coordinate texts, with a smooth status to check", "smoothness",
+        lambda exp, label, want, got: exp.check("singular witness", want, got["witness"])),
+    "automorphisms": Key({"*": Key(AUTOMORPHISM)}, read="automorphisms", check=_automorphisms),
+    "points": Key({"*": Key(_one_of("inner", "outer", "none", "singular"),
+                            "inner, outer, none or singular")},
+                  read="points", check=_points),
+    "counts": Key(COUNTS, read="counts"),
+    "rh": Key(RH, read="rh"),
+    "abelian_check": Key(ABELIAN_CHECK, read="abelian_check"),
+    "discrepancies_nonempty": Key(_is(bool), "true or false", "discrepancies",
+                                  lambda exp, label, want, got:
+                                  exp.check("discrepancies recorded", want, len(got) > 0)),
+}
+INSTANCE = {
+    "schema": Key(_one_of(SCHEMA), SCHEMA, required=True),
+    "kind": Key(_one_of("instance"), "instance"),
+    "name": Key(_is(str), "text", required=True),
+    **{key: Key(required=True) for key in ("n", "d", "field", "polynomial")},
+    **{key: Key({"*": Key()}) for key in ("automorphisms", "points")},
+    "groups": Key({"*": Key(_list_of(str, nonempty=True),
+                            "a nonempty list of automorphism names")}),
+    "expect": Key(EXPECT),
+    "notes": Key(_list_of(str), "a list of strings"),
+}
+GENERATOR = {
+    "schema": Key(_one_of(SCHEMA), SCHEMA, required=True),
+    "kind": Key(_one_of("generator"), "generator", required=True),
+    "name": Key(_is(str), "text", required=True),
+    "seed": Key(*_INT),
+    "count": Key(lambda v, *_: type(v) is int and v >= 1, "a positive integer"),
+    "dims": Key(_list_of(int, 1, MAX_N, nonempty=True), f"a nonempty list of n from 1 to {MAX_N}"),
+    "degrees": Key(_list_of(int, 4, MAX_DEGREE, nonempty=True), "a nonempty list of degrees "
+                   f"from 4, the least a detector takes, to {MAX_DEGREE}"),
+}
+
+
+def _check_block(block, table: dict, label: str, kind: str, doc: dict) -> None:
+    """Reject a block of the document that is not an object, lacks a
+    required key, holds a value of the wrong shape (in table order) or holds
+    a key its table does not list."""
+    where = f"value {label}" if label else "document"
+    _need(isinstance(block, dict), f"{where} must be a JSON object", kind)
+    missing = [key for key, spec in table.items() if spec.required and key not in block]
+    _need(not missing, f"{where} is missing keys {missing}", kind)
+    for key in block if "*" in table else [key for key in table if key in block]:
+        spec, value = table.get(key) or table["*"], block[key]
+        path = f"{label}.{key}" if label else key
+        if isinstance(spec.shape, dict):
+            _check_block(value, spec.shape, path, kind, doc)
+        elif spec.shape is not None:
+            _need(spec.shape(value, block, doc), f"value {path} must be {spec.what}", kind)
+    unknown = [] if "*" in table else sorted(set(block) - set(table))
+    _need(not unknown, f"{where} has unknown keys {unknown}", kind)
 
 
 def parse_surface(text, n: int, field, degree: int | None = None) -> Hypersurface:
@@ -324,141 +424,94 @@ class _Expect:
         if expected != got:
             self.failures.append(f"{label}: expected {expected!r}, got {got!r}")
 
+    def compare(self, label: str, want: dict, got: dict, table: dict) -> None:
+        """Check each expected key of a block in table order: against the
+        section `got[read]` by the key's own check, key by key for a nested
+        block, or else by plain equality under the label `<label>.<key>`."""
+        for key, spec in table.items():
+            if key not in want or spec.read is None:
+                continue
+            path = f"{label}.{key}" if label else key
+            if spec.read not in got:  # only an unverified automorphism lacks a section
+                self.failures.append(f"{path}: not computed, {label} is not verified")
+            elif spec.check is not None:
+                spec.check(self, label, want[key], got[spec.read])
+            elif isinstance(spec.shape, dict):
+                self.compare(path, want[key], got[spec.read], spec.shape)
+            else:
+                self.check(path, want[key], got[spec.read])
+
+
+def _automorphism_view(X: Hypersurface, w, entry: dict, want: dict) -> dict:
+    """What the expectations `want` on an automorphism compare with: its
+    report entry, into which the sections they read are computed, the
+    detector results on its powers, and a criterion that does not apply.
+    An unverified automorphism (w None) has none of these sections."""
+    if w is None:
+        return {"certificate": None, **entry}
+    entry["certificate"] = certificate_json(certificate_from_automorphism(X, w))
+    view = {}
+    if "detect_powers_none" in want:
+        view["detectors"] = detectors = {}
+        for j in want["detect_powers_none"]:
+            wj = verify_automorphism(X, w.matrix ** j)
+            detectors[j] = certificate_json(wj and certificate_from_automorphism(X, wj))
+    if "fixed_locus" in want:
+        entry["fixed_locus"] = fixed_locus_json(fixed_locus(X, w))
+    if "rows" in want or "rows_include" in want:
+        entry["classification_rows"] = [r.row for r in classify_cyclic(X, w)]
+    if "criterion" in want:
+        spec = want["criterion"]
+        try:
+            entry["criterion"] = criterion_json(
+                CRITERIA[spec["name"]](X, w, *([spec["k"]] if "k" in spec else [])))
+        except CriterionNotApplicable as e:  # the order is only known after verification
+            view["criterion"] = {"verdict": f"not applicable: {e}"}
+    return {**entry, **view}
+
 
 def build_report(inst: Instance, smooth_deadline: float | None = None) -> dict:
-    """Compute every section the instance's expectations mention and compare."""
+    """Compute every section the instance's expectations read, then compare
+    them by walking the EXPECT table."""
     X = inst.surface
-    exp = _Expect()
     expect = inst.expect
     report: dict = {
-        "schema": SCHEMA,
-        "kind": "report",
-        "name": inst.name,
-        "instance_hash": instance_hash(inst.raw),
-        "n": inst.n,
-        "d": inst.d,
-        "field": inst.conductor,
-        "polynomial": render_poly(X.F),
-        "discrepancies": list(inst.notes),
+        "schema": SCHEMA, "kind": "report", "name": inst.name,
+        "instance_hash": instance_hash(inst.raw), "n": inst.n, "d": inst.d,
+        "field": inst.conductor, "polynomial": render_poly(X.F),
+        "discrepancies": list(inst.notes), "smoothness": None,
     }
-
-    smooth_expect = expect.get("smooth", "skip")
-    if smooth_expect != "skip":
+    if expect.get("smooth", "skip") != "skip":
         deadline = smooth_deadline or expect.get("smooth_deadline", DEFAULT_SMOOTH_DEADLINE)
-        sm = report["smoothness"] = smoothness_section(X, deadline)
-        if smooth_expect == "optional":
-            exp.check("smoothness (optional: smooth or timeout)", True,
-                      sm["status"] in (SMOOTH, TIMEOUT))
-        else:
-            exp.check("smoothness", smooth_expect, sm["status"])
-            if "singular_witness" in expect:
-                exp.check("singular witness", expect["singular_witness"], sm["witness"])
-    else:
-        report["smoothness"] = None
+        report["smoothness"] = smoothness_section(X, deadline)
 
-    aut_reports = {}
-    witnesses = {}
+    report["automorphisms"], witnesses, views = {}, [], {}
     for name, A in inst.automorphisms.items():
         entry, w = automorphism_section(X, A)
+        report["automorphisms"][name] = entry
         if w is not None:
-            witnesses[name] = w
-            cert = certificate_from_automorphism(X, w)
-            entry["certificate"] = certificate_json(cert)
-        aut_reports[name] = entry
-    report["automorphisms"] = aut_reports
-
-    for name, aut_expect in expect.get("automorphisms", {}).items():
-        entry = aut_reports.get(name)
-        if entry is None:
-            exp.failures.append(f"automorphism {name}: not defined in the instance")
-            continue
-        w = witnesses.get(name)
-        for key in ("verified", "order", "scale"):
-            if key in aut_expect:
-                exp.check(f"{name}.{key}", aut_expect[key], entry.get(key))
-        if "certificate" in aut_expect:
-            got = entry.get("certificate")
-            want = aut_expect["certificate"]
-            if want is None or got is None:
-                exp.check(f"{name}.certificate", want, got)
-            else:
-                for key in want:
-                    exp.check(f"{name}.certificate.{key}", want[key], got.get(key))
-        if "detect_powers_none" in aut_expect and w is not None:
-            for j in aut_expect["detect_powers_none"]:
-                wj = verify_automorphism(X, w.matrix ** j)
-                cert = certificate_from_automorphism(X, wj) if wj else None
-                exp.check(f"{name}^b{j} detector", None, certificate_json(cert))
-        if "fixed_locus" in aut_expect and w is not None:
-            rep = fixed_locus(X, w)
-            fl = fixed_locus_json(rep)
-            entry["fixed_locus"] = fl
-            want = aut_expect["fixed_locus"]
-            for key in ("total_finite", "max_dim"):
-                if key in want:
-                    exp.check(f"{name}.fixed_locus.{key}", want[key], fl[key])
-            if "component_count" in want:
-                exp.check(f"{name}.fixed_locus.component_count",
-                          want["component_count"], len(fl["components"]))
-        if ("rows" in aut_expect or "rows_include" in aut_expect) and w is not None:
-            rows = entry["classification_rows"] = [r.row for r in classify_cyclic(X, w)]
-            if "rows" in aut_expect:
-                exp.check(f"{name}.rows", aut_expect["rows"], rows)
-            for r in aut_expect.get("rows_include", ()):
-                exp.check(f"{name}.rows includes {r}", True, r in rows)
-        if "criterion" in aut_expect and w is not None:
-            spec_c = aut_expect["criterion"]
-            cname = spec_c["name"]
-            try:
-                if cname == "curve":
-                    res = curve_criterion(X, w)
-                elif cname == "codim":
-                    res = codim_criterion(X, w)
-                else:
-                    res = power_criterion(X, w, spec_c["k"])
-            except CriterionNotApplicable as e:  # the order is only known after verification
-                exp.check(f"{name}.criterion.verdict", spec_c["verdict"], f"not applicable: {e}")
-            else:
-                cj = entry["criterion"] = criterion_json(res)
-                exp.check(f"{name}.criterion.verdict", spec_c["verdict"], cj["verdict"])
+            witnesses.append(w)
+        views[name] = _automorphism_view(X, w, entry, expect.get("automorphisms", {}).get(name, {}))
 
     if "points" in expect:
-        verdicts = {}
-        for pname, want in expect["points"].items():
-            got = verdicts[pname] = point_verdict(X, resolve_point(inst, X, pname))
-            exp.check(f"point {pname}", want, got)
-        report["points"] = verdicts
+        report["points"] = {pname: point_verdict(X, resolve_point(inst, X, pname))
+                            for pname in expect["points"]}
 
     if "counts" in expect:
-        want = expect["counts"]
-        if want.get("candidates") == "eigen":
-            cands = eigen_candidate_points(X, list(witnesses.values()))
-        else:
-            cands = coordinate_points(X)
-        counts = report["counts"] = counts_section(X, cands)
-        exp.check("counts.inner", want.get("inner"), counts["inner"])
-        exp.check("counts.outer", want.get("outer"), counts["outer"])
+        eigen = expect["counts"].get("candidates") == "eigen"
+        report["counts"] = counts_section(X, eigen_candidate_points(X, witnesses)
+                                          if eigen else coordinate_points(X))
 
     closures = {gname: group_closure(resolve_group(inst, gname)) for gname in inst.groups}
-
     if "rh" in expect:
-        want = expect["rh"]
-        report["rh"] = rh_section(X, closures[want["group"]], want["group"])
-        for key in ("curve_genus", "stabilizer_sum", "group_order", "quotient_genus", "fix_counts"):
-            if key in want:
-                exp.check(f"rh.{key}", want[key], report["rh"][key])
-
+        report["rh"] = rh_section(X, closures[expect["rh"]["group"]], expect["rh"]["group"])
     if "abelian_check" in expect:
-        want = expect["abelian_check"]
-        G = closures[want["group"]]
-        res = abelian_constraint_check(X, G)
-        report["abelian_check"] = {"group": want["group"], "verdict": res.verdict,
-                                   "reason": res.reason}
-        exp.check("abelian_check.verdict", want["verdict"], res.verdict)
+        group = expect["abelian_check"]["group"]
+        res = abelian_constraint_check(X, closures[group])
+        report["abelian_check"] = {"group": group, "verdict": res.verdict, "reason": res.reason}
 
-    if "discrepancies_nonempty" in expect:
-        exp.check("discrepancies recorded", True, len(report["discrepancies"]) > 0)
-
+    exp = _Expect()
+    exp.compare("", expect, {**report, "automorphisms": views}, EXPECT)
     report["expectations"] = {"checked": exp.checked, "failures": exp.failures}
     return report
 
@@ -519,47 +572,31 @@ def run_family(seed: int, count: int, dims, degrees) -> dict:
     """Detector round trip over the seeded family; both detectors must agree."""
     rng = random.Random(seed)
     failures = []
-    ran = 0
-    while ran < count:
-        for kind in ("inner", "outer"):
-            if ran >= count:
-                break
-            n = rng.choice(list(dims))
-            d = rng.choice(list(degrees))
-            X, B, p, _ = normal_form_instance(rng, n, d, kind)
-            label = f"{kind} n={n} d={d} #{ran}"
-            w = verify_automorphism(X, B)
-            if w is None:
-                failures.append(f"{label}: generator failed verification")
-                ran += 1
-                continue
-            cert = certificate_from_automorphism(X, w)
-            if cert is None or cert.kind != kind:
-                failures.append(f"{label}: detector missed the certificate")
-                ran += 1
-                continue
+    for i in range(count):
+        kind = ("inner", "outer")[i % 2]
+        n, d = rng.choice(list(dims)), rng.choice(list(degrees))
+        X, B, p, _ = normal_form_instance(rng, n, d, kind)
+        label = f"{kind} n={n} d={d} #{i}"
+        w = verify_automorphism(X, B)
+        cert = certificate_from_automorphism(X, w) if w is not None else None
+        if w is None:
+            failures.append(f"{label}: generator failed verification")
+        elif cert is None or cert.kind != kind:
+            failures.append(f"{label}: detector missed the certificate")
+        else:
             if not vec_proj_eq(cert.point, p):
                 failures.append(f"{label}: certificate at the wrong point")
             pv = galois_at_point(X, p)
             if pv is None or pv.kind != kind:
                 failures.append(f"{label}: point-side detector disagreed")
-            ran += 1
-    return {"instances": ran, "failures": failures}
+    return {"instances": count, "failures": failures}
 
 
 def run_generator(raw: dict, seed: int | None = None) -> dict:
+    _check_block(raw, GENERATOR, "", "generator", raw)
     seed = raw.get("seed", 20240601) if seed is None else seed
-    _need(type(seed) is int, "seed must be an integer", "generator")
-    _need("name" in raw, "name is missing", "generator")
-    count = parse_count(raw.get("count", 12), "count")
-    dims, degrees = raw.get("dims", [1, 2, 3]), raw.get("degrees", [4, 5, 6, 7])
-    for key, values, what, most in (("dims", dims, "n", MAX_N),
-                                    ("degrees", degrees, "degree", MAX_DEGREE)):
-        _need(isinstance(values, list) and values, f"{key} must be a nonempty list", "generator")
-        for v in values:
-            parse_count(v, what, most)
-    _need(min(degrees) >= 4, "degrees must be at least 4, the least a detector takes", "generator")
-    result = run_family(seed, count, dims, degrees)
+    result = run_family(seed, raw.get("count", 12), raw.get("dims", [1, 2, 3]),
+                        raw.get("degrees", [4, 5, 6, 7]))
     return {
         "schema": SCHEMA,
         "kind": "report",

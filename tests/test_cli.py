@@ -220,6 +220,20 @@ def test_build_report_undefined_automorphism(name, failures):
     assert "nope" not in report["automorphisms"]
 
 
+def test_build_report_fails_expectations_on_an_unverified_automorphism():
+    """exa6's h does not verify: each expectation that needs a verified
+    automorphism is one failure, not a skipped check."""
+    raw = json.loads((DATA / "exa6.json").read_text())
+    keys = ("detect_powers_none", "fixed_locus", "rows", "rows_include", "criterion")
+    raw["expect"]["automorphisms"]["h"].update(
+        detect_powers_none=[1], fixed_locus={"max_dim": 1}, rows=[1], rows_include=[1],
+        criterion={"name": "codim", "verdict": "fails"})
+    report = corpus.build_report(load_instance(raw))
+    assert report["automorphisms"]["h"]["verified"] is False
+    assert report["expectations"]["failures"] == [
+        f"h.{key}: not computed, h is not verified" for key in keys]
+
+
 def test_corpus_run_isolates_bad_files(capsys, tmp_path):
     (tmp_path / "exa4.json").write_text((DATA / "exa4.json").read_text())
     (tmp_path / "bad.json").write_text('{"schema": "galois-scope/1", "kind": "instance"')
@@ -492,6 +506,24 @@ INPUT_FAULTS = [
         {"expect": {"smoth": "certified_smooth"}},
         {"expect": {"automorphisms": {"h4": {"verified": True, "fixed_locs": {}}}}},
         {"expect": {"automorphisms": {"h4": {"fixed_locus": {"total": 3}}}}},
+        {"expect": {"rh": {"group": "G", "curve_genu": 3}}},
+        {"expect": {"abelian_check": {"group": "G", "verdict": "pass", "verdct": "pass"}}},
+        {"expect": {"automorphisms": {"h4": {"criterion": {
+            "name": "curve", "verdict": "holds", "verdcit": "holds"}}}}},
+        # a k off a power criterion, which no criterion but power reads
+        {"expect": {"automorphisms": {"h4": {"criterion": {
+            "name": "curve", "verdict": "holds", "k": 2}}}}},
+        # a singular witness with no smooth status to check it against
+        {"expect": {"singular_witness": ["0", "0", "1"]}},
+        *({"expect": {"smooth": smooth, "singular_witness": ["0", "0", "1"]}}
+          for smooth in ("skip", "optional")),
+        # counts without the inner or outer count they compare
+        {"expect": {"counts": {"candidates": "coordinate", "outer": 3}}},
+        {"expect": {"counts": {"inner": 0}}},
+        # a misspelt top-level key of an instance and of a generator
+        {"expekt": {"smooth": "certified_smooth"}, "expect": None},
+        {"kind": "generator", "cuont": 3, **dict.fromkeys(
+            ("n", "d", "field", "polynomial", "automorphisms", "groups", "expect", "notes"))},
     )),
     (["check-smooth", "{dir}/inst.json"], {"expect": {"counts": {"candidates": "eigne"}}}),
     # generator files and notes: every key is checked before anything runs
