@@ -112,6 +112,17 @@ def _criterion_kind(X: Hypersurface, w: AutWitness) -> str:
     return kind
 
 
+def _certificate(X: Hypersurface, w: AutWitness, kind: str, holds: bool | None,
+                 message: str) -> GaloisCertificate | None:
+    """The certificate of w; a criterion that holds must have one of its
+    kind, or else the theorem failed: fatal on a smooth X, an input error on
+    a certified singular one."""
+    cert = certificate_from_automorphism(X, w)
+    if holds and (cert is None or cert.kind != kind):
+        raise _fault(X, ConsistencyError(message))
+    return cert
+
+
 def curve_criterion(X: Hypersurface, w: AutWitness) -> CriterionResult:
     """Plane-curve criterion: ord d-1 with #Fix != 2, or ord d with Fix nonempty.
 
@@ -125,9 +136,7 @@ def curve_criterion(X: Hypersurface, w: AutWitness) -> CriterionResult:
     kind = _criterion_kind(X, w)
     report = fixed_locus(X, w)
     holds = report.cardinality() != (2 if kind == "inner" else 0)
-    cert = certificate_from_automorphism(X, w)
-    if holds and (cert is None or cert.kind != kind):
-        raise _fault(X, ConsistencyError("curve criterion holds but no certificate was produced"))
+    cert = _certificate(X, w, kind, holds, "curve criterion holds but no certificate was produced")
     return CriterionResult("curve_criterion", kind, holds, report, cert,
                            f"|Fix| = {report.cardinality()}")
 
@@ -163,10 +172,8 @@ def codim_criterion(X: Hypersurface, w: AutWitness) -> CriterionResult:
                 SMOOTH: (True, "smooth plane section of positive genus"),
                 TIMEOUT: (None, "the fixed section's smoothness check timed out"),
             }.get(status, (None, "only singular fixed sections; genus not computed"))
-    cert = certificate_from_automorphism(X, w)
-    if holds is True and (cert is None or cert.kind != kind):
-        raise _fault(X, ConsistencyError(
-            "codimension criterion holds but no certificate was produced"))
+    cert = _certificate(X, w, kind, holds,
+                        "codimension criterion holds but no certificate was produced")
     return CriterionResult("codim_criterion", kind, holds, report, cert, detail)
 
 
@@ -195,8 +202,6 @@ def power_criterion(X: Hypersurface, w: AutWitness, k: int) -> CriterionResult:
         wk = verify_automorphism(X, power)
         if wk is None:
             raise ConsistencyError("power of a verified automorphism failed to verify")
-        cert = certificate_from_automorphism(X, wk)
-        if cert is None or cert.kind != "inner":
-            raise _fault(X, ConsistencyError(
-                "power criterion holds but no inner certificate exists"))
+        cert = _certificate(X, wk, "inner", holds,
+                            "power criterion holds but no inner certificate exists")
     return CriterionResult("power_criterion", "inner", holds, report, cert, detail)

@@ -13,6 +13,7 @@ from itertools import permutations
 from .errors import ClosureBound, ConsistencyError, CriterionNotApplicable, UnsupportedShape
 from .exactnum import factorize, recognize_root_of_unity
 from .fixlocus import fixed_locus
+from .galois import _fault
 from .hypersurface import AutWitness, Hypersurface, coordinate_points, verify_automorphism
 from .projlin import ProjMatrix, projective_order
 
@@ -28,29 +29,22 @@ class CyclicClass:
     divisor: str
 
 
-# (row, n(g), divisor of the order as a function of d, exponent pattern)
+# (row, n(g), divisor of the order: its label and its value at d, exponent pattern)
 # pattern(s, t, ell, d) on the normalized diagonal (e^s, e^t, 1)
 _TABLE = (
-    (1, 0, "d", lambda s, t, ell, d: True),
-    (2, 1, "d-1", lambda s, t, ell, d: t % ell == 0 and math.gcd(s, ell) == 1),
-    (3, 1, "(d-1)d", lambda s, t, ell, d: math.gcd(s, ell) == 1 and (t - s * (1 - d)) % ell == 0),
-    (4, 2, "d-1", lambda s, t, ell, d: True),
-    (5, 2, "(d-1)^2", lambda s, t, ell, d: math.gcd(t, ell) == 1 and (s - t * (1 - d)) % ell == 0),
-    (6, 2, "(d-2)d", lambda s, t, ell, d: math.gcd(s, ell) == 1 and (t - s * (1 - d)) % ell == 0),
-    (7, 3, "d-1", lambda s, t, ell, d: t % ell == 0 and math.gcd(s, ell) == 1),
-    (8, 3, "d^2-3d+3", lambda s, t, ell, d: math.gcd(s, ell) == 1 and (t - s * (d - 1)) % ell == 0),
+    (1, 0, "d", lambda d: d, lambda s, t, ell, d: True),
+    (2, 1, "d-1", lambda d: d - 1, lambda s, t, ell, d: t % ell == 0 and math.gcd(s, ell) == 1),
+    (3, 1, "(d-1)d", lambda d: (d - 1) * d,
+     lambda s, t, ell, d: math.gcd(s, ell) == 1 and (t - s * (1 - d)) % ell == 0),
+    (4, 2, "d-1", lambda d: d - 1, lambda s, t, ell, d: True),
+    (5, 2, "(d-1)^2", lambda d: (d - 1) ** 2,
+     lambda s, t, ell, d: math.gcd(t, ell) == 1 and (s - t * (1 - d)) % ell == 0),
+    (6, 2, "(d-2)d", lambda d: (d - 2) * d,
+     lambda s, t, ell, d: math.gcd(s, ell) == 1 and (t - s * (1 - d)) % ell == 0),
+    (7, 3, "d-1", lambda d: d - 1, lambda s, t, ell, d: t % ell == 0 and math.gcd(s, ell) == 1),
+    (8, 3, "d^2-3d+3", lambda d: d * d - 3 * d + 3,
+     lambda s, t, ell, d: math.gcd(s, ell) == 1 and (t - s * (d - 1)) % ell == 0),
 )
-
-
-def _divisor_value(label: str, d: int) -> int:
-    return {
-        "d": d,
-        "d-1": d - 1,
-        "(d-1)d": (d - 1) * d,
-        "(d-1)^2": (d - 1) ** 2,
-        "(d-2)d": (d - 2) * d,
-        "d^2-3d+3": d * d - 3 * d + 3,
-    }[label]
 
 
 def require_plane_curve(X: Hypersurface, what: str, min_degree: int = 1) -> None:
@@ -86,7 +80,7 @@ def classify_cyclic(X: Hypersurface, w: AutWitness) -> list[CyclicClass]:
     coordinates is an allowed change) and up to the choice of primitive root;
     rows overlap by design, so every satisfied row is returned.  An empty
     result on a verified automorphism of a smooth curve is impossible and
-    treated as fatal.
+    treated as fatal; on a certified singular curve it is an input error.
     """
     require_plane_curve(X, "classification", 4)
     if not w.matrix.is_diagonal():
@@ -94,22 +88,14 @@ def classify_cyclic(X: Hypersurface, w: AutWitness) -> list[CyclicClass]:
     nfix = coord_point_count(X, w)
     ell = w.order
     entries = [w.matrix.rows[i][i] for i in range(3)]
-    matched = set()
-    for p0, p1, p2 in permutations(range(3)):
-        c = entries[p2]
-        s = _dlog(entries[p0] / c, ell)
-        t = _dlog(entries[p1] / c, ell)
-        for row, want_nfix, divisor, pattern in _TABLE:
-            if nfix != want_nfix:
-                continue
-            if _divisor_value(divisor, X.d) % ell != 0:
-                continue
-            if pattern(s, t, ell, X.d):
-                matched.add(row)
+    exponents = [(_dlog(entries[p0] / entries[p2], ell), _dlog(entries[p1] / entries[p2], ell))
+                 for p0, p1, p2 in permutations(range(3))]
+    matched = {row for s, t in exponents for row, want_nfix, _, divisor, pattern in _TABLE
+               if nfix == want_nfix and divisor(X.d) % ell == 0 and pattern(s, t, ell, X.d)}
     if not matched:
-        raise ConsistencyError(
-            "no classification row matched; the input is not an automorphism of a smooth curve")
-    return [CyclicClass(row, nfix, divisor) for row, nf, divisor, _ in _TABLE if row in matched]
+        raise _fault(X, ConsistencyError(
+            "no classification row matched; the input is not an automorphism of a smooth curve"))
+    return [CyclicClass(row, nfix, label) for row, _, label, _, _ in _TABLE if row in matched]
 
 
 def plane_curve_genus(d: int) -> int:
@@ -163,6 +149,16 @@ def group_closure(generators, bound: int = DEFAULT_CLOSURE_BOUND) -> GroupClosur
     return GroupClosure(tuple(elements), tuple(gens), abelian, len(elements))
 
 
+def _witnesses(X: Hypersurface, elements):
+    """The verified witness of each closure element, in order, yielded as it
+    is verified; an element that does not preserve X is an input error."""
+    for elem in elements:
+        w = verify_automorphism(X, elem)
+        if w is None:
+            raise CriterionNotApplicable("closure contains a matrix that does not preserve X")
+        yield w
+
+
 @dataclass(frozen=True)
 class QuotientGenusReport:
     curve_genus: int
@@ -177,19 +173,14 @@ def quotient_genus(X: Hypersurface, G: GroupClosure) -> QuotientGenusReport:
 
     The stabilizer sum is aggregated per element: sum_x(|G_x| - 1) equals the
     sum of |Fix(g)| over the non-identity elements of G.  Non-integral or
-    negative output is a consistency failure, not a value.
+    negative output is a consistency failure, not a value, on a smooth X; on
+    a certified singular X, outside the theorem, it is an input error.
     """
     require_plane_curve(X, "quotient genus")
     g_X = plane_curve_genus(X.d)
     sigma = 0
     counts = []
-    ident = ProjMatrix.identity(G.elements[0].field, G.elements[0].size)
-    for elem in G.elements:
-        if elem.proj_eq(ident):
-            continue
-        w = verify_automorphism(X, elem)
-        if w is None:
-            raise CriterionNotApplicable("closure contains a matrix that does not preserve X")
+    for w in _witnesses(X, G.elements[1:]):  # the identity comes first
         report = fixed_locus(X, w)
         if report.total_finite_count is None:
             raise UnsupportedShape("an element fixes a positive-dimensional locus on a curve")
@@ -199,7 +190,8 @@ def quotient_genus(X: Hypersurface, G: GroupClosure) -> QuotientGenusReport:
     q = Fraction(lhs, 2 * G.order)
     genus_quotient = 1 - q
     if genus_quotient.denominator != 1 or genus_quotient < 0:
-        raise ConsistencyError(f"quotient genus {genus_quotient} is not a non-negative integer")
+        raise _fault(X, ConsistencyError(
+            f"quotient genus {genus_quotient} is not a non-negative integer"))
     return QuotientGenusReport(g_X, sigma, G.order, int(genus_quotient), tuple(counts))
 
 
@@ -216,12 +208,7 @@ def abelian_constraint_check(X: Hypersurface, G: GroupClosure) -> AbelianCheck:
     require_plane_curve(X, "abelian check", 4)
     if not G.abelian:
         raise CriterionNotApplicable("closure is not abelian")
-    orders = []  # the witness orders: each element's projective order, read once
-    for elem in G.elements:
-        w = verify_automorphism(X, elem)
-        if w is None:
-            raise CriterionNotApplicable("closure contains a matrix that does not preserve X")
-        orders.append(w.order)
+    orders = [w.order for w in _witnesses(X, G.elements)]  # each element's order, read once
     if G.order in orders:  # some element generates G
         return AbelianCheck("not-applicable", "cyclic group")
     for k in orders:

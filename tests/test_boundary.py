@@ -11,7 +11,10 @@ the package runs in the calling process, since ROADMAP rules out
 multi-backend runs.  A homology's rank-one reading and its eigenbasis have
 one owner, `projlin`: no other module imports `_rank_one` or `_eigenbasis`,
 so every caller reads a homology through `projlin.homology_eigenbasis` and
-its siblings.  The checks read the source with `ast`.
+its siblings.  In the theorem modules (`galois`, `fixlocus`, `planecurves`)
+every theorem-level error goes through `galois._fault`, which makes it an
+input error on a certified singular X, except the three checks that hold on
+any X.  The checks read the source with `ast`.
 """
 import ast
 from pathlib import Path
@@ -31,6 +34,17 @@ PRIVATE_MEMBERS = {name for cls in (CycloNum, CycloField)
 MEMBERSHIP_RULES = {"as_scalar", "_root_in_field"}
 PARALLEL_MODULES = {"concurrent", "multiprocessing"}
 HOMOLOGY_INTERNALS = {"_rank_one", "_eigenbasis"}
+THEOREM_MODULES = ("galois.py", "fixlocus.py", "planecurves.py")
+THEOREM_FAULTS = {"ConsistencyError", "BoundViolation"}
+# the function and message start of each check that holds on any X, smooth
+# or not, and so stays an internal fault: a forged witness whose order and
+# kind disagree, a power of a verified automorphism that fails to verify,
+# and a p-torsion count that is not a p-power
+ANY_X_CHECKS = {
+    ("certificate_from_automorphism", "detected "),
+    ("power_criterion", "power of a verified automorphism failed to verify"),
+    ("abelian_constraint_check", "p-torsion subgroup size is not a p-power"),
+}
 
 
 def violations(source: str) -> list[str]:
@@ -147,3 +161,75 @@ def verify():
                          ids=lambda p: p.name)
 def test_only_projlin_reads_a_homology(path):
     assert homology_internal_imports(path.read_text()) == []
+
+
+def _called(node: ast.Call):
+    return getattr(node.func, "id", getattr(node.func, "attr", None))
+
+
+def _message_start(node: ast.Call) -> str:
+    """The literal text an error message starts with, or ''."""
+    first = node.args[0] if node.args else None
+    if isinstance(first, ast.JoinedStr) and first.values:
+        first = first.values[0]
+    return first.value if isinstance(first, ast.Constant) and isinstance(first.value, str) else ""
+
+
+def unrouted_faults(source: str) -> list[str]:
+    """Each ConsistencyError or BoundViolation built in source that is not
+    the argument of a `_fault` call and is not one of ANY_X_CHECKS, as
+    'line: Name in function'."""
+    tree = ast.parse(source)
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    routed = {id(arg) for node in calls if _called(node) == "_fault" for arg in node.args}
+    owner = {}  # the innermost function around each node: ast.walk visits outer ones first
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner.update((id(node), fn.name) for node in ast.walk(fn))
+    found = []
+    for node in calls:
+        fn = owner.get(id(node))
+        if _called(node) in THEOREM_FAULTS and id(node) not in routed and not any(
+                fn == name and _message_start(node).startswith(start)
+                for name, start in ANY_X_CHECKS):
+            found.append(f"{node.lineno}: {_called(node)} in {fn}")
+    return found
+
+
+def test_checker_finds_each_unrouted_fault():
+    source = """
+def quotient_genus(X, G):
+    raise ConsistencyError(f"quotient genus {q} is not a non-negative integer")
+def count(X):
+    raise errors.BoundViolation("too many points")
+def late(X):
+    error = ConsistencyError("built first, raised later")
+    raise error
+def power_criterion(X, w, k):
+    raise ConsistencyError("p-torsion subgroup size is not a p-power")
+def abelian_constraint_check(X, G):
+    def inner():
+        raise ConsistencyError("p-torsion subgroup size is not a p-power")
+"""
+    assert unrouted_faults(source) == [
+        "3: ConsistencyError in quotient_genus", "5: BoundViolation in count",
+        "7: ConsistencyError in late", "10: ConsistencyError in power_criterion",
+        "13: ConsistencyError in inner"]
+    routed = """
+def quotient_genus(X, G):
+    raise _fault(X, ConsistencyError(f"quotient genus {q} is not a non-negative integer"))
+def certificate_from_automorphism(X, w):
+    raise ConsistencyError(f"detected {kind} shape but the witness has projective order 4")
+def power_criterion(X, w, k):
+    raise ConsistencyError("power of a verified automorphism failed to verify")
+def abelian_constraint_check(X, G):
+    raise ConsistencyError("p-torsion subgroup size is not a p-power")
+def parse(text):
+    raise ParseError("not a theorem-level check")
+"""
+    assert unrouted_faults(routed) == []
+
+
+@pytest.mark.parametrize("name", THEOREM_MODULES)
+def test_theorem_checks_go_through_fault(name):
+    assert unrouted_faults((PACKAGE / name).read_text()) == []

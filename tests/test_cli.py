@@ -234,6 +234,55 @@ def test_build_report_fails_expectations_on_an_unverified_automorphism():
         f"h.{key}: not computed, h is not verified" for key in keys]
 
 
+def test_build_report_builds_only_the_closures_it_reads(monkeypatch):
+    calls = []
+    closure = corpus.group_closure
+    monkeypatch.setattr(corpus, "group_closure", lambda gens: calls.append(gens) or closure(gens))
+    fermat_report({"counts": {"candidates": "coordinate", "inner": 0, "outer": 3}})
+    assert calls == []  # ex1-fermat keeps its group G, which no expectation reads
+    fermat_report({"rh": {"group": "G"}, "abelian_check": {"group": "G", "verdict": "pass"}})
+    assert len(calls) == 1  # one closure serves both
+
+
+# the binode x0^4 + x1^4, singular at e2, where the plane-curve theorems do
+# not apply: the quotient genus by <m> is -3/8, and by <k> 9/8; no
+# classification row holds k
+BINODE = {"schema": "galois-scope/1", "kind": "instance", "name": "binode", "n": 1, "d": 4,
+          "field": 4, "polynomial": "x0^4 + x1^4",
+          "automorphisms": {"k": [["z(4)", "0", "0"], ["0", "-1", "0"], ["0", "0", "1"]],
+                            "m": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "z(4)"]]},
+          "groups": {"G": ["m"], "K": ["k"]}}
+OUTSIDE = "X is singular, outside the smooth-case theorems: "
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["rh-genus", "--group", "G"], "quotient genus -3/8 is not a non-negative integer"),
+    (["classify-cyclic", "--aut", "k"],
+     "no classification row matched; the input is not an automorphism of a smooth curve"),
+], ids=["rh-genus", "classify-cyclic"])
+def test_plane_curve_check_on_singular_x_exit_two(capsys, tmp_path, argv, message):
+    (tmp_path / "binode.json").write_text(json.dumps(BINODE))
+    code = main([argv[0], str(tmp_path / "binode.json"), *argv[1:]])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == OUTSIDE + message
+
+
+def test_corpus_run_quotient_genus_on_singular_x_is_a_failed_row(capsys, tmp_path):
+    (tmp_path / "exa4.json").write_text((DATA / "exa4.json").read_text())
+    # with m among the automorphisms the report fails earlier, at the
+    # certificate of m, whose center e2 is the node
+    (tmp_path / "binode.json").write_text(json.dumps({
+        **BINODE, "automorphisms": {"k": BINODE["automorphisms"]["k"]},
+        "groups": {"K": ["k"]}, "expect": {"rh": {"group": "K"}}}))
+    code, doc = run_cli(capsys, "corpus-run", str(tmp_path))
+    assert code == 1 and doc["status"] == "fail"
+    bad, good = doc["matrix"]
+    assert bad == {"name": "binode.json", "checked": 0, "status": "fail", "failures": [
+        f"input error: {OUTSIDE}quotient genus 9/8 is not a non-negative integer"]}
+    assert good["name"] == "exa4" and good["status"] == "pass"
+
+
 def test_corpus_run_isolates_bad_files(capsys, tmp_path):
     (tmp_path / "exa4.json").write_text((DATA / "exa4.json").read_text())
     (tmp_path / "bad.json").write_text('{"schema": "galois-scope/1", "kind": "instance"')
@@ -435,6 +484,10 @@ FAULT_FILES = {
 }
 CONE = {"field": 4, "polynomial": "x1^4 + x2^4",
         "automorphisms": {"g": [["z(4)", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]}}
+# the instance keys of ex1-fermat, removed where a row makes it a generator
+# document that only the row's own key breaks
+NOT_INSTANCE = dict.fromkeys(
+    ("n", "d", "field", "polynomial", "automorphisms", "groups", "expect", "notes"))
 # argument errors, which argparse finds: a bad --field, a missing --aut, an
 # unknown command and any --jobs, an option corpus-run does not have: it runs
 # every file in the calling process
@@ -522,8 +575,9 @@ INPUT_FAULTS = [
         {"expect": {"counts": {"inner": 0}}},
         # a misspelt top-level key of an instance and of a generator
         {"expekt": {"smooth": "certified_smooth"}, "expect": None},
-        {"kind": "generator", "cuont": 3, **dict.fromkeys(
-            ("n", "d", "field", "polynomial", "automorphisms", "groups", "expect", "notes"))},
+        {"kind": "generator", "cuont": 3, **NOT_INSTANCE},
+        # a count past MAX_COUNT, which would draw 1001 instances
+        {"kind": "generator", "count": 1001, **NOT_INSTANCE},
     )),
     (["check-smooth", "{dir}/inst.json"], {"expect": {"counts": {"candidates": "eigne"}}}),
     # generator files and notes: every key is checked before anything runs

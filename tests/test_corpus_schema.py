@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from galois_scope import corpus
 from galois_scope.corpus import (
     GENERATOR,
     INSTANCE,
@@ -172,6 +173,17 @@ def test_a_changed_expectation_fails_with_its_label(key):
     block_at(doc, where[:-1])[where[-1]] = value
     failures = build_report(load_instance(doc))["expectations"]["failures"]
     assert len(failures) == 1 and failures[0].startswith(f"{label}:")
+
+
+def test_a_generator_draws_at_most_1000_instances(monkeypatch):
+    # 1000 instances take about 4 s on a 2-core host; 1001 is refused before
+    # a single instance is drawn
+    monkeypatch.setattr(corpus, "run_family",
+                        lambda seed, count, dims, degrees: {"instances": count, "failures": []})
+    doc = bundled("normal-form-family")
+    assert run_generator({**doc, "count": 1000})["family"] == {"instances": 1000}
+    assert error("generator", {**doc, "count": 1001}) == \
+        "generator value count must be an integer from 1 to 1000"
 
 
 def readme_schema_section() -> str:

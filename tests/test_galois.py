@@ -29,6 +29,7 @@ from galois_scope.hypersurface import (
     multiplicity_at_point,
     verify_automorphism,
 )
+from galois_scope.planecurves import classify_cyclic, group_closure, quotient_genus
 from galois_scope.polyring import HomogPoly
 from galois_scope.projlin import ProjMatrix, vec_proj_eq, vector
 
@@ -217,6 +218,15 @@ def test_theorem_checks_on_singular_x_are_input_errors():
     points = [(1, 0, 0, t) for t in range(5)] + [(0, 1, 0, 0)]
     with pytest.raises(CriterionNotApplicable, match=r"X is singular.*\(0, 6\)"):
         count_certified_points(surface, points)
+    # the binode x0^4 + x1^4, singular at e2: no integral quotient genus under
+    # diag(1, 1, i), and no classification row for diag(i, -1, 1)
+    binode = Hypersurface(1, 4, poly(F4, 3, {(4, 0, 0): 1, (0, 4, 0): 1}))
+    G = group_closure([ProjMatrix.diagonal(F4, [1, 1, F4.zeta()])])
+    with pytest.raises(CriterionNotApplicable, match="X is singular.*quotient genus -3/8"):
+        quotient_genus(binode, G)
+    w = verify_automorphism(binode, ProjMatrix.diagonal(F4, [F4.zeta(), -1, 1]))
+    with pytest.raises(CriterionNotApplicable, match="X is singular.*no classification row"):
+        classify_cyclic(binode, w)
 
 
 def test_count_certified_points_fermat():

@@ -2,7 +2,7 @@ import pytest
 
 from galois_scope import hypersurface, planecurves
 from galois_scope.corpus import bundled_corpus_dir, load_instance, resolve_group
-from galois_scope.errors import ClosureBound
+from galois_scope.errors import ClosureBound, CriterionNotApplicable
 from galois_scope.exactnum import cyclo_field
 from galois_scope.hypersurface import Hypersurface, is_smooth, verify_automorphism
 from galois_scope.planecurves import (
@@ -217,6 +217,17 @@ def test_quotient_genus_cyclic_four():
     rep = quotient_genus(X, G)
     assert rep.stabilizer_sum == 12
     assert rep.quotient_genus >= 0
+
+
+@pytest.mark.parametrize("check", [quotient_genus, abelian_constraint_check])
+def test_closure_element_off_x_is_an_input_error(check):
+    # diag(-1, 1, 1) flips the sign of x0*x1^3, so it does not preserve X
+    X = Hypersurface(1, 4, poly(Q, 3, {(4, 0, 0): 1, (0, 4, 0): 1, (0, 0, 4): 1,
+                                       (1, 3, 0): 1}))
+    G = group_closure([ProjMatrix.diagonal(Q, [-1, 1, 1]), ProjMatrix.diagonal(Q, [1, -1, 1])])
+    with pytest.raises(CriterionNotApplicable,
+                       match="^closure contains a matrix that does not preserve X$"):
+        check(X, G)
 
 
 def test_abelian_check_klein_four():
