@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the run context's clock."""
+import time
+from contextlib import contextmanager
+from contextvars import ContextVar
 from json import JSONDecodeError
 
 
@@ -67,3 +70,32 @@ class ParseError(GaloisScopeError):
 # both groups hold GaloisScopeErrors; the rest is an input error
 INTERNAL_FAULTS = (ConsistencyError, BoundViolation)
 INPUT_ERRORS = (OSError, JSONDecodeError, GaloisScopeError)
+
+
+# the run context: the monotonic time at which the current scope's budget
+# ends; None means no limit.  A context variable (PEP 567) reaches every loop
+# that calls check() without a parameter on the way.
+_LIMIT: ContextVar[float | None] = ContextVar("galois_scope_limit", default=None)
+
+
+class Expired(Exception):
+    """The budget of the enclosing deadline scope has run out.  Private: only
+    the function that opened the scope catches it (`hypersurface.is_smooth`)."""
+
+
+@contextmanager
+def deadline(seconds: float | None):
+    """A scope whose check() calls raise Expired once `seconds` have passed;
+    None means no limit, also inside a scope with one."""
+    token = _LIMIT.set(None if seconds is None else time.monotonic() + seconds)
+    try:
+        yield
+    finally:
+        _LIMIT.reset(token)
+
+
+def check() -> None:
+    """Raise Expired when the current scope's budget has run out."""
+    limit = _LIMIT.get()
+    if limit is not None and time.monotonic() > limit:
+        raise Expired

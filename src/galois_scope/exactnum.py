@@ -34,6 +34,12 @@ It also owns field membership: `in_field` is the one way a value enters a
 field (lifting from a subfield through `embed_lift`), and `unity_order`,
 `root_of_unity` and `recognize_root_of_unity` alone decide which roots of
 unity a field holds.
+
+The long loops of the dense machinery, `_modular_inverse`'s pseudo-division
+and `CycloField`'s reduction mod Phi_N and its rows of z^k, call
+`errors.check`, so the clock of an enclosing `errors.deadline` scope reaches
+exact arithmetic.  Each writes only locals, or appends whole rows to a
+cache, so an expiry leaves no half-built state.
 """
 from __future__ import annotations
 
@@ -43,7 +49,7 @@ from functools import lru_cache
 from itertools import zip_longest
 from operator import sub
 
-from .errors import ConductorMismatch, FieldMismatch
+from .errors import ConductorMismatch, FieldMismatch, check
 
 Rat = Fraction
 
@@ -220,6 +226,7 @@ class CycloField:
         m = self.degree
         xphi = self._xphi
         while len(zs) <= k:
+            check()
             prev = zs[-1]
             top = prev[m - 1]
             new = [0] * m
@@ -270,6 +277,7 @@ class CycloField:
         for e in range(len(c) - 1, m - 1, -1):
             ce = c[e]
             if ce:
+                check()
                 row = self._zeta_vec(e)
                 for j, rj in enumerate(row):
                     if rj:
@@ -556,6 +564,7 @@ def _modular_inverse(num: tuple[int, ...], field: CycloField) -> tuple[list[int]
         lc, n1 = r1[-1], len(r1)
         r, q, scale = r0, [0] * (len(r0) - n1 + 1), 1
         while len(r) >= n1:
+            check()
             c, shift = r[-1], len(r) - n1
             r = [lc * x for x in r]
             q = [lc * x for x in q]

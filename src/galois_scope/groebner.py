@@ -24,8 +24,10 @@ reading the smoothness certificate takes from a basis: its minimal leading
 monomials, unpacked to exponent tuples.  The exact pass runs Buchberger to
 completion.  The modular pass only certifies smoothness, so it stops as soon
 as every variable has a pure power among the leading monomials and returns
-the minimal leads of the partial basis built so far.  A cooperative deadline
-is checked at every pair and at every reduction step.
+the minimal leads of the partial basis built so far.  The clock of the
+enclosing `errors.deadline` scope is checked at every reduction step (and,
+through `exactnum`, inside each exact inverse); expiry raises
+`errors.Expired` out of the kernel, which returns no partial result.
 
 The packed monomial above is this module's own layout (`Packing`); the
 exponent tuples it converts from and to are `polyring`'s.  The coefficients
@@ -36,10 +38,9 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import time
 from functools import lru_cache
 
-from .errors import BoundViolation
+from .errors import BoundViolation, check
 from .exactnum import _residue, factorize
 from .polyring import HomogPoly
 
@@ -48,16 +49,6 @@ PRIME_RANGE = (2**29, 2**30)
 
 # bits per exponent field of a packed monomial, its guard bit included
 WIDTH = 16
-
-
-class Deadline:
-    """Cooperative time budget; None means no limit."""
-
-    def __init__(self, seconds=None):
-        self.limit = None if seconds is None else time.monotonic() + seconds
-
-    def expired(self) -> bool:
-        return self.limit is not None and time.monotonic() > self.limit
 
 
 class Packing:
@@ -150,10 +141,10 @@ def _add_multiple(work: dict, c, shift: int, g: Monic, heap=None) -> None:
                 del work[mono]
 
 
-def normal_form(work: dict, basis: list, guard: int, deadline: Deadline | None = None):
+def normal_form(work: dict, basis: list, guard: int):
     """Remainder of the homogeneous {packed exponents: coefficient} work under
-    division by the basis, (lm, Monic) pairs, in descending grevlex order;
-    None on deadline expiry.  guard is the guard mask of the packing.
+    division by the basis, (lm, Monic) pairs, in descending grevlex order.
+    guard is the guard mask of the packing.
 
     work is consumed.  Among monomials of one degree the grevlex largest is
     the least int, so a min-heap of the monomials yields the leading terms in
@@ -163,8 +154,7 @@ def normal_form(work: dict, basis: list, guard: int, deadline: Deadline | None =
     heapq.heapify(heap)
     rem: dict = {}
     while heap:
-        if deadline is not None and deadline.expired():
-            return None
+        check()
         m = heapq.heappop(heap)
         c = work.pop(m, None)
         if c is None:
@@ -223,10 +213,9 @@ def _update(active: list[Monic], pairs: list, h: Monic, order, packing: Packing)
     return [g for g in active if (g.lm + G - t) & G != G] + [h]
 
 
-def _buchberger(gens: list[Monic], p: int, packing: Packing,
-                deadline: Deadline | None) -> list[Monic] | None:
+def _buchberger(gens: list[Monic], p: int, packing: Packing) -> list[Monic]:
     """A minimal Groebner basis of the ideal of gens, whose coefficients have
-    characteristic p, sorted by leading monomial; None if the deadline expires.
+    characteristic p, sorted by leading monomial.
 
     Minimal: one monic element per minimal leading monomial.  Those monomials
     generate the leading ideal, so they do not depend on the order in which
@@ -247,12 +236,8 @@ def _buchberger(gens: list[Monic], p: int, packing: Packing,
         active = _update(active, pairs, g, order, packing)
     reducers = [(g.lm, g) for g in active]
     while pairs and (missing or not p):
-        if deadline is not None and deadline.expired():
-            return None
         _, _, f, g, _ = heapq.heappop(pairs)
-        rem = normal_form(s_polynomial(f, g, packing), reducers, packing.guard, deadline)
-        if rem is None:
-            return None
+        rem = normal_form(s_polynomial(f, g, packing), reducers, packing.guard)
         if rem:  # the first remainder term is the leading one
             h = Monic(next(iter(rem)), rem, p)
             missing.difference_update(packing.pure_power_of(h.lm))
@@ -267,10 +252,10 @@ def _buchberger(gens: list[Monic], p: int, packing: Packing,
     return minimal
 
 
-def groebner_basis(gens: list[HomogPoly], deadline: Deadline | None = None):
+def groebner_basis(gens: list[HomogPoly]):
     """Leading monomials of a minimal grevlex Groebner basis of the ideal of
-    gens over their field, sorted; None if the deadline expires."""
-    return _minimal_leading_monomials(gens, (0, None), deadline)
+    gens over their field, sorted."""
+    return _minimal_leading_monomials(gens, (0, None))
 
 
 @lru_cache(maxsize=None)
@@ -293,9 +278,9 @@ def modular_prime(N: int) -> tuple[int, int] | None:
     return None
 
 
-def modular_leading_monomials(gens: list[HomogPoly], deadline: Deadline | None = None):
+def modular_leading_monomials(gens: list[HomogPoly]):
     """Leading monomials of a minimal grevlex Groebner basis of the gens'
-    image mod p, (p, w) = modular_prime(N); None if the deadline expires.
+    image mod p, (p, w) = modular_prime(N).
 
     Once every variable has a pure power among the leading monomials the
     basis is left partial: the monomials returned then are the minimal leads
@@ -305,14 +290,13 @@ def modular_leading_monomials(gens: list[HomogPoly], deadline: Deadline | None =
     coefficient's denominator.  An empty list certifies nothing.
     """
     prime = modular_prime(gens[0].field.N) if gens else None
-    return [] if prime is None else _minimal_leading_monomials(gens, prime, deadline)
+    return [] if prime is None else _minimal_leading_monomials(gens, prime)
 
 
-def _minimal_leading_monomials(gens: list[HomogPoly], prime: tuple, deadline: Deadline | None):
+def _minimal_leading_monomials(gens: list[HomogPoly], prime: tuple):
     """The entry loop of both passes: the sorted leading monomials of
     `_buchberger`'s minimal basis (for a prime p, a partial one once every
-    variable has a pure power), as exponent tuples; None if the deadline
-    expires.
+    variable has a pure power), as exponent tuples.
 
     prime is (0, None) for the exact pass, whose coefficients enter as they
     are, or (p, w) for the image under zeta_N -> w mod p, which is [] when a
@@ -335,8 +319,7 @@ def _minimal_leading_monomials(gens: list[HomogPoly], prime: tuple, deadline: De
                 terms[packing.pack(m)] = c
         if terms:
             monics.append(Monic(min(terms), terms, p))
-    basis = _buchberger(monics, p, packing, deadline)
-    return None if basis is None else [packing.unpack(g.lm) for g in basis]
+    return [packing.unpack(g.lm) for g in _buchberger(monics, p, packing)]
 
 
 def leading_pure_powers(leads: list, nvars: int) -> list[bool]:

@@ -4,13 +4,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import Expired, deadline as time_limit
 from .exactnum import CycloNum
-from .groebner import (
-    Deadline,
-    groebner_basis,
-    leading_pure_powers,
-    modular_leading_monomials,
-)
+from .groebner import groebner_basis, leading_pure_powers, modular_leading_monomials
 from .polyring import HomogPoly, PolarChain
 from .projlin import (
     ProjMatrix,
@@ -144,15 +140,20 @@ def is_smooth(X: Hypersurface, deadline: float | None = None) -> SmoothnessResul
     forces an empty generic fibre.  This holds even when p divides d: mod p
     the partials can only gain zeros.  Any other outcome falls back to the
     exact pass, which alone decides `certified_singular` and its witness.
-    One deadline covers both passes.
+
+    One deadline covers both passes: they run in one `errors.deadline`
+    scope, whose clock the kernel's reduction steps and `exactnum`'s exact
+    inverse and reduction loops check, and its expiry is the `timeout`
+    result.  The singular witness is read after the scope has closed.
     """
-    clock = Deadline(deadline)
     gens = [g for g in jacobian_generators(X) if not g.is_zero()]
     nvars = X.n + 2
-    leads = modular_leading_monomials(gens, clock)
-    if leads is not None and not all(leading_pure_powers(leads, nvars)):
-        leads = groebner_basis(gens, clock)
-    if leads is None:
+    try:
+        with time_limit(deadline):
+            leads = modular_leading_monomials(gens)
+            if not all(leading_pure_powers(leads, nvars)):
+                leads = groebner_basis(gens)
+    except Expired:
         return SmoothnessResult(TIMEOUT)
     covered = leading_pure_powers(leads, nvars)
     return SmoothnessResult(SMOOTH) if all(covered) else _singular_result(X, covered)

@@ -14,7 +14,10 @@ so every caller reads a homology through `projlin.homology_eigenbasis` and
 its siblings.  In the theorem modules (`galois`, `fixlocus`, `planecurves`)
 every theorem-level error goes through `galois._fault`, which makes it an
 input error on a certified singular X, except the three checks that hold on
-any X.  The checks read the source with `ast`.
+any X.  The clock has one owner, `errors`: no other module imports `time` or
+`contextvars`, and no function of the kernels (`groebner`, `exactnum`) takes
+a `deadline`, so a budget reaches them only through the run context.  The
+checks read the source with `ast`.
 """
 import ast
 from pathlib import Path
@@ -34,6 +37,8 @@ PRIVATE_MEMBERS = {name for cls in (CycloNum, CycloField)
 MEMBERSHIP_RULES = {"as_scalar", "_root_in_field"}
 PARALLEL_MODULES = {"concurrent", "multiprocessing"}
 HOMOLOGY_INTERNALS = {"_rank_one", "_eigenbasis"}
+CLOCK_MODULES = {"time", "contextvars"}
+KERNEL_MODULES = ("groebner.py", "exactnum.py")
 THEOREM_MODULES = ("galois.py", "fixlocus.py", "planecurves.py")
 THEOREM_FAULTS = {"ConsistencyError", "BoundViolation"}
 # the function and message start of each check that holds on any X, smooth
@@ -233,3 +238,48 @@ def parse(text):
 @pytest.mark.parametrize("name", THEOREM_MODULES)
 def test_theorem_checks_go_through_fault(name):
     assert unrouted_faults((PACKAGE / name).read_text()) == []
+
+
+def clock_uses(source: str, kernel: bool) -> list[str]:
+    """Each import of a clock module (`time`, `contextvars`) in source, at any
+    depth, and in a kernel module each function parameter named `deadline`,
+    as 'line: what'."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [f"{node.lineno}: imports {a.name}" for a in node.names
+                      if a.name.split(".")[0] in CLOCK_MODULES]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            if (node.module or "").split(".")[0] in CLOCK_MODULES:
+                found.append(f"{node.lineno}: imports {node.module}")
+        elif kernel and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            params = [*node.args.posonlyargs, *node.args.args, *node.args.kwonlyargs]
+            found += [f"{node.lineno}: {node.name} takes deadline"
+                      for a in params if a.arg == "deadline"]
+    return found
+
+
+def test_checker_finds_each_clock_use():
+    source = """
+import time
+import os, contextvars
+from time import monotonic
+def normal_form(work, basis, guard, deadline=None):
+    from contextvars import ContextVar
+class Pass:
+    def run(self, *, deadline):
+        pass
+"""
+    assert clock_uses(source, kernel=True) == [
+        "2: imports time", "3: imports contextvars", "4: imports time",
+        "5: normal_form takes deadline", "6: imports contextvars", "8: run takes deadline"]
+    assert len(clock_uses(source, kernel=False)) == 4
+    clean = "from .errors import check\nimport timeit\ndef normal_form(work, guard):\n    check()\n"
+    assert clock_uses(clean, kernel=True) == []
+    assert clock_uses("def is_smooth(X, deadline=None):\n    pass\n", kernel=False) == []
+
+
+@pytest.mark.parametrize("path", sorted(p for p in PACKAGE.glob("*.py") if p.name != "errors.py"),
+                         ids=lambda p: p.name)
+def test_only_errors_owns_the_clock(path):
+    assert clock_uses(path.read_text(), kernel=path.name in KERNEL_MODULES) == []

@@ -581,7 +581,7 @@ INPUT_FAULTS = [
     )),
     (["check-smooth", "{dir}/inst.json"], {"expect": {"counts": {"candidates": "eigne"}}}),
     # generator files and notes: every key is checked before anything runs
-    *((["corpus-run", "{dir}"], {"kind": "generator", **edit}) for edit in (
+    *((["corpus-run", "{dir}"], {"kind": "generator", **NOT_INSTANCE, **edit}) for edit in (
         {"count": "3"}, {"dims": "ab"}, {"dims": [1.5]}, {"dims": [0]}, {"seed": [1]},
         {"degrees": [1]}, {"name": None})),
     (["corpus-run", "{dir}"], {"notes": 5}),
@@ -656,6 +656,16 @@ def test_input_fault_exit_two(capsys, tmp_path, argv, edit):
     assert code == 2
     assert "error" in json.loads(err)
     assert "Traceback" not in err
+
+
+def test_generator_fault_base_runs(capsys, tmp_path):
+    """The generator rows of INPUT_FAULTS edit a valid generator document:
+    with a valid edit in place of theirs it runs and exits 0."""
+    raw = json.loads((DATA / "ex1-fermat.json").read_text())
+    raw.update({"kind": "generator", **NOT_INSTANCE, "count": 1})
+    (tmp_path / "gen.json").write_text(json.dumps({k: v for k, v in raw.items() if v is not None}))
+    code, doc = run_cli(capsys, "corpus-run", str(tmp_path))
+    assert code == 0 and doc["reports"][0]["expectations"] == {"checked": 1, "failures": []}
 
 
 @pytest.mark.parametrize("argv", ARGUMENT_ERRORS, ids=" ".join)

@@ -97,8 +97,8 @@ def kernel_basis(gens: list[HomogPoly]) -> tuple[list, list[dict]]:
     seen = []
     buchberger = groebner._buchberger
 
-    def recording(monics, p, packing, deadline):
-        basis = buchberger(monics, p, packing, deadline)
+    def recording(monics, p, packing):
+        basis = buchberger(monics, p, packing)
         seen.append((basis, packing))
         return basis
 

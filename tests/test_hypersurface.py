@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,7 @@ from sympy import divisors
 from galois_scope import hypersurface, projlin
 from galois_scope.corpus import bundled_corpus_dir, load_instance, normal_form_instance
 from galois_scope.corpus import random_unimodular
-from galois_scope.errors import OrderBoundExceeded
+from galois_scope.errors import Expired, OrderBoundExceeded, check, deadline
 from galois_scope.exactnum import cyclo_field, recognize_root_of_unity, root_of_unity
 from galois_scope.groebner import leading_pure_powers, modular_leading_monomials, modular_prime
 from galois_scope.hypersurface import (
@@ -20,11 +21,13 @@ from galois_scope.hypersurface import (
     AutWitness,
     Hypersurface,
     _singular_result,
+    coordinate_points,
     is_smooth,
     jacobian_generators,
     multiplicity_at_point,
     verify_automorphism,
 )
+from galois_scope.parsing import parse_polynomial
 from galois_scope.polyring import HomogPoly
 from galois_scope.projlin import ProjMatrix, _rank_one, projective_order, vec_normalize
 from test_projlin import homology_cases
@@ -381,13 +384,48 @@ def test_smooth_timeout():
     assert res.status == TIMEOUT
 
 
+def test_deadline_reaches_the_exact_inverse():
+    # a small form of the check-smooth --field 6405 deadline case: its exact
+    # pass spends seconds in one dense inverse in Q(zeta_1155), which checks
+    # the clock in its pseudo-division loop (unbounded, the pass takes minutes)
+    K = cyclo_field(1155)
+    F = parse_polynomial("x0^2*x1*x2 + x1^4 + z(1155)*x1^2*x2^2 + z(1155)^7*x1^3*x2"
+                         " + x2^4 + x0*x1^3", 3, K)
+    start = time.perf_counter()
+    assert is_smooth(Hypersurface(1, 4, F), deadline=0.2).status == TIMEOUT
+    assert time.perf_counter() - start < 1
+
+
+def test_deadline_scope_nests_and_resets():
+    with deadline(-1):  # a budget that has already run out
+        with pytest.raises(Expired):
+            check()
+        with deadline(None):  # an inner scope without a limit
+            check()
+        with pytest.raises(Expired):
+            check()
+    check()
+
+
+def test_no_state_outlives_a_timeout():
+    klein = Hypersurface(1, 4, poly(Q, 3, {(3, 1, 0): 1, (0, 3, 1): 1, (1, 0, 3): 1}))
+    # x0^2 x2^2 + x1^4 + x0 x1^3: a cusp at e0
+    cusp = Hypersurface(1, 4, poly(Q, 3, {(2, 0, 2): 1, (0, 4, 0): 1, (1, 3, 0): 1}))
+    for X in (klein, cusp):
+        assert is_smooth(X, deadline=1e-9).status == TIMEOUT
+    check()  # outside any scope the clock has no limit
+    assert is_smooth(klein).status == SMOOTH
+    res = is_smooth(cusp)
+    assert res.status == SINGULAR and res.witness == coordinate_points(cusp)[0]
+
+
 def exact_pass_calls(monkeypatch) -> list:
     """Record each call of the exact pass that is_smooth makes."""
     calls = []
 
-    def recording(gens, deadline=None):
+    def recording(gens):
         calls.append(gens)
-        return groebner_basis(gens, deadline)
+        return groebner_basis(gens)
 
     groebner_basis = hypersurface.groebner_basis
     monkeypatch.setattr(hypersurface, "groebner_basis", recording)
