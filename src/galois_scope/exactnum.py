@@ -25,10 +25,12 @@ the numerators (see `CycloField._monomial`).
 
 This module owns the element encoding: the tag, the dense numerators, the
 integer value form that `polyring`'s substitution kernel and polar chain
-compute in (Kronecker-packed ints and tag pairs, see the last section) and
-the image mod p of the modular Groebner pass (`_residue`).  No other module
-reads a `CycloNum`'s tag or numerators through its internals or builds one
-from them; the monomial layouts are `polyring`'s and `groebner`'s.
+compute in (Kronecker-packed ints and tag pairs, or plain ints when every
+input is rational, see the last section), the scaling of a vector by one of
+its entries (`quotients`) and the image mod p of the modular Groebner pass
+(`_residue`).  No other module reads a `CycloNum`'s tag or numerators
+through its internals or builds one from them; the monomial layouts are
+`polyring`'s and `groebner`'s.
 
 It also owns field membership: `in_field` is the one way a value enters a
 field (lifting from a subfield through `embed_lift`), and `unity_order`,
@@ -47,7 +49,8 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import zip_longest
-from operator import sub
+from operator import add, eq, itemgetter, mul, sub
+from typing import Callable, NamedTuple
 
 from .errors import ConductorMismatch, FieldMismatch, check
 
@@ -160,7 +163,7 @@ def _cyclotomic(N: int) -> tuple[int, ...]:
 class CycloField:
     """The cyclotomic field Q(zeta_N); construct via cyclo_field(N)."""
 
-    __slots__ = ("N", "degree", "phi", "_xphi", "_zeta", "_shifts", "_cofactor")
+    __slots__ = ("N", "degree", "phi", "zero", "one", "_xphi", "_zeta", "_shifts", "_cofactor")
 
     def __init__(self, N: int):
         if N < 1:
@@ -183,6 +186,10 @@ class CycloField:
             for s in self._shifts:
                 terms = [((e + s) % N, t) for e, t in terms] + [(e, -t) for e, t in terms]
             self._cofactor = terms
+        # one instance each, shared by every caller (`_parts` may fill in
+        # their numerators, which leaves the values as they are)
+        self.zero = CycloNum(self, tag=_ZERO_TAG)
+        self.one = CycloNum(self, tag=(1, 0))
 
     def __repr__(self):
         return f"Q(z({self.N}))"
@@ -198,14 +205,6 @@ class CycloField:
     def from_rational(self, r) -> "CycloNum":
         """r as an element of this field; r must be an int (not a bool) or a Fraction."""
         return CycloNum(self, tag=_canon_tag(self.N, _rational(r), 0))
-
-    @property
-    def zero(self) -> "CycloNum":
-        return self.from_rational(0)
-
-    @property
-    def one(self) -> "CycloNum":
-        return self.from_rational(1)
 
     def zeta(self, k: int = 1) -> "CycloNum":
         """zeta_N^k as an element of this field."""
@@ -584,6 +583,42 @@ def _modular_inverse(num: tuple[int, ...], field: CycloField) -> tuple[list[int]
     return field._reduce(s1), d1 * r1[0]
 
 
+def quotients(values, divisor: CycloNum) -> tuple[CycloNum, ...]:
+    """The x / divisor for the elements x in values, each equal to
+    x * divisor.inverse() in value and in representation, from at most one
+    inverse, made only for an x that needs it.
+
+    A zero x gives the field's shared zero, and divisor itself (or its
+    value) the shared one.  A dense x whose numerators are proportional to
+    those of a dense divisor, one O(phi) test, is a rational multiple of it:
+    the quotient is that rational's tag, with no product and no numerators
+    kept.  Any other x is multiplied by the inverse.
+    """
+    if not divisor:
+        raise ZeroDivisionError("division by zero")
+    field = divisor.field
+    dense = divisor._tag is None
+    if dense:
+        yn, yd = divisor._num, divisor._den
+        i = next(j for j, v in enumerate(yn) if v)
+        b = yn[i]
+    inverse = None
+    out = []
+    for x in values:
+        if x is divisor or x == divisor:
+            out.append(field.one)
+        elif not x:
+            out.append(field.zero)
+        elif dense and x._tag is None and (a := x._num[i]) and all(
+                u * b == v * a for u, v in zip(x._num, yn)):
+            out.append(CycloNum(field, tag=_canon_tag(field.N, a * yd, 0, b * x._den)))
+        else:
+            if inverse is None:
+                inverse = divisor.inverse()
+            out.append(x * inverse)
+    return tuple(out)
+
+
 # ---------------------------------------------------------------------------
 # module-level operations
 
@@ -651,7 +686,10 @@ def recognize_root_of_unity(x: CycloNum):
 # A value over Q(zeta_N) at a scale D is a tag pair (a, k), standing for the
 # tag (a/D) z^k with k folded as in a canonical tag, or one packed int
 # p(2^bits) (Kronecker substitution), p an unreduced polynomial in Z[x] with
-# x standing for zeta_N, standing for p(zeta_N)/D.  Callers keep the scale.
+# x standing for zeta_N, standing for p(zeta_N)/D.  In the integer case,
+# when every input is rational, a value is a plain int a, standing for a/D:
+# the packed form of a constant p.  Callers keep the scale; `_value_ops` gives
+# the arithmetic of both cases.
 
 
 def _scaled_ints(c: CycloNum, den: int):
@@ -666,26 +704,61 @@ def _scaled_ints(c: CycloNum, den: int):
     return vec, sum(map(abs, vec))
 
 
-def _integral(values) -> tuple[int, list]:
-    """(D, [_scaled_ints(c, D) for c in values]), D the lcm of the
-    denominators of the values."""
+def _integral(values) -> tuple[int, list, bool]:
+    """(D, [_scaled_ints(c, D) for c in values], rational), D the lcm of the
+    denominators of the values and rational whether every one is rational."""
     den = math.lcm(1, *(c._den if c._tag is None else c._tag[0].denominator for c in values))
-    return den, [_scaled_ints(c, den) for c in values]
+    scaled = [_scaled_ints(c, den) for c in values]
+    return den, scaled, all(type(v) is tuple and not v[1] for v, _ in scaled)
 
 
-def _value_ops(N: int, bound: int):
-    """(bits, mul, add) for integer values over Q(zeta_N) whose coefficients
+class ValueOps(NamedTuple):
+    """The arithmetic of the integer value form at one width, from `_value_ops`."""
+
+    bits: int  # the packing width: every coefficient stays below 2^(bits-1)
+    rational: bool  # the integer case: every value is a plain int
+    value: Callable  # a scaled input of `_scaled_ints`, a tag pair or a vector, as a value
+    mul: Callable  # (x, y) -> x y
+    add: Callable  # (x, y) -> x + y
+    nonzero: Callable  # v -> whether v is nonzero in the field
+    equal: Callable  # (x, y) -> whether x and y are equal in the field
+    widen: Callable  # (v, bits) -> v, a value at width bits, at this width
+    element: Callable  # (v, den) -> the element v / den in its canonical form
+
+
+def _value_ops(field: CycloField, bound: int, rational: bool) -> ValueOps:
+    """The value form's arithmetic over field for values whose coefficients
     stay below bound in absolute value: bits, the packing width, is a
     multiple of 8 with bound < 2^(bits-1).
 
-    Tags multiply and same-exponent tags add in exponent space; a tag that
-    meets another exponent enters a packed value as a x^k.  A packed result
-    is exact while its coefficients stay below 2^(bits-1).
+    The integer case, rational: every input is a rational tag (a, 0), which
+    `value` makes the int a.  Products and sums are then the C-level int
+    `*` and `+`, the zero test is `v != 0`, and v / den becomes a rational
+    tag.  The same l1 argument as for packed values keeps every value, and
+    every partial sum, below bound, so in bits - 1 bits: an int of the
+    integer case is the packed value of the constant polynomial at any width
+    that holds bound, and a packed computation widens it like any other.
+
+    Otherwise tags multiply and same-exponent tags add in exponent space; a
+    tag that meets another exponent enters a packed value as a x^k.  A
+    packed result is exact while its coefficients stay below 2^(bits-1); a
+    packed value is nonzero when its canonical numerators are (folded mod
+    x^N - 1, unpacked and reduced mod Phi_N).
     """
-    bits = (bound.bit_length() + 8) // 8 * 8
+    bits, N = (bound.bit_length() + 8) // 8 * 8, field.N
+    if rational:
+        def element(v, den):
+            return CycloNum(field, tag=_canon_tag(N, v, 0, den))
+
+        return ValueOps(bits, True, itemgetter(0), mul, add, bool, eq,
+                        lambda v, narrow: v, element)
+
     top, flip = (N // 2, True) if N % 2 == 0 else (N, False)  # as in _canon_tag
 
-    def mul(c, l):
+    def value(v):
+        return v if type(v) is tuple else _pack(v, bits)
+
+    def tag_mul(c, l):
         if type(c) is tuple:
             a, k = c
             if not a:
@@ -703,7 +776,7 @@ def _value_ops(N: int, bound: int):
             return (c * l[0]) << (l[1] * bits)
         return c * l
 
-    def add(x, y):
+    def tag_add(x, y):
         if type(x) is tuple:
             if type(y) is tuple:
                 a, k = x
@@ -720,41 +793,32 @@ def _value_ops(N: int, bound: int):
             y = y[0] << (y[1] * bits)
         return x + y
 
-    return bits, mul, add
+    def nonzero(v):
+        return bool(v[0]) if type(v) is tuple else any(_vector(field, v, bits))
 
+    def packed(v):
+        return v[0] << (v[1] * bits) if type(v) is tuple else v
 
-def _value(v, bits: int):
-    """A tag pair as it is; an integer vector packed at width bits."""
-    return v if type(v) is tuple else _pack(v, bits)
+    def equal(x, y):
+        if type(x) is tuple and type(y) is tuple:
+            return x == y  # canonical tags: equal values have equal pairs
+        return not nonzero(packed(x) - packed(y))
 
+    def widen(v, narrow):
+        return v if type(v) is tuple else _pack(_unpack(v, narrow), bits)
 
-def _repack(v, bits: int, wider: int):
-    """A value packed at width bits as a value packed at width wider."""
-    return v if type(v) is tuple else _pack(_unpack(v, bits), wider)
+    def element(v, den):
+        if type(v) is tuple:  # a tag pair is canonical already at den = 1
+            return CycloNum(field, tag=v if den == 1 else _canon_tag(N, v[0], v[1], den))
+        return _dense(field, _vector(field, v, bits), den)
 
-
-def _as_int(v, bits: int) -> int:
-    """A value as one packed int: the tag a z^k as a x^k."""
-    return v[0] << (v[1] * bits) if type(v) is tuple else v
+    return ValueOps(bits, False, value, tag_mul, tag_add, nonzero, equal, widen, element)
 
 
 def _vector(field: CycloField, v: int, bits: int) -> list[int]:
     """The power basis numerators of a packed value: folded mod x^N - 1,
     unpacked and reduced mod Phi_N."""
     return field._reduce(_unpack(_fold(v, field.N * bits), bits))
-
-
-def _nonzero(field: CycloField, v, bits: int) -> bool:
-    """Whether a value is nonzero in the field: a tag by its coefficient, a
-    packed value by its canonical numerators."""
-    return bool(v[0]) if type(v) is tuple else any(_vector(field, v, bits))
-
-
-def _cyclo(field: CycloField, v, bits: int, den: int) -> CycloNum:
-    """The element v / den in its canonical form."""
-    if type(v) is tuple:  # a tag pair is canonical already at den = 1
-        return CycloNum(field, tag=v if den == 1 else _canon_tag(field.N, v[0], v[1], den))
-    return _dense(field, _vector(field, v, bits), den)
 
 
 def _offset(n: int, bits: int) -> int:

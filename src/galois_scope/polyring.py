@@ -11,8 +11,9 @@ and the monomial int of `restrict` and `PolarChain` (`_monomial_ints`, one
 8- to 64-bit field per exponent).  It does not own the element encoding:
 coefficients are `exactnum.CycloNum`s, and the integer value form that
 `restrict` and `PolarChain` compute in (scaling to integers, Kronecker
-packing, tag pairs, conversion back to canonical elements) is `exactnum`'s,
-used through its helpers only.  `groebner` packs monomials its own way.
+packing, tag pairs, plain ints for rational inputs, conversion back to
+canonical elements) is `exactnum`'s, used through `_integral` and
+`_value_ops` only.  `groebner` packs monomials its own way.
 """
 from __future__ import annotations
 
@@ -24,12 +25,7 @@ from .errors import DegreeMismatch, FieldMismatch
 from .exactnum import (
     CycloField,
     CycloNum,
-    _as_int,
-    _cyclo,
     _integral,
-    _nonzero,
-    _repack,
-    _value,
     _value_ops,
     in_field,
     poly_gcd,
@@ -250,14 +246,21 @@ class HomogPoly:
         with it every coefficient, is below ||f'||_1 (max_i ||L_i'||_1)^d
         < 2^(B-1), and one int product or sum is the product or sum of the
         polynomials.  Tags enter a packed value as x^k.  Outputs are folded
-        mod x^N - 1, unpacked and reduced mod Phi_N, and `exactnum._cyclo`
-        gives each the canonical form of its value, a tag when it is c z^k.
-        So the result equals the CycloNum Horner recursion's coefficient for
-        coefficient, in value and in representation.  A substitution whose
-        inputs and sums stay tag pairs (a monomial matrix) never packs or
-        unpacks a value.
+        mod x^N - 1, unpacked and reduced mod Phi_N, and the `element` of
+        `_value_ops` gives each the canonical form of its value, a tag when
+        it is c z^k.  So the result equals the CycloNum Horner recursion's
+        coefficient for coefficient, in value and in representation.  A
+        substitution whose inputs and sums stay tag pairs (a monomial matrix)
+        never packs or unpacks a value.
+
+        When every coefficient of f and every basis entry is rational, as in
+        every normal form and its eigenbasis, the same loop runs in the
+        integer case of `_value_ops`: every value is a plain int, products
+        and sums are int `*` and `+`, and the same bound keeps every value
+        below 2^(B-1) in absolute value; each output a becomes the rational
+        tag a / (D_f D_A^d).
         """
-        field, N, m, d = self.field, self.field.N, len(basis), self.degree
+        field, m, d = self.field, len(basis), self.degree
         linear = []
         for i in range(self.nvars):
             col = [(j, in_field(field, v[i])) for j, v in enumerate(basis)]
@@ -266,16 +269,18 @@ class HomogPoly:
             return HomogPoly.zero(field, m, d)
         order = sorted(range(self.nvars), key=lambda i: -len(linear[i]))
 
-        den_f, coeffs = _integral(self.terms.values())
-        den_a, entries = _integral([c for col in linear for _, c in col])
+        den_f, coeffs, rational_f = _integral(self.terms.values())
+        den_a, entries, rational_a = _integral([c for col in linear for _, c in col])
         entries = iter(entries)
         cols = [[next(entries) for _ in col] for col in linear]
         norm_l = max([1] + [sum(n for _, n in col) for col in cols])
         # d = 0 packs L_i' too
-        bits, mul, add = _value_ops(N, sum(n for _, n in coeffs) * norm_l ** max(d, 1))
+        ops = _value_ops(field, sum(n for _, n in coeffs) * norm_l ** max(d, 1),
+                         rational_f and rational_a)
+        mul, add, value = ops.mul, ops.add, ops.value
 
         width, _, exponents = _monomial_ints(m, d)
-        steps = [[(1 << width * j, _value(l[0], bits)) for (j, _), l in zip(linear[i], cols[i])]
+        steps = [[(1 << width * j, value(l[0])) for (j, _), l in zip(linear[i], cols[i])]
                  for i in range(self.nvars)]
 
         def horner(terms, depth):
@@ -300,8 +305,8 @@ class HomogPoly:
                         acc[key] = add(acc[key], c) if key in acc else c
             return acc
 
-        start = [(mono, _value(v, bits)) for mono, (v, _) in zip(self.terms, coeffs)]
-        return _from_values(field, m, d, exponents, horner(start, 0), bits, den_f * den_a ** d)
+        start = [(mono, value(v)) for mono, (v, _) in zip(self.terms, coeffs)]
+        return _from_values(field, ops, m, d, exponents, horner(start, 0), den_f * den_a ** d)
 
     def divide_by_linear(self, L: "HomogPoly"):
         """Quotient f / L for a linear form L when the division is exact, else None."""
@@ -372,37 +377,40 @@ class PolarChain:
     its coefficients sum to at most (d - j) max_i ||p_i'||_1 times those of
     P_j'.  `bound` = ||F'||_1 d! (max_i ||p_i'||_1)^d, each norm taken at
     least 1, is above every such sum, and with it above every value of the
-    chain, partial sums included; B = `bits` has bound < 2^(B-1).  A value is kept when its canonical
-    value is nonzero: a tag by its coefficient, a packed value folded mod
-    x^N - 1, unpacked and reduced mod Phi_N.  So the chain has the length
+    chain, partial sums included; B = `ops.bits` has bound < 2^(B-1).  A
+    value is kept when its canonical value is nonzero: a tag by its
+    coefficient, a packed value folded mod x^N - 1, unpacked and reduced mod
+    Phi_N.  When F and p are rational the chain runs in the integer case of
+    `_value_ops`: every value is a plain int below bound in absolute value,
+    and the zero test is `v != 0`.  So the chain has the length
     that the field gives it, and `form(j)` converts P_j' to the exact P_j,
     in its canonical representation and in the term order of the CycloNum
     recursion (iterated `HomogPoly.polar`).  A zero p is not a point, and
     raises ValueError.
     """
 
-    __slots__ = ("field", "nvars", "degree", "forms", "bits", "bound", "den_f", "den_p")
+    __slots__ = ("field", "nvars", "degree", "forms", "ops", "bound", "den_f", "den_p")
 
     def __init__(self, F: HomogPoly, point):
-        field, N, d = F.field, F.field.N, F.degree
+        field, d = F.field, F.degree
         pt = [in_field(field, c) for c in point]
         if not any(pt):
             raise ValueError("the zero vector is not a point")
         self.field, self.nvars, self.degree = field, F.nvars, d
-        self.den_f, coeffs = _integral(F.terms.values())
-        self.den_p, entries = _integral(pt)
+        self.den_f, coeffs, rational_f = _integral(F.terms.values())
+        self.den_p, entries, rational_p = _integral(pt)
         norm_p = max([1] + [n for _, n in entries])
         # max(.., 1): the weights e p_i' are packed even for F = 0
         self.bound = max(sum(n for _, n in coeffs), 1) * math.factorial(d) * norm_p ** d
-        bits, mul, add = _value_ops(N, self.bound)
-        self.bits = bits
+        self.ops = ops = _value_ops(field, self.bound, rational_f and rational_p)
+        mul, add, value, nonzero = ops.mul, ops.add, ops.value, ops.nonzero
         width, key_of, _ = _monomial_ints(F.nvars, d)
         mask = (1 << width) - 1
         # (shift and step of X_i, [None, 1 p_i', ..., d p_i']) for each p_i != 0
         support = [(width * i, 1 << width * i,
-                    [None] + [mul(_value(v, bits), (e, 0)) for e in range(1, d + 1)])
+                    [None] + [mul(value(v), value((e, 0))) for e in range(1, d + 1)])
                    for i, (v, n) in enumerate(entries) if n]
-        form = {key_of(mono): _value(v, bits) for mono, (v, _) in zip(F.terms, coeffs)}
+        form = {key_of(mono): value(v) for mono, (v, _) in zip(F.terms, coeffs)}
         self.forms = [form]
         while form:
             out: dict[int, object] = {}
@@ -413,7 +421,7 @@ class PolarChain:
                         v = mul(c, weights[e])
                         to = key - step
                         out[to] = add(out[to], v) if to in out else v
-            form = {key: v for key, v in out.items() if _nonzero(field, v, bits)}
+            form = {key: v for key, v in out.items() if nonzero(v)}
             if form:
                 self.forms.append(form)
 
@@ -422,9 +430,9 @@ class PolarChain:
 
     def form(self, j: int) -> HomogPoly:
         """P_j as a HomogPoly, for 0 <= j < len(self)."""
-        return _from_values(self.field, self.nvars, self.degree - j,
+        return _from_values(self.field, self.ops, self.nvars, self.degree - j,
                             _monomial_ints(self.nvars, self.degree)[2], self.forms[j],
-                            self.bits, self.den_f * self.den_p ** j)
+                            self.den_f * self.den_p ** j)
 
     def proportional(self, L: HomogPoly, top: int) -> bool:
         """Whether P_j is a nonzero multiple of P_(j+1) L for every j from
@@ -433,48 +441,47 @@ class PolarChain:
         need only small products.
 
         L is scaled to integers, L', and Q = P_(j+1)' L' is formed in the
-        value form.  P_j' and Q must have the same monomials, and P_j'[t]
+        value form, the integer case when the chain is in it and L is
+        rational.  P_j' and Q must have the same monomials, and P_j'[t]
         Q[m] = Q[t] P_j'[m] must hold at every t for one fixed m; the scale
         of either side does not matter.  Every coefficient of Q is below
         bound ||L'||_1 in l1 norm, and each cross product, and the
         difference of two, below 2 bound^2 ||L'||_1: that sets the bit bound
-        of this test, and a packed value of the chain is unpacked and packed
-        again at it.
+        of this test, and a packed value of the chain is widened to it.
         """
-        field, key_of = self.field, _monomial_ints(self.nvars, self.degree)[1]
-        _, lin = _integral(L.terms.values())
-        bits, mul, add = _value_ops(field.N, 2 * self.bound ** 2 * sum(n for _, n in lin))
-        lin = [(key_of(mono), _value(v, bits)) for mono, (v, _) in zip(L.terms, lin)]
+        key_of, narrow = _monomial_ints(self.nvars, self.degree)[1], self.ops.bits
+        _, lin, rational = _integral(L.terms.values())
+        ops = _value_ops(self.field, 2 * self.bound ** 2 * sum(n for _, n in lin),
+                         self.ops.rational and rational)
+        mul, add, nonzero, equal, widen = ops.mul, ops.add, ops.nonzero, ops.equal, ops.widen
+        lin = [(key_of(mono), ops.value(v)) for mono, (v, _) in zip(L.terms, lin)]
         for j in range(top, 0, -1):
             P = self.forms[j]
             Q: dict[int, object] = {}
             for key, c in self.forms[j + 1].items():
-                c = _repack(c, self.bits, bits)
+                c = widen(c, narrow)
                 for step, l in lin:
                     v = mul(c, l)
                     to = key + step
                     Q[to] = add(Q[to], v) if to in Q else v
-            Q = {key: v for key, v in Q.items() if _nonzero(field, v, bits)}
+            Q = {key: v for key, v in Q.items() if nonzero(v)}
             if Q.keys() != P.keys():
                 return False
             m = next(iter(Q))
-            q_m, p_m = Q[m], _repack(P[m], self.bits, bits)
+            q_m, p_m = Q[m], widen(P[m], narrow)
             for t, q in Q.items():
-                x, y = mul(_repack(P[t], self.bits, bits), q_m), mul(q, p_m)
-                if type(x) is tuple and type(y) is tuple:
-                    if x != y:  # canonical tags: equal values have equal pairs
-                        return False
-                elif _nonzero(field, _as_int(x, bits) - _as_int(y, bits), bits):
+                if not equal(mul(widen(P[t], narrow), q_m), mul(q, p_m)):
                     return False
         return True
 
 
-def _from_values(field: CycloField, nvars: int, degree: int, exponents, values: dict,
-                 bits: int, den: int) -> HomogPoly:
+def _from_values(field: CycloField, ops, nvars: int, degree: int, exponents, values: dict,
+                 den: int) -> HomogPoly:
     """The form of the given degree with coefficient v / den at exponents(key)
-    for each key: v of values in the integer value form, zeros dropped."""
+    for each key: v of values in the value form of ops, zeros dropped."""
+    element = ops.element
     return HomogPoly(field, nvars, degree, {exponents(key): c for key, v in values.items()
-                                            if not (c := _cyclo(field, v, bits, den)).is_zero()})
+                                            if not (c := element(v, den)).is_zero()})
 
 
 def _monomial_ints(nvars: int, degree: int):

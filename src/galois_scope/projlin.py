@@ -22,6 +22,7 @@ from .exactnum import (
     in_field,
     poly_gcd,
     poly_trim,
+    quotients,
     recognize_root_of_unity,
     root_of_unity,
 )
@@ -402,17 +403,20 @@ def homology_eigenbasis(A: ProjMatrix) -> tuple[CycloNum, CycloNum, tuple[Vector
 
     The columns are `_eigenbasis(u, w)` with u and w scaled to a leading 1,
     as `vec_normalize` scales them.  Both lead with M_pq, M's first nonzero
-    entry, so one inverse scales both.  A diagonal homology reads as
-    u = w = e_k, so C is the coordinate permutation (e_k, e_j for j != k).
-    A homology conjugated by a rational change has M = (a - b) x y^T, x and
-    y rational, so the scaled u and w are rational.
+    entry, and `exactnum.quotients` divides both by it, from at most one
+    inverse.  A diagonal homology reads as u = w = e_k, so C is the
+    coordinate permutation (e_k, e_j for j != k).  A homology conjugated by
+    a rational change has M = (a - b) x y^T, x and y rational, so the scaled
+    u and w are rational: each entry is the field's shared zero or one, or a
+    rational multiple of M_pq, which `quotients` reads off the numerators
+    with no product and no inverse.
     """
     read = _rank_one(A)
     if read is None or read[0] == read[1]:
         return None
     a, b, u, w = read
-    inv = next(x for x in w if x).inverse()
-    return a, b, _eigenbasis(tuple(x * inv for x in u), tuple(x * inv for x in w))
+    scaled = quotients(u + w, next(x for x in w if x))
+    return a, b, _eigenbasis(scaled[:len(u)], scaled[len(u):])
 
 
 def _eigenbasis(u: Vector, w: Vector) -> tuple[Vector, ...]:

@@ -17,7 +17,12 @@ input error on a certified singular X, except the three checks that hold on
 any X.  The clock has one owner, `errors`: no other module imports `time` or
 `contextvars`, and no function of the kernels (`groebner`, `exactnum`) takes
 a `deadline`, so a budget reaches them only through the run context.  The
-checks read the source with `ast`.
+value form has one owner too: `polyring` imports nothing from `operator` and,
+of exactnum's private names, only `_integral` and `_value_ops`, which give
+its substitution kernel and polar chain all their arithmetic, the integer
+case included.  `quotients`, the scaling of a homology's eigenbasis, is
+defined in `exactnum` alone, as `projlin` may not read a `CycloNum`'s
+numerators or tag.  The checks read the source with `ast`.
 """
 import ast
 from pathlib import Path
@@ -39,6 +44,8 @@ PARALLEL_MODULES = {"concurrent", "multiprocessing"}
 HOMOLOGY_INTERNALS = {"_rank_one", "_eigenbasis"}
 CLOCK_MODULES = {"time", "contextvars"}
 KERNEL_MODULES = ("groebner.py", "exactnum.py")
+VALUE_FORM_ENTRIES = {"_integral", "_value_ops"}
+SCALING_HELPER = "quotients"
 THEOREM_MODULES = ("galois.py", "fixlocus.py", "planecurves.py")
 THEOREM_FAULTS = {"ConsistencyError", "BoundViolation"}
 # the function and message start of each check that holds on any X, smooth
@@ -283,3 +290,51 @@ class Pass:
                          ids=lambda p: p.name)
 def test_only_errors_owns_the_clock(path):
     assert clock_uses(path.read_text(), kernel=path.name in KERNEL_MODULES) == []
+
+
+def value_arithmetic(source: str) -> list[str]:
+    """Each import of `operator`, at any depth, and each private name other
+    than VALUE_FORM_ENTRIES imported from exactnum, as 'line: imports name'."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [f"{node.lineno}: imports {a.name}" for a in node.names
+                      if a.name == "operator"]
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if module == "operator" and not node.level:
+                found += [f"{node.lineno}: imports {a.name}" for a in node.names]
+            elif module.split(".")[-1] == "exactnum":
+                found += [f"{node.lineno}: imports {a.name}" for a in node.names
+                          if a.name.startswith("_") and a.name not in VALUE_FORM_ENTRIES]
+    return found
+
+
+def test_checker_finds_each_second_value_arithmetic():
+    source = """
+import operator
+from operator import mul, add
+from .exactnum import CycloNum, _integral, _value_ops, _pack, _vector
+def chain():
+    from galois_scope.exactnum import _unpack
+"""
+    assert value_arithmetic(source) == [
+        "2: imports operator", "3: imports mul", "3: imports add", "4: imports _pack",
+        "4: imports _vector", "6: imports _unpack"]
+    assert value_arithmetic("from .exactnum import CycloNum, _integral, _value_ops\n") == []
+
+
+def test_polyring_takes_its_value_arithmetic_from_value_ops():
+    assert value_arithmetic((PACKAGE / "polyring.py").read_text()) == []
+
+
+def test_scaling_helper_lives_in_exactnum():
+    """One definition of `quotients`, in exactnum, and projlin imports it."""
+    defined = [path.name for path in sorted(PACKAGE.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.FunctionDef) and node.name == SCALING_HELPER]
+    assert defined == ["exactnum.py"]
+    imports = [a.name for node in ast.walk(ast.parse((PACKAGE / "projlin.py").read_text()))
+               if isinstance(node, ast.ImportFrom) and node.module == "exactnum"
+               for a in node.names]
+    assert SCALING_HELPER in imports

@@ -9,12 +9,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sympy import divisors, totient
 
+from galois_scope import exactnum
 from galois_scope.corpus import corpus_paths
 from galois_scope.errors import ConductorMismatch, FieldMismatch
 from galois_scope.exactnum import (
     cyclo_field,
     embed_lift,
     poly_divmod,
+    quotients,
     recognize_root_of_unity,
     root_of_unity,
 )
@@ -530,3 +532,64 @@ def test_element_takes_only_int_and_fraction():
         with pytest.raises(TypeError):
             F3.element([1, bad])
     assert F3.element([Fraction(1, 2), 2]) == F3.from_rational(Fraction(1, 2)) + 2 * F3.zeta()
+
+
+@pytest.mark.parametrize("N", [5, 12, 495])
+def test_quotients_equal_products_with_the_inverse(N, monkeypatch):
+    """quotients(xs, y) against x * y.inverse(), in value and in
+    representation, for the pivot of a conjugated normal-form generator,
+    y = -3/2 (zeta_m - 1), which is dense.  A column of rational multiples
+    of y takes no dense inverse and keeps no numerators; any other column
+    takes one inverse, whatever its length.  A zero entry is the field's
+    shared zero and y, or a copy of it, the shared one."""
+    F = cyclo_field(N)
+    y = Fraction(-3, 2) * (root_of_unity(F, 12 if N == 12 else 5, 1) - 1)
+    assert y.tag is None
+    inverses = []
+
+    def counted(num, field):
+        inverses.append(field.N)
+        return modular_inverse(num, field)
+
+    modular_inverse = exactnum._modular_inverse
+    monkeypatch.setattr(exactnum, "_modular_inverse", counted)
+
+    def same(qs, xs, divisor):
+        for q, x in zip(qs, xs):
+            r = x * divisor.inverse()
+            assert q == r and (q.tag, q._parts()) == (r.tag, r._parts())
+
+    copy = F.element(y.coeffs)
+    column = [F.from_rational(0), y, copy, 3 * y, y * Fraction(-2, 7), F.zero]
+    qs = quotients(column, y)
+    assert inverses == []
+    assert [q.rational() for q in qs] == [0, 1, 1, 3, Fraction(-2, 7), 0]
+    assert qs[0] is qs[5] is F.zero and qs[1] is qs[2] is F.one
+    assert qs[3]._num is None and qs[4]._num is None
+    same(qs, column, y)
+
+    inverses.clear()
+    others = [y * y + 1, F.zeta(2) * 5, F.from_rational(7), y, F.element([1] * F.degree)]
+    qs = quotients(others, y)
+    assert inverses == [N] and qs[3] is F.one
+    same(qs, others, y)
+
+    inverses.clear()
+    tag = F.zeta(3) * Fraction(2, 3)
+    qs = quotients(others + [tag, 0 * tag], tag)
+    assert inverses == [] and qs[5] is F.one and qs[6] is F.zero
+    same(qs, others + [tag], tag)
+    with pytest.raises(ZeroDivisionError):
+        quotients([y], F.zero)
+
+
+def test_zero_and_one_are_shared():
+    """Each field has one zero and one one; filling in their numerators
+    leaves their values."""
+    for N in (1, 5, 12, 495):
+        F = cyclo_field(N)
+        assert F.zero is F.zero and F.one is F.one
+        assert F.one._parts() == ((1,) + (0,) * (F.degree - 1), 1)
+        assert F.zero._parts() == ((0,) * F.degree, 1)
+        assert F.one == 1 and F.one.tag == (1, 0) and F.zero == 0 and F.zero.tag == (0, 0)
+        assert F.one * F.zeta() == F.zeta() and F.zero + F.zeta() == F.zeta()

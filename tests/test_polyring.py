@@ -4,7 +4,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from galois_scope import exactnum, polyring
@@ -559,6 +559,88 @@ def test_polar_chain_matches_polar_oracle(data):
         assert chain.proportional(L, d - 2)
 
 
+# ---------------------------------------------------------------------------
+# the integer case: rational inputs run on plain ints
+
+RATIONAL = st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 1, 2, 3]))
+
+
+def integer_cases(run):
+    """The rational flag of each `_value_ops` call polyring makes in run()."""
+    with mock.patch.object(polyring, "_value_ops", wraps=exactnum._value_ops) as ops:
+        run()
+    return [call.args[2] for call in ops.call_args_list]
+
+
+@settings(max_examples=40)
+@given(st.data())
+def test_integer_case_matches_sympy_and_polar_oracles(data):
+    """Rational F, C, p and L, as in every detect input, run restrict,
+    PolarChain and proportional in the integer case, over Q and over a
+    cyclotomic field.  restrict equals sympy's expansion of F(C.Y), the
+    chain equals iterated HomogPoly.polar in value and representation, and
+    proportional equals the direct P_j ~ P_(j+1) L test.  The same inputs
+    with one entry of F, C, p or L made a tag z^k or a dense value stay on
+    the tagged path and match the same oracles."""
+    import sympy
+
+    field = cyclo_field(data.draw(st.sampled_from([1, 3, 5, 12]), label="N"))
+    n, d = data.draw(st.integers(1, 3), label="n"), data.draw(st.integers(4, 7), label="d")
+    nvars = n + 2
+    monos = st.lists(st.integers(0, nvars - 1), min_size=d, max_size=d).map(
+        lambda vs: tuple(vs.count(i) for i in range(nvars)))
+    terms = data.draw(st.dictionaries(monos, RATIONAL.filter(bool), min_size=1, max_size=6),
+                      label="F")
+    F = HomogPoly.from_terms(field, nvars, terms, degree=d)
+    vec = st.lists(RATIONAL.map(field.from_rational), min_size=nvars, max_size=nvars)
+    m = data.draw(st.integers(1, 3), label="m")
+    C = data.draw(st.lists(vec, min_size=m, max_size=m), label="C")
+    p = data.draw(vec.filter(any), label="p")
+    L = linear_form(field, data.draw(vec.filter(any), label="L"))
+
+    def check(F, C, p, L):
+        out = {}
+
+        def run():
+            out["g"], out["chain"] = F.restrict(C), polyring.PolarChain(F, p)
+            out["steps"] = [out["chain"].proportional(L, top)
+                            for top in range(1, len(out["chain"]) - 1)]
+
+        flags = integer_cases(run)
+        assert_same_representation(out["g"], horner_restrict(F, C))
+        forms = polar_chain_oracle(F, p)
+        assert_same_chain(out["chain"], forms)
+        assert out["steps"] == [all(proportional_oracle(forms[j], forms[j + 1], L)
+                                    for j in range(top, 0, -1))
+                                for top in range(1, len(forms) - 1)]
+        return out["g"], flags
+
+    g, flags = check(F, C, p, L)
+    assert flags and all(flags)
+    assert sympy.expand(sympy_poly(g)[0] - substituted_by_sympy(F, C)) == 0
+    if field.degree == 1:
+        return
+    k = data.draw(st.sampled_from([k for k in range(1, field.N) if field.zeta(k).rational() is None]))
+    odd = data.draw(st.sampled_from([field.zeta(k), field.element([1] * field.degree)]), label="odd")
+    where = data.draw(st.sampled_from(["F", "C", "p", "L"]), label="where")
+    if where == "F":
+        mono = data.draw(st.sampled_from(sorted(F.terms)))
+        F = F + HomogPoly(field, nvars, d, {mono: odd - F.terms[mono]})
+    elif where == "C":
+        C = [C[0][:1] + [odd] + C[0][2:]] + C[1:]
+    elif where == "p":
+        p = [odd] + p[1:]
+    else:
+        L = L + linear_form(field, [odd] + [0] * (nvars - 1))
+        if L.is_zero():
+            return
+    _, flags = check(F, C, p, L)
+    # the flags of restrict, of the chain and of every proportional step
+    g_flag, chain_flag, step_flag = {"F": (False, False, False), "C": (False, True, True),
+                                     "p": (True, False, False), "L": (True, True, False)}[where]
+    assert flags == [g_flag, chain_flag] + [step_flag] * (len(flags) - 2)
+
+
 @pytest.mark.parametrize("d", [1, 2, 4])
 def test_polar_chain_drops_packed_zero_mod_phi(d):
     """At p = (1, z, z^2) in Q(zeta_3), F = (X0 + X1 + X2) X0^(d-1) has D_pF
@@ -589,7 +671,7 @@ def test_polar_chain_at_the_bit_bound():
     F = poly(K, 3, {(d, 0, 0): c, (d - 1, 1, 0): K.zeta()})
     p = (1, 1, 0)
     chain = polyring.PolarChain(F, p)
-    assert chain.bound == (c + 1) * fact < 2**23 and chain.bits == 24
+    assert chain.bound == (c + 1) * fact < 2**23 and chain.ops.bits == 24
     assert exactnum._unpack(chain.forms[d][0], 24) == [fact * c, fact]
     assert fact * c > 2**22
     forms = polar_chain_oracle(F, p)
